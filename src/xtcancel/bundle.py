@@ -21,7 +21,6 @@ resistive crosstalk-cancelling networks built in the termination module.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,30 +31,29 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 BUNDLE_SCHEMA_VERSION = 1
 
-# Jacobi eigensolver controls.  The stop threshold is relative to the
-# Frobenius norm of the input; 100 sweeps is far beyond what any SPD matrix
-# of the sizes used here needs (convergence is quadratic).
-_JACOBI_SWEEPS = 100
-_JACOBI_STOP = 1e-14
 _SYMMETRY_RTOL = 1e-9
 
 
-def _offdiag_norm(a):
-    # Summed directly over the off-diagonal entries; subtracting the diagonal
-    # from the full norm instead would cancel catastrophically and could
-    # never reach the 1e-14 relative stop.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def checked_symmetric(a, what="matrix"):
+    """Symmetric part of a square, finite matrix that is symmetric within a
+    relative 1e-9; otherwise raise ValidationError naming ``what``."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError("%s must be square, got shape %s" % (what, a.shape))
+    if not np.isfinite(a).all():
+        raise ValidationError("%s has non-finite entries" % what)
+    scale = float(np.abs(a).max(initial=0.0))
+    if scale > 0.0 and float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
+        raise ValidationError("%s is not symmetric within relative tolerance %g"
+                              % (what, _SYMMETRY_RTOL))
+    return 0.5 * (a + a.T)
 
 
-def symmetric_eig(a, rtol=_SYMMETRY_RTOL):
-    """Eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eig(a):
+    """Eigensystem of a symmetric matrix (LAPACK, through numpy.linalg.eigh).
 
     Args:
-        a: square matrix, symmetric within ``rtol`` (relative to its largest
-            entry).  It is symmetrized before iteration.
-        rtol: allowed relative asymmetry of the input.
+        a: square matrix, accepted and symmetrized by checked_symmetric().
 
     Returns:
         (values, vectors): eigenvalues sorted descending and the matching
@@ -64,84 +62,20 @@ def symmetric_eig(a, rtol=_SYMMETRY_RTOL):
         output reproducible bit-for-bit for identical input.
 
     Raises:
-        ValidationError: non-square or asymmetric input, or (pathological)
-            failure to converge within the sweep limit.
+        ValidationError: non-square, non-finite or asymmetric input.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("symmetric_eig needs a square matrix, got shape %s" % (a.shape,))
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if scale > 0.0 and float(np.abs(a - a.T).max()) > rtol * scale:
-        raise ValidationError("matrix is not symmetric within relative tolerance %g" % rtol)
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    vec = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), vec
-
-    stop = _JACOBI_STOP * fro
-    # Skipping pivots below stop/n still guarantees the final off-diagonal
-    # Frobenius norm is below stop.
-    pivot_floor = stop / n
-    converged = False
-    for _ in range(_JACOBI_SWEEPS):
-        if _offdiag_norm(a) <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= pivot_floor:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                # Exact pivot updates are more accurate than the rotated values.
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = vec[:, p].copy()
-                vq = vec[:, q].copy()
-                vec[:, p] = c * vp - s * vq
-                vec[:, q] = s * vp + c * vq
-    else:
-        converged = _offdiag_norm(a) <= stop
-    if not converged:
-        raise ValidationError("Jacobi iteration failed to converge in %d sweeps" % _JACOBI_SWEEPS)
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vec = vec[:, order]
-    for k in range(n):
-        lead = int(np.argmax(np.abs(vec[:, k])))
-        if vec[lead, k] < 0.0:
-            vec[:, k] = -vec[:, k]
-    return values, vec
+    values, vectors = np.linalg.eigh(checked_symmetric(a))
+    values = values[::-1]
+    vectors = vectors[:, ::-1].copy()
+    for k in range(vectors.shape[1]):
+        if vectors[int(np.argmax(np.abs(vectors[:, k]))), k] < 0.0:
+            vectors[:, k] = -vectors[:, k]
+    return values, vectors
 
 
 def spd_inverse(a, what="matrix"):
-    """Inverse of a symmetric positive definite matrix via its eigensystem.
-
-    Reuses the Jacobi kernel rather than a general LU path so that every
-    inverse in the synthesis pipeline goes through one well-tested routine.
-    """
+    """Inverse of a symmetric positive definite matrix via its eigensystem,
+    which gives the smallest eigenvalue when ``a`` is not positive definite."""
     w, v = symmetric_eig(a)
     if w[-1] <= 0.0:
         raise NonPhysicalBundleError("%s is not positive definite (min eigenvalue %g)" % (what, w[-1]))
@@ -162,21 +96,18 @@ class CouplingMatrices:
     def from_arrays(cls, L, C, name=""):
         """Validate, symmetrize, and wrap raw L/C arrays.
 
-        Raises ValidationError for shape or symmetry violations and
+        Raises ValidationError for shape, symmetry or non-finite entries and
         NonPhysicalBundleError for definiteness / sign-structure violations.
         """
-        L = np.asarray(L, dtype=float)
+        L = checked_symmetric(L, "inductance matrix")
         C = np.asarray(C, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValidationError("inductance matrix must be square, got shape %s" % (L.shape,))
         if C.shape != L.shape:
             raise ValidationError("capacitance matrix shape %s does not match inductance %s"
                                   % (C.shape, L.shape))
+        C = checked_symmetric(C, "capacitance matrix")
         n = L.shape[0]
         if n < 1:
             raise ValidationError("bundle needs at least one wire")
-        L = _symmetrized(L, "inductance matrix")
-        C = _symmetrized(C, "capacitance matrix")
         _require_spd(L, "inductance matrix")
         _require_spd(C, "capacitance matrix")
         # Maxwellian sign structure: mutual capacitance terms are negative,
@@ -197,14 +128,6 @@ class CouplingMatrices:
 
     def to_dict(self):
         return {"n": self.n, "L": self.L.tolist(), "C": self.C.tolist(), "name": self.name}
-
-
-def _symmetrized(a, label):
-    scale = float(np.abs(a).max())
-    if scale > 0.0 and float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
-        raise ValidationError("%s is not symmetric within relative tolerance %g"
-                              % (label, _SYMMETRY_RTOL))
-    return 0.5 * (a + a.T)
 
 
 def _require_spd(a, label):
@@ -291,12 +214,7 @@ def lc_from_impedance(zc, velocity, name=""):
     zc = np.asarray(zc, dtype=float)
     if not velocity > 0.0:
         raise ValidationError("velocity must be positive, got %g" % velocity)
-    w, v = symmetric_eig(zc)
-    if w[-1] <= 0.0:
-        raise NonPhysicalBundleError("impedance matrix is not positive definite (min eigenvalue %g)"
-                                     % w[-1])
-    inv = (v / w) @ v.T
-    inv = 0.5 * (inv + inv.T)
+    inv = spd_inverse(zc, what="impedance matrix")
     return CouplingMatrices.from_arrays(zc / velocity, inv / velocity, name=name)
 
 

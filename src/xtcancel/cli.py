@@ -154,7 +154,6 @@ def cmd_eye(args):
                               % (volts.shape[0], engine.n))
     waves = Waveforms(dt=float(t[1] - t[0]), start_time=float(t[0]),
                       vref=engine.vref, volts=volts,
-                      source_currents=np.zeros_like(volts),
                       nominal_delay_s=engine.nominal_delay_s)
     rate = spec.stimulus.data_rate
     report = eye_measure(waves, engine.streams, rate)

@@ -5,9 +5,10 @@ grid of candidate sampling offsets spanning one unit interval around the
 link latency, every bit of the stream is sampled at its nominal center plus
 the offset, samples are split by the transmitted bit, and the vertical eye
 is min(one samples) - max(zero samples), clamped at zero.  Each wire keeps
-the offset that maximizes its eye.  No interpolation: a sample is the
-waveform point nearest the requested time, which is conservative by at most
-half a timestep of edge position.
+the offset that maximizes its eye (the earliest one, among offsets whose eyes
+agree within 1e-12 V).  No interpolation: a sample is the waveform point
+nearest the requested time, which is conservative by at most half a timestep
+of edge position.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import numpy as np
 from .errors import DegenerateStreamError, ValidationError
 
 EYE_SCHEMA_VERSION = 1
+
+# Offsets whose eyes agree within this are a tie, broken by the earliest
+# offset: eyes are flat over most of a clean UI, so a strict argmax would let
+# last-digit roundoff move the reported phase by a large part of a UI.
+_PHASE_TIE_V = 1e-12
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
@@ -94,9 +100,8 @@ def eye_measure(waves, streams, data_rate, latency_hint=None):
 
     per_wire = []
     for w in range(n):
-        best_eye = -np.inf
-        best_off = offsets[0]
-        for o in offsets:
+        eyes = np.full(offsets.size, -np.inf)
+        for k, o in enumerate(offsets):
             b_lo = int(np.ceil((t0 - o) / ui - 0.5))
             b_hi = int(np.floor((t_last - o) / ui - 0.5))
             if b_hi - b_lo + 1 < period:
@@ -110,12 +115,11 @@ def eye_measure(waves, streams, data_rate, latency_hint=None):
             zeros = vals[labels == 0]
             if ones.size == 0 or zeros.size == 0:
                 continue
-            eye = float(ones.min() - zeros.max())
-            if eye > best_eye:
-                best_eye = eye
-                best_off = float(o)
+            eyes[k] = ones.min() - zeros.max()
+        best_eye = float(eyes.max())
         if not np.isfinite(best_eye):
             raise ValidationError("no sampling offset covers wire %d's full period" % (w + 1))
+        best_off = float(offsets[int(np.argmax(eyes >= best_eye - _PHASE_TIE_V))])
         per_wire.append(WireEye(wire=w + 1,
                                 eye_v=max(best_eye, 0.0),
                                 phase_ui=float((best_off % ui) / ui)))

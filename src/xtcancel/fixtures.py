@@ -24,7 +24,7 @@ from .bundle import SPEED_OF_LIGHT, CouplingMatrices, lc_from_impedance, spd_inv
 from .errors import ValidationError
 from .mtlsim import DriverBank, LinkSpec, Segment
 from .stimulus import StimulusSpec
-from .termination import Resistor, TerminationNetwork
+from .termination import Resistor, TerminationNetwork, _element_order
 
 DEFAULT_VELOCITY = SPEED_OF_LIGHT / np.sqrt(3.0)  # homogeneous Er = 3 dielectric
 FOUR_INCHES_M = 0.1016
@@ -256,8 +256,7 @@ def reference_termination(vref=0.5):
         else:
             lo, hi = min(e.i, e.j), max(e.i, e.j)
             elements.append(Resistor(kind="cross", i=lo, j=hi, ohms=e.ohms))
-    order = {"self": 0, "cross": 1}
-    elements.sort(key=lambda el: (order[el.kind], el.i, el.j if el.j is not None else 0))
+    elements.sort(key=_element_order)
     net = TerminationNetwork(n=12, vref=vref, elements=tuple(elements))
     covered = {(min(e.i, e.j), max(e.i, e.j)) for e in REFERENCE_TWELVE_WIRE_TABLE}
     absent = set(REFERENCE_ABSENT_PAIRS)

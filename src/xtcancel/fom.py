@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError
 
 REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
-# Fixed enumeration chunk: results never depend on worker count or scheduling
-# because partition boundaries and the reduction order are functions of n only.
+# Fixed enumeration chunk: partition boundaries and the reduction order are
+# functions of n only, so results are bit-for-bit reproducible.
 _CHUNK = 1 << 14
 
 
@@ -89,19 +90,9 @@ class SampledFomReport:
         }
 
 
-def _checked_admittance(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise ValidationError("admittance matrix must be square, got shape %s" % (y.shape,))
-    scale = float(np.abs(y).max())
-    if scale > 0.0 and float(np.abs(y - y.T).max()) > 1e-9 * scale:
-        raise ValidationError("admittance matrix is not symmetric")
-    return 0.5 * (y + y.T)
-
-
 def wire_currents(y, code, vref=0.5):
     """Per-wire currents for one code: I = Y (v - vref)."""
-    y = _checked_admittance(y)
+    y = checked_symmetric(y, "admittance matrix")
     if len(code.bits) != y.shape[0]:
         raise ValidationError("code has %d bits but admittance is %dx%d"
                               % (len(code.bits), y.shape[0], y.shape[0]))
@@ -121,7 +112,7 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
     symmetric; the full enumeration keeps the implementation obvious and the
     runtime is trivial at bus widths where enumeration is allowed at all.
     """
-    y = _checked_admittance(y)
+    y = checked_symmetric(y, "admittance matrix")
     n = y.shape[0]
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -156,7 +147,7 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     seeded generator, so results are reproducible.  Standard errors cover the
     two averages; the max fields are sample maxima.
     """
-    y = _checked_admittance(y)
+    y = checked_symmetric(y, "admittance matrix")
     n = y.shape[0]
     if samples < 2:
         raise ValidationError("need at least 2 samples")
@@ -187,7 +178,7 @@ def code_table(y, vref=0.5, levels=(0.0, 1.0)):
     Bit k (LSB) of the code integer is wire k+1, so row c and row
     2^n-1-c are exact negations of each other.
     """
-    y = _checked_admittance(y)
+    y = checked_symmetric(y, "admittance matrix")
     n = y.shape[0]
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(

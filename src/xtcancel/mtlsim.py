@@ -87,9 +87,9 @@ class Waveforms:
     dt: float
     start_time: float
     vref: float
-    volts: np.ndarray            # (n, samples): v_node - vref
-    source_currents: np.ndarray  # (n, samples): driver current into each wire
+    volts: np.ndarray  # (n, samples): v_node - vref
     nominal_delay_s: float
+    source_currents: np.ndarray | None = None  # (n, samples) driver currents; CSVs have none
 
     @property
     def n(self):
@@ -212,14 +212,15 @@ class Engine:
         ]
         self.y_net = network_admittance(spec.termination)
         self.svec = self_conductances(spec.termination)
+        # Every free row has g > 0 and y_net is positive semidefinite, so the
+        # free block is positive definite and the DC solve cannot be singular.
+        self.dc = _PinnedSolve(np.diag(g) + self.y_net, g, pinned)
         self.vref = spec.termination.vref
         a_rx = self.y_net + self.segments[-1].yc
         cond = np.linalg.cond(a_rx)
         if not np.isfinite(cond) or cond > 1e14:
             raise ValidationError("receiver nodal system is singular (all-floating termination?)")
         self.rx_inv = np.linalg.inv(a_rx)
-        self.dc_g = g
-        self.dc_pinned = pinned
 
     def source_levels(self, code_bits):
         bits = np.asarray(code_bits, dtype=float)
@@ -230,19 +231,7 @@ class Engine:
 
     def solve_dc(self, e):
         """Steady state with the lines as ideal connections; returns (v, i)."""
-        a = np.diag(self.dc_g) + self.y_net
-        rhs = self.dc_g * e + self.svec * self.vref
-        v = e.copy()
-        free = ~self.dc_pinned
-        if free.any():
-            aff = a[np.ix_(free, free)]
-            r = rhs[free]
-            if self.dc_pinned.any():
-                r = r - a[np.ix_(free, self.dc_pinned)] @ e[self.dc_pinned]
-            try:
-                v[free] = np.linalg.solve(aff, r)
-            except np.linalg.LinAlgError:
-                raise ValidationError("dc network is singular") from None
+        v = self.dc.solve(e, self.svec * self.vref)
         i = self.y_net @ v - self.svec * self.vref
         return v, i
 
@@ -369,11 +358,9 @@ def read_waveform_csv(path):
     return t, data[:, 1:].T.copy()
 
 
-def _spec_value(raw, key, kind, required=True):
+def _spec_value(raw, key):
     if key not in raw:
-        if required:
-            raise ValidationError("link document missing field %r" % key)
-        return None
+        raise ValidationError("link document missing field %r" % key)
     return raw[key]
 
 
@@ -385,7 +372,7 @@ def link_from_dict(raw, base_dir="."):
     """
     if not isinstance(raw, dict):
         raise ValidationError("link document must be a JSON object")
-    seg_entries = _spec_value(raw, "segments", list)
+    seg_entries = _spec_value(raw, "segments")
     if not isinstance(seg_entries, list) or not seg_entries:
         raise ValidationError("link needs a non-empty segments list")
     segments = []
@@ -399,7 +386,7 @@ def link_from_dict(raw, base_dir="."):
             bundle = bundle_from_dict(ref)
         segments.append(Segment(bundle=bundle, length_m=float(entry["length_m"])))
 
-    drv = _spec_value(raw, "drivers", dict)
+    drv = _spec_value(raw, "drivers")
     if not isinstance(drv, dict):
         raise ValidationError("drivers must be an object")
     n = segments[0].bundle.n
@@ -410,13 +397,13 @@ def link_from_dict(raw, base_dir="."):
                          v_high=float(drv.get("v_high", 1.0)),
                          rise_s=float(drv.get("rise_s", 10e-12)))
 
-    term_ref = _spec_value(raw, "termination", dict)
+    term_ref = _spec_value(raw, "termination")
     if isinstance(term_ref, str):
         termination = load_network(os.path.join(base_dir, term_ref))
     else:
         termination = network_from_dict(term_ref)
 
-    stim_raw = _spec_value(raw, "stimulus", dict)
+    stim_raw = _spec_value(raw, "stimulus")
     if not isinstance(stim_raw, dict) or "data_rate" not in stim_raw:
         raise ValidationError("stimulus needs at least a data_rate")
     streams = stim_raw.get("streams")

@@ -10,6 +10,7 @@ from xtcancel.bundle import (CouplingMatrices, SPEED_OF_LIGHT, bundle_from_dict,
 from xtcancel.errors import NonPhysicalBundleError, ValidationError
 from xtcancel.fixtures import (DEFAULT_VELOCITY, pair_bundle, scalar_bundle,
                                six_wire_bundle, twelve_wire_bundle)
+from xtcancel.termination import network_admittance, realize_network
 
 
 def test_eig_identity():
@@ -67,6 +68,26 @@ def test_spd_inverse():
     assert np.max(np.abs(a @ inv - np.eye(5))) < 1e-11
     with pytest.raises(NonPhysicalBundleError):
         spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_graded_bundle_accuracy():
+    # Wire scales spanning six decades: the case where a Jacobi solver's high
+    # relative accuracy (Demmel & Veselic 1992) would matter.  The admittance
+    # is a Maxwellian M-matrix, so its impedance must round-trip through the
+    # decomposition and the realized network entry by entry.
+    rng = np.random.default_rng(29)
+    for trial in range(27):
+        n = 4 + trial % 9
+        d = np.logspace(0.0, 6.0, n)
+        g = np.sqrt(np.outer(d, d)) * (0.1 + rng.random((n, n)))
+        g = 0.5 * (g + g.T)
+        np.fill_diagonal(g, 0.0)
+        y = (np.diag(g.sum(axis=1) + d * (0.5 + rng.random(n))) - g) * 1e-6
+        b = lc_from_impedance(np.linalg.inv(y), 1.5e8)
+        zc = characteristic_impedance(b)[0].zc
+        assert np.abs(zc @ b.C @ zc - b.L).max() <= 1e-12 * np.abs(b.L).max()
+        back = network_admittance(realize_network(zc))
+        assert np.all(np.abs(back - y) <= 1e-9 * np.abs(y))
 
 
 def test_scalar_reduction():
@@ -187,6 +208,17 @@ def test_bundle_validation_errors():
         CouplingMatrices.from_arrays(good_l, np.array([[1e-10, 1e-12], [1e-12, 1e-10]]))
     with pytest.raises(NonPhysicalBundleError):  # zero row sum in C
         CouplingMatrices.from_arrays(good_l, np.array([[1e-10, -1e-10], [-1e-10, 1e-10]]))
+
+
+def test_bundle_rejects_non_finite():
+    good_l = 2.5e-7 * np.eye(2)
+    good_c = 1.0e-10 * np.eye(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        worse = np.array([[2.5e-7, bad], [bad, 2.5e-7]])
+        with pytest.raises(ValidationError, match="inductance matrix has non-finite entries"):
+            CouplingMatrices.from_arrays(worse, good_c)
+        with pytest.raises(ValidationError, match="capacitance matrix has non-finite entries"):
+            CouplingMatrices.from_arrays(good_l, worse * 4e-4)
 
 
 def test_symmetrization_within_tolerance():

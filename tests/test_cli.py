@@ -201,6 +201,15 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_non_finite_bundle_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(fx("pair.json")).read_text())
+    raw["L"][0][1] = raw["L"][1][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(raw))  # json writes the value as NaN
+    assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+    assert "error: inductance matrix has non-finite entries" in capsys.readouterr().err
+
+
 def test_eye_wire_mismatch_exit_2(tmp_path):
     waves = tmp_path / "waves.csv"
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0

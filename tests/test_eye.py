@@ -72,6 +72,21 @@ def test_span_too_short_error():
         eye_measure(waves, stream, 16e9)
 
 
+def test_phase_stable_against_roundoff():
+    # the square wave's eye is flat over most offsets; last-digit noise on the
+    # samples must not move the reported sampling phase along that plateau
+    waves, streams = square_waves([1, 0, 1, 1, 0, 0, 1, 0])
+    clean = eye_measure(waves, streams, 16e9).per_wire[0]
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        noise = rng.uniform(-1e-14, 1e-14, size=waves.volts.shape)
+        noisy = Waveforms(dt=waves.dt, start_time=0.0, vref=0.5,
+                          volts=waves.volts + noise, nominal_delay_s=0.0)
+        got = eye_measure(noisy, streams, 16e9).per_wire[0]
+        assert got.phase_ui == clean.phase_ui
+        assert got.eye_v == pytest.approx(clean.eye_v, abs=1e-13)
+
+
 def test_amplitude_and_offset_equivariance():
     rng = np.random.default_rng(19)
     unit = rng.integers(0, 2, 16)

@@ -198,6 +198,14 @@ def test_logic_code_validation():
         bundle_fom(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
 
 
+def test_admittance_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        y = PAIR_Y.copy()
+        y[1, 1] = bad
+        with pytest.raises(ValidationError, match="admittance matrix has non-finite entries"):
+            bundle_fom(y)
+
+
 def test_csv_and_json_outputs(tmp_path):
     y = PAIR_Y
     table = code_table(y, vref=0.5)
