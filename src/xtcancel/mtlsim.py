@@ -14,9 +14,28 @@ driver bank, inter-segment junctions, and the termination network reduce to
 small nodal solves whose matrices are factored once.  Wires driven through
 zero source resistance are handled exactly by pinning their node voltage.
 
-History buffers are read with linear interpolation at t - tau, so modal
-delays need not be timestep multiples; every modal delay must be at least
-one timestep for the explicit update to stay causal.
+History is read with linear interpolation at t - tau, so modal delays need
+not be timestep multiples; every modal delay must be at least one timestep
+for the explicit update to stay causal.
+
+Blocked stepping.  Write tau = (i0 + frac) dt.  The incident waves of step m
+read history rows m - i0 and m - i0 - 1, and the shortest delay B = min i0
+is at least one step, so every step of a block m .. m + B - 1 reads only rows
+written before the block.  The B steps are therefore independent of one
+another and run as one batch; the blocking approximates nothing.  The link is
+linear, so one step is an affine map, computed once from the node solves,
+
+    y = H[gather] @ step_e + [src, 1] @ step_s
+
+History H has one row per step and 2n columns per segment: segment k owns
+columns 2nk .. 2nk+n-1 (waves leaving its near end, per mode) and the next n
+(waves leaving its far end).  The incident waves share that layout; the wave
+arriving at an end is gathered from the other end's column at rows m - i0 and
+m - i0 - 1, so step_e stacks the interpolation weights (1 - frac) and frac
+times the wave part of the map.
+y holds the new history row, then the receiver volts relative to vref, then
+the source currents; its constant (svec vref at the receiver, -vref in the
+volts) rides on a column of ones appended to the drive.
 """
 
 from __future__ import annotations
@@ -24,13 +43,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundle import CouplingMatrices, bundle_from_dict, characteristic_impedance, load_bundle
 from .errors import SimulationDivergedError, ValidationError
-from .stimulus import SourceWaveform, StimulusSpec, pattern_assign
+from .stimulus import SourceWaveform, StimulusSpec, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
 
@@ -39,6 +59,11 @@ LINK_SCHEMA_VERSION = 1
 TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
 WARMUP_EXTRA_UI = 8    # ... plus 8 unit intervals
+
+# A link whose stepper would hold more than this (history, drive, outputs and
+# one block's temporaries) is rejected with exit 2 before anything of that
+# size is allocated or any PRBS is generated.
+STEPPER_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -124,8 +149,6 @@ class _SegmentState:
                 "timestep %g s exceeds a modal delay (min %g s) of a %g m segment; "
                 "shorten the timestep or lengthen the segment"
                 % (dt, float(self.tau.min()), segment.length_m))
-        self.pad = int(self.i0.max()) + 2
-        self.modes = np.arange(self.n)
 
 
 class _PinnedSolve:
@@ -142,12 +165,14 @@ class _PinnedSolve:
             self.a_fp = a[np.ix_(self.free, pinned)]
 
     def solve(self, e, injection):
+        """Node volts for drives e and injections, each (n,) or a column block (n, k)."""
+        v = np.array(e, dtype=float)
         if self.all_pinned:
-            return e.copy()
-        v = e.copy()
-        rhs = (self.g * e + injection)[self.free]
+            return v
+        g = self.g if v.ndim == 1 else self.g[:, None]
+        rhs = (g * v + injection)[self.free]
         if self.pinned.any():
-            rhs = rhs - self.a_fp @ e[self.pinned]
+            rhs = rhs - self.a_fp @ v[self.pinned]
         v[self.free] = self.inv_ff @ rhs
         return v
 
@@ -178,6 +203,22 @@ class Engine:
         self.total_delay_s = float(sum(s.tau.max() for s in self.segments))
         self.nominal_delay_s = float(sum(s.tau.mean() for s in self.segments))
         self.warmup_s = WARMUP_FLIGHTS * self.total_delay_s + WARMUP_EXTRA_UI * self.ui
+        i0 = np.concatenate([np.tile(s.i0, 2) for s in self.segments])  # near, far ends
+        frac = np.concatenate([np.tile(s.frac, 2) for s in self.segments])
+        self.width = i0.size
+        self.pad = int(i0.max()) + 1
+        self.block = int(i0.min())
+
+        window = self.warmup_s + self.nominal_delay_s + stream_period(spec.stimulus) * self.ui
+        if spec.duration_s is None:
+            self.duration_s = window + 2.0 * self.ui
+        else:
+            self.duration_s = float(spec.duration_s)
+            if self.duration_s < window:
+                raise ValidationError(
+                    "duration %g s is shorter than warmup + latency + one stream period (%g s)"
+                    % (self.duration_s, window))
+        self.step_count(self.duration_s)  # pre-flight, before any stream exists
 
         self.streams = pattern_assign(spec.stimulus, n)
         self.period = self.streams.shape[1]
@@ -189,16 +230,6 @@ class Engine:
                            v_high=spec.drivers.v_high)
             for k in range(n)
         ]
-
-        window = self.warmup_s + self.nominal_delay_s + self.period * self.ui
-        if spec.duration_s is None:
-            self.duration_s = window + 2.0 * self.ui
-        else:
-            self.duration_s = float(spec.duration_s)
-            if self.duration_s < window:
-                raise ValidationError(
-                    "duration %g s is shorter than warmup + latency + one stream period (%g s)"
-                    % (self.duration_s, window))
 
         # Terminal and junction systems, factored once.
         rs = np.asarray(spec.drivers.rs_ohms, dtype=float)
@@ -221,6 +252,55 @@ class Engine:
         if not np.isfinite(cond) or cond > 1e14:
             raise ValidationError("receiver nodal system is singular (all-floating termination?)")
         self.rx_inv = np.linalg.inv(a_rx)
+
+        # The step map: one step of the link is affine in the incident waves
+        # and the drive, so the node solves run once, on identity columns.
+        w = self.width
+        eye = np.eye(w + n + 1)
+        step = self._step_columns(eye[:w], eye[w:w + n], eye[w + n])
+        self.step_e = np.vstack([(1.0 - frac)[:, None] * step[:, :w].T,
+                                 frac[:, None] * step[:, :w].T])
+        self.step_s = step[:, w:].T
+        # Flat history indices of one block's incident waves: row pad + m - i0
+        # then the row before it, each read from the other end of the mode.
+        cols = np.arange(w)
+        other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
+        rows = self.pad + np.arange(self.block)[:, None] - i0
+        at = rows * w + other_end
+        self.gather = np.concatenate([at, at - w], axis=1)
+
+    def _step_columns(self, e, src, one):
+        """One step for column blocks of incident waves e (width, k), drives
+        src (n, k) and constant weights one (k,); returns the (width + 2n, k)
+        new history rows, receiver volts and source currents."""
+        n = self.n
+        segs = self.segments
+        e_near = [e[2 * n * k:2 * n * k + n] for k in range(len(segs))]
+        e_far = [e[2 * n * k + n:2 * n * (k + 1)] for k in range(len(segs))]
+        inj_tx = segs[0].mit @ e_near[0]
+        nodes = [self.tx.solve(src, inj_tx)]
+        for k in range(len(segs) - 1):
+            nodes.append(self.junction_inv[k] @ (
+                segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]))
+        nodes.append(self.rx_inv @ (segs[-1].mit @ e_far[-1]
+                                    + np.outer(self.svec * self.vref, one)))
+        rows = []
+        for k, s in enumerate(segs):
+            rows += [2.0 * s.mi @ nodes[k] - e_near[k], 2.0 * s.mi @ nodes[k + 1] - e_far[k]]
+        rows += [nodes[-1] - self.vref * one, segs[0].yc @ nodes[0] - inj_tx]
+        return np.vstack(rows)
+
+    def step_count(self, duration):
+        """Timesteps covering duration; rejects links over the memory budget."""
+        steps = int(round(duration / self.dt)) + 1
+        words = ((self.pad + steps) * self.width + steps * (3 * self.n + 1)
+                 + self.block * (4 * self.width + 2 * self.n))
+        if 8 * words > STEPPER_BUDGET_BYTES:
+            raise ValidationError(
+                "link needs %d timesteps and about %.3g GB of stepper memory, over the "
+                "%.3g GB budget; lower prbs_order, lengthen timestep_s or shorten duration_s"
+                % (steps, 8e-9 * words, 1e-9 * STEPPER_BUDGET_BYTES))
+        return steps
 
     def source_levels(self, code_bits):
         bits = np.asarray(code_bits, dtype=float)
@@ -251,73 +331,47 @@ def run_transient(engine, duration_s=None):
     """Step the link and return post-warmup receiver waveforms."""
     dt = engine.dt
     duration = engine.duration_s if duration_s is None else float(duration_s)
-    steps = int(round(duration / dt)) + 1
+    steps = engine.step_count(duration)
     start_index = int(math.ceil(engine.warmup_s / dt - 1e-9))
     if start_index >= steps:
         raise ValidationError("duration %g s leaves no samples after warmup %g s"
                               % (duration, engine.warmup_s))
 
+    n, w, pad = engine.n, engine.width, engine.pad
     times = dt * np.arange(steps)
-    src = np.stack([wave.at(times) for wave in engine.sources])
-    if not np.isfinite(src).all():
+    drive = np.ones((steps, n + 1))  # the last column weights the map's constant
+    for k, wave in enumerate(engine.sources):
+        drive[:, k] = wave.at(times)
+    if not np.isfinite(drive).all():
         raise ValidationError("source waveform produced non-finite values")
 
     # Start every line at the DC state of the t=0 drive so the startup
     # transient is only the difference from that state (warmup still applies).
-    v0, i0 = engine.solve_dc(src[:, 0])
-    segs = engine.segments
-    hist_near = []
-    hist_far = []
-    for s in segs:
-        wn0 = s.mi @ v0 + s.mvt @ i0
-        wf0 = s.mi @ v0 - s.mvt @ i0
-        hn = np.empty((s.pad + steps, s.n))
-        hf = np.empty((s.pad + steps, s.n))
-        hn[:s.pad] = wn0
-        hf[:s.pad] = wf0
-        hist_near.append(hn)
-        hist_far.append(hf)
+    v0, i0 = engine.solve_dc(drive[0, :n])
+    hist = np.empty((pad + steps, w))
+    for k, s in enumerate(engine.segments):
+        hist[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
+        hist[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
+    flat = hist.reshape(-1)
+    volts = np.empty((steps, n))
+    src_cur = np.empty((steps, n))
 
-    n_seg = len(segs)
-    volts = np.empty((engine.n, steps))
-    src_cur = np.empty((engine.n, steps))
-    svec_vref = engine.svec * engine.vref
-    e_near = [None] * n_seg
-    e_far = [None] * n_seg
-
-    for m in range(steps):
-        for k, s in enumerate(segs):
-            row = s.pad + m - s.i0
-            om = 1.0 - s.frac
-            e_near[k] = hist_far[k][row, s.modes] * om + hist_far[k][row - 1, s.modes] * s.frac
-            e_far[k] = hist_near[k][row, s.modes] * om + hist_near[k][row - 1, s.modes] * s.frac
-
-        nodes = [None] * (n_seg + 1)
-        inj_tx = segs[0].mit @ e_near[0]
-        nodes[0] = engine.tx.solve(src[:, m], inj_tx)
-        for k in range(n_seg - 1):
-            nodes[k + 1] = engine.junction_inv[k] @ (
-                segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1])
-        nodes[n_seg] = engine.rx_inv @ (segs[-1].mit @ e_far[-1] + svec_vref)
-
-        v_rx = nodes[n_seg]
+    for m in range(0, steps, engine.block):
+        b = min(engine.block, steps - m)
+        y = flat[engine.gather[:b] + m * w] @ engine.step_e + drive[m:m + b] @ engine.step_s
+        v_rx = y[:, w:w + n]
         if not np.isfinite(v_rx).all():
-            raise SimulationDivergedError(m, "receiver node voltages")
-
-        for k, s in enumerate(segs):
-            un = s.mi @ nodes[k]
-            uf = s.mi @ nodes[k + 1]
-            hist_near[k][s.pad + m] = 2.0 * un - e_near[k]
-            hist_far[k][s.pad + m] = 2.0 * uf - e_far[k]
-
-        volts[:, m] = v_rx - engine.vref
-        src_cur[:, m] = segs[0].yc @ nodes[0] - inj_tx
+            first = int(np.isfinite(v_rx).all(axis=1).argmin())
+            raise SimulationDivergedError(m + first, "receiver node voltages")
+        hist[pad + m:pad + m + b] = y[:, :w]
+        volts[m:m + b] = v_rx
+        src_cur[m:m + b] = y[:, w + n:]
 
     return Waveforms(dt=dt,
                      start_time=start_index * dt,
                      vref=engine.vref,
-                     volts=volts[:, start_index:].copy(),
-                     source_currents=src_cur[:, start_index:].copy(),
+                     volts=volts[start_index:].T,
+                     source_currents=src_cur[start_index:].T,
                      nominal_delay_s=engine.nominal_delay_s)
 
 
@@ -338,7 +392,10 @@ def read_waveform_csv(path):
         cols = header.split(",")
         if not cols or cols[0] != "time_s" or len(cols) < 2:
             raise ValidationError("waveform CSV must start with time_s,w1,... header")
-        rows = []
+        # One flat buffer of doubles: a list of per-row float objects would
+        # take about four times the memory of the samples themselves.
+        values = array("d")
+        rows = 0
         for line in fh:
             line = line.strip()
             if not line:
@@ -347,10 +404,20 @@ def read_waveform_csv(path):
             if len(parts) != len(cols):
                 raise ValidationError("waveform CSV row has %d fields, expected %d"
                                       % (len(parts), len(cols)))
-            rows.append([float(p) for p in parts])
-    if len(rows) < 2:
+            rows += 1
+            try:
+                values.extend(map(float, parts))
+            except ValueError:
+                raise ValidationError("waveform CSV data row %d has a non-numeric field"
+                                      % rows) from None
+    if rows < 2:
         raise ValidationError("waveform CSV needs at least two samples")
-    data = np.asarray(rows)
+    data = np.frombuffer(values).reshape(rows, len(cols))
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValidationError("waveform CSV has a non-finite %s sample in data row %d"
+                              % (cols[col], row + 1))
     t = data[:, 0]
     dts = np.diff(t)
     if float(np.abs(dts - dts[0]).max()) > 1e-6 * abs(float(dts[0])):

@@ -29,6 +29,12 @@ PATTERN_MODES = ("worst", "best", "random")
 _RANDOM_STRIDE = 17
 
 
+def _prbs_period(order):
+    if order not in _MAXIMAL_TAPS:
+        raise ValidationError("prbs order must be in [3, 31], got %r" % (order,))
+    return (1 << order) - 1
+
+
 def prbs(order=7, seed=None):
     """One period of a maximal-length PRBS as a uint8 array.
 
@@ -37,9 +43,7 @@ def prbs(order=7, seed=None):
         seed: initial register state in [1, 2^order - 1]; defaults to all
             ones.  Any nonzero seed yields the same cyclic sequence rotated.
     """
-    if order not in _MAXIMAL_TAPS:
-        raise ValidationError("prbs order must be in [3, 31], got %r" % (order,))
-    mask = (1 << order) - 1
+    mask = _prbs_period(order)
     if seed is None:
         seed = mask
     seed = int(seed)
@@ -89,6 +93,13 @@ class StimulusSpec:
     @property
     def unit_interval(self):
         return 1.0 / self.data_rate
+
+
+def stream_period(spec):
+    """Bits in one period of spec's streams, found without generating them."""
+    if spec.streams is not None:
+        return len(spec.streams[0]) if spec.streams else 0
+    return _prbs_period(spec.prbs_order)
 
 
 def pattern_assign(spec, n):

@@ -217,6 +217,20 @@ def test_eye_wire_mismatch_exit_2(tmp_path):
                      "-o", str(tmp_path / "e.json")]) == 2
 
 
+def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
+    waves = tmp_path / "waves.csv"
+    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
+    lines = waves.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "nan"
+    lines[5] = ",".join(cells)
+    waves.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eye", "--waves", str(waves), "--link", fx("link-pair.json"),
+                     "-o", str(tmp_path / "e.json")]) == 2
+    assert "error: waveform CSV has a non-finite w2 sample in data row 5" \
+        in capsys.readouterr().err
+
+
 def test_exit_code_5_on_divergence(tmp_path, monkeypatch):
     def blow_up(engine, duration_s=None):
         raise SimulationDivergedError(41, "receiver node voltages")

@@ -1,12 +1,15 @@
 """Time-domain link simulator tests: oracles, invariants, and file formats."""
 
+import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xtcancel.bundle import characteristic_impedance
-from xtcancel.errors import ValidationError
+from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network, pair_bundle,
                                scalar_bundle, simple_link, uncoupled_bundle)
 from xtcancel.fom import LogicCode
@@ -36,6 +39,121 @@ def center_samples(waves, data_rate, latency):
     idx = np.round((centers - t[0]) / waves.dt).astype(int)
     bits = (first - 1 + np.arange(1, 40))[: idx.size]
     return bits, waves.volts[:, idx]
+
+
+def reference_transient(engine):
+    """The per-step stepper: every step solves the tx, junction and rx nodes
+    in turn.  Returns post-warmup (volts, source currents), each (n, samples)."""
+    dt = engine.dt
+    steps = int(round(engine.duration_s / dt)) + 1
+    start = int(math.ceil(engine.warmup_s / dt - 1e-9))
+    src = np.stack([wave.at(dt * np.arange(steps)) for wave in engine.sources])
+    v0, i0 = engine.solve_dc(src[:, 0])
+    segs = engine.segments
+    pad = max(int(s.i0.max()) for s in segs) + 2
+    hist_near = [np.tile(s.mi @ v0 + s.mvt @ i0, (pad + steps, 1)) for s in segs]
+    hist_far = [np.tile(s.mi @ v0 - s.mvt @ i0, (pad + steps, 1)) for s in segs]
+    volts = np.empty((engine.n, steps))
+    src_cur = np.empty((engine.n, steps))
+    for m in range(steps):
+        e_near, e_far = [], []
+        for k, s in enumerate(segs):
+            row, modes, om = pad + m - s.i0, np.arange(s.n), 1.0 - s.frac
+            e_near.append(hist_far[k][row, modes] * om + hist_far[k][row - 1, modes] * s.frac)
+            e_far.append(hist_near[k][row, modes] * om + hist_near[k][row - 1, modes] * s.frac)
+        inj_tx = segs[0].mit @ e_near[0]
+        nodes = [engine.tx.solve(src[:, m], inj_tx)]
+        for k in range(len(segs) - 1):
+            nodes.append(engine.junction_inv[k] @ (
+                segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]))
+        nodes.append(engine.rx_inv @ (segs[-1].mit @ e_far[-1] + engine.svec * engine.vref))
+        if not np.isfinite(nodes[-1]).all():
+            raise SimulationDivergedError(m, "receiver node voltages")
+        for k, s in enumerate(segs):
+            hist_near[k][pad + m] = 2.0 * s.mi @ nodes[k] - e_near[k]
+            hist_far[k][pad + m] = 2.0 * s.mi @ nodes[k + 1] - e_far[k]
+        volts[:, m] = nodes[-1] - engine.vref
+        src_cur[:, m] = segs[0].yc @ nodes[0] - inj_tx
+    return volts[:, start:], src_cur[:, start:]
+
+
+def breakout_link(spec, length_m):
+    """spec with uncoupled 50 ohm breakouts of length_m at both ends."""
+    breakout = Segment(bundle=uncoupled_bundle(spec.termination.n, z0=50.0,
+                                               velocity=DEFAULT_VELOCITY), length_m=length_m)
+    return replace(spec, segments=(breakout,) + spec.segments + (breakout,))
+
+
+def _equivalence_links():
+    """Links for the stepper oracle, each with its block size min(i0)."""
+    twelve = load_link(FIXTURES / "link-twelve.json")
+    bits = tuple(np.random.default_rng(17).integers(0, 2, 24))
+    pair = simple_link(pair_bundle(), full_pair_network(), streams=(bits, bits[::-1]))
+    half = Segment(bundle=pair_bundle(), length_m=0.0508)
+    return {
+        "twelve": (twelve, 601),
+        "twelve-breakout-0.5mm": (breakout_link(twelve, 0.0005), 2),
+        # a breakout delay of exactly one timestep
+        "pair-breakout-1-step": (breakout_link(pair, DEFAULT_VELOCITY * UI / 64), 1),
+        "pair-all-pinned": (load_link(FIXTURES / "link-pair.json"), 601),
+        "pair-mixed-drivers": (replace(pair, drivers=replace(pair.drivers,
+                                                             rs_ohms=(0.0, 25.0))), 601),
+        "pair-two-halves": (replace(pair, segments=(half, half)), 300),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_links()))
+def test_blocked_stepper_matches_per_step_reference(name):
+    spec, block = _equivalence_links()[name]
+    engine = build_link(spec)
+    assert engine.block == block
+    if name == "twelve":
+        steps = int(round(engine.duration_s / engine.dt)) + 1
+        assert steps % block != 0  # the last block is a short one
+    if name == "pair-breakout-1-step":
+        assert engine.segments[0].frac.max() == 0.0
+    if name == "pair-two-halves":
+        assert all(s.frac.min() > 0.0 for s in engine.segments)
+    waves = run_transient(engine)
+    volts, src_cur = reference_transient(engine)
+    assert waves.volts.shape == volts.shape
+    assert np.max(np.abs(waves.volts - volts)) <= 1e-12
+    assert np.max(np.abs(waves.source_currents - src_cur)) <= 1e-12
+
+
+def test_divergence_reports_first_bad_step_inside_a_block():
+    engine = build_link(breakout_link(load_link(FIXTURES / "link-twelve.json"), 0.0005))
+    n, block = engine.n, engine.block
+    delay = int(engine.segments[1].i0[0])
+    # the far-end history of the middle segment's first mode turns infinite
+    # from step 0 on; its near end first reads it one delay later
+    engine.step_s[-1, 3 * n] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(SimulationDivergedError) as blocked:
+        run_transient(engine)
+    assert blocked.value.step == delay
+    assert delay % block != 0  # inside a block, not at its start
+    engine.block = 1  # one step per block is the per-step loop
+    with np.errstate(invalid="ignore"), pytest.raises(SimulationDivergedError) as per_step:
+        run_transient(engine)
+    assert per_step.value.step == delay
+
+
+@pytest.mark.parametrize("change", [{"prbs_order": 23}, {"timestep_s": 1e-16}],
+                         ids=["prbs23", "timestep-1e-16"])
+def test_oversized_link_rejected_before_allocation(change):
+    spec = load_link(FIXTURES / "link-twelve.json")
+    if "prbs_order" in change:
+        spec = replace(spec, stimulus=replace(spec.stimulus, **change))
+    else:
+        spec = replace(spec, **change)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"link needs \d+ timesteps and about"):
+            build_link(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_matched_line_delay_and_flatness():
@@ -247,6 +365,12 @@ def test_waveform_csv_validation(tmp_path):
     uneven.write_text("time_s,w1\n0.0,0.1\n1.0,0.2\n3.0,0.3\n")
     with pytest.raises(ValidationError):
         read_waveform_csv(uneven)
+    for cell, reason in (("inf", "non-finite w1 sample in data row 2"),
+                         ("abc", "data row 2 has a non-numeric field")):
+        odd = tmp_path / "odd.csv"
+        odd.write_text("time_s,w1\n0.0,0.1\n1.0,%s\n2.0,0.3\n" % cell)
+        with pytest.raises(ValidationError, match=reason):
+            read_waveform_csv(odd)
 
 
 def test_link_json_loading(tmp_path):
