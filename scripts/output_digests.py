@@ -1,0 +1,74 @@
+"""Print the SHA-256 of every file the CLI writes for the shipped fixtures.
+
+Runs each command (synth with --zc/--histogram, synth reduction, fom with
+--codes, sim, eye with --svg/--folded, and sweep in all three modes) on
+fixtures/ into a temporary directory and prints one "sha256  name" line per
+output file.  Two checkouts whose outputs are byte-identical print the same
+lines, so a refactor of the output layer can be checked with diff:
+
+    python3 scripts/output_digests.py > after.txt
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from xtcancel import cli  # noqa: E402
+
+FIXTURES = os.path.join(ROOT, "fixtures")
+
+
+def commands():
+    """(argv, output file names) for every run, file names relative to the
+    output directory."""
+    runs = []
+    for name in ("scalar", "pair", "six", "twelve"):
+        runs.append((["synth", "--lc", "@%s.json" % name, "-o", "synth-%s.json" % name,
+                      "--zc", "zc-%s.json" % name, "--histogram", "hist-%s.csv" % name],
+                     ["synth-%s.json" % name, "zc-%s.json" % name, "hist-%s.csv" % name]))
+    runs.append((["synth", "--net", "@twelve-network.json", "--cutoff-self", "500",
+                  "-o", "reduced-twelve.json"], ["reduced-twelve.json"]))
+    for name in ("pair", "twelve"):
+        runs.append((["fom", "--lc", "@%s.json" % name, "-o", "fom-%s.json" % name,
+                      "--codes", "codes-%s.csv" % name],
+                     ["fom-%s.json" % name, "codes-%s.csv" % name]))
+    for name in ("scalar", "pair", "twelve"):
+        link = "@link-%s.json" % name
+        waves = "waves-%s.csv" % name
+        runs.append((["sim", "--link", link, "-o", waves], [waves]))
+        outs = ["eye-%s.json" % name, "eye-%s.svg" % name, "folded-%s.csv" % name]
+        runs.append((["eye", "--waves", waves, "--link", link, "-o", outs[0],
+                      "--svg", outs[1], "--folded", outs[2]], outs))
+    for mode, link, values in (("rs", "scalar", "0,1.67,25"),
+                               ("cutoff", "pair", "inf,90/100"),
+                               ("uncoupled", "pair", "0,0.0005")):
+        out = "sweep-%s.csv" % mode
+        runs.append((["sweep", "--mode", mode, "--link", "@link-%s.json" % link,
+                      "--values", values, "-o", out], [out]))
+    return runs
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, outs in commands():
+            # "@name" is a shipped fixture; any other file name lives in tmp.
+            resolved = [os.path.join(FIXTURES, a[1:]) if a.startswith("@")
+                        else os.path.join(tmp, a) if a.endswith((".json", ".csv", ".svg"))
+                        else a for a in argv]
+            code = cli.main(resolved)
+            if code != 0:
+                print("command failed with exit %d: %s" % (code, " ".join(argv)),
+                      file=sys.stderr)
+                return 1
+            for out in outs:
+                with open(os.path.join(tmp, out), "rb") as fh:
+                    print("%s  %s" % (hashlib.sha256(fh.read()).hexdigest(), out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

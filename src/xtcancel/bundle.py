@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalBundleError, ValidationError
+from .errors import NonPhysicalBundleError, ValidationError, converted
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -34,10 +34,14 @@ BUNDLE_SCHEMA_VERSION = 1
 _SYMMETRY_RTOL = 1e-9
 
 
+def _float_array(a):
+    return np.asarray(a, dtype=float)
+
+
 def checked_symmetric(a, what="matrix"):
     """Symmetric part of a square, finite matrix that is symmetric within a
     relative 1e-9; otherwise raise ValidationError naming ``what``."""
-    a = np.asarray(a, dtype=float)
+    a = converted(_float_array, a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("%s must be square, got shape %s" % (what, a.shape))
     if not np.isfinite(a).all():
@@ -100,7 +104,7 @@ class CouplingMatrices:
         NonPhysicalBundleError for definiteness / sign-structure violations.
         """
         L = checked_symmetric(L, "inductance matrix")
-        C = np.asarray(C, dtype=float)
+        C = converted(_float_array, C, "capacitance matrix")
         if C.shape != L.shape:
             raise ValidationError("capacitance matrix shape %s does not match inductance %s"
                                   % (C.shape, L.shape))
@@ -232,7 +236,7 @@ def bundle_from_dict(raw):
     if missing:
         raise ValidationError("bundle document missing field(s): %s" % ", ".join(missing))
     bundle = CouplingMatrices.from_arrays(raw["L"], raw["C"], name=raw.get("name", ""))
-    if int(raw["n"]) != bundle.n:
+    if converted(int, raw["n"], "bundle n") != bundle.n:
         raise ValidationError("bundle declares n=%s but matrices are %dx%d"
                               % (raw["n"], bundle.n, bundle.n))
     return bundle

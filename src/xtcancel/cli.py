@@ -35,6 +35,7 @@ from .mtlsim import (LINK_SCHEMA_VERSION, Segment, Waveforms, build_link,
 from .termination import (NETWORK_SCHEMA_VERSION, ReductionPolicy,
                           load_network, network_admittance, realize_network,
                           reduce_network, save_network, write_histogram_csv)
+from .textio import write_csv
 
 _VERSION_TEXT = ("xtcancel %s (schemas: bundle %d, network %d, report %d, link %d, eye %d)"
                  % (__version__, BUNDLE_SCHEMA_VERSION, NETWORK_SCHEMA_VERSION,
@@ -180,7 +181,10 @@ def _parse_sweep_values(mode, text):
             if len(halves) != 2:
                 raise ValidationError(
                     "cutoff values look like SELF/CROSS ohms (or 'inf'), got %r" % tok)
-            pairs.append((float(halves[0]), float(halves[1])))
+            try:
+                pairs.append((float(halves[0]), float(halves[1])))
+            except ValueError:
+                raise ValidationError("cutoff values must be numbers, got %r" % tok) from None
         return pairs
     try:
         vals = [float(t) for t in tokens]
@@ -228,10 +232,7 @@ def cmd_sweep(args):
         for we in report.per_wire:
             rows.append((col, we.wire, we.eye_v, report.min_v, report.avg_v, report.max_v))
         _info("%s=%r: min eye %g V" % (args.mode, col, report.min_v))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("value,wire,eye_v,min_v,avg_v,max_v\n")
-        for col, wire, eye_v, mn, av, mx in rows:
-            fh.write("%r,%d,%r,%r,%r,%r\n" % (col, wire, eye_v, mn, av, mx))
+    write_csv(args.output, ["value", "wire", "eye_v", "min_v", "avg_v", "max_v"], zip(*rows))
     _info("wrote %s (%d rows)" % (args.output, len(rows)))
     return 0
 

@@ -2,6 +2,8 @@
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError.
+converted() turns a malformed field of an input document into a
+ValidationError.
 """
 
 
@@ -66,3 +68,12 @@ class SimulationDivergedError(XtcancelError):
         if detail:
             msg += " (%s)" % detail
         super().__init__(msg)
+
+
+def converted(convert, value, field):
+    """convert(value); a value of the wrong type or form raises
+    ValidationError naming field instead of a bare TypeError/ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad %s: %s" % (field, exc)) from None

@@ -18,6 +18,7 @@ import json
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
+from .textio import write_csv
 
 EYE_SCHEMA_VERSION = 1
 
@@ -98,31 +99,28 @@ def eye_measure(waves, streams, data_rate, latency_hint=None):
     k_cand = max(int(round(ui / waves.dt)), 1)
     offsets = hint - 0.5 * ui + waves.dt * np.arange(k_cand)
 
-    per_wire = []
-    for w in range(n):
-        eyes = np.full(offsets.size, -np.inf)
-        for k, o in enumerate(offsets):
-            b_lo = int(np.ceil((t0 - o) / ui - 0.5))
-            b_hi = int(np.floor((t_last - o) / ui - 0.5))
-            if b_hi - b_lo + 1 < period:
-                continue
-            bits = np.arange(b_lo, b_hi + 1)
-            idx = np.round((o + (bits + 0.5) * ui - t0) / waves.dt).astype(np.int64)
-            keep = (idx >= 0) & (idx < samples)
-            vals = waves.volts[w, idx[keep]]
-            labels = streams[w, bits[keep] % period]
-            ones = vals[labels == 1]
-            zeros = vals[labels == 0]
-            if ones.size == 0 or zeros.size == 0:
-                continue
-            eyes[k] = ones.min() - zeros.max()
-        best_eye = float(eyes.max())
-        if not np.isfinite(best_eye):
-            raise ValidationError("no sampling offset covers wire %d's full period" % (w + 1))
-        best_off = float(offsets[int(np.argmax(eyes >= best_eye - _PHASE_TIE_V))])
-        per_wire.append(WireEye(wire=w + 1,
-                                eye_v=max(best_eye, 0.0),
-                                phase_ui=float((best_off % ui) / ui)))
+    eyes = np.full((k_cand, n), -np.inf)  # eyes[k, w]: wire w's eye at offset k
+    for k, o in enumerate(offsets):
+        b_lo = int(np.ceil((t0 - o) / ui - 0.5))
+        b_hi = int(np.floor((t_last - o) / ui - 0.5))
+        if b_hi - b_lo + 1 < period:
+            continue
+        bits = np.arange(b_lo, b_hi + 1)
+        idx = np.round((o + (bits + 0.5) * ui - t0) / waves.dt).astype(np.int64)
+        keep = (idx >= 0) & (idx < samples)
+        vals = waves.volts[:, idx[keep]]
+        labels = streams[:, bits[keep] % period]
+        # A wire with no ones (or no zeros) reads +inf and fails the check below.
+        eyes[k] = (np.where(labels == 1, vals, np.inf).min(axis=1)
+                   - np.where(labels == 0, vals, -np.inf).max(axis=1))
+    best = eyes.max(axis=0)
+    if not np.isfinite(best).all():
+        w = int(np.argmin(np.isfinite(best)))
+        raise ValidationError("no sampling offset covers wire %d's full period" % (w + 1))
+    best_off = offsets[np.argmax(eyes >= best - _PHASE_TIE_V, axis=0)]
+    per_wire = [WireEye(wire=w + 1, eye_v=max(float(best[w]), 0.0),
+                        phase_ui=float((float(best_off[w]) % ui) / ui))
+                for w in range(n)]
     return EyeReport(per_wire, data_rate=float(data_rate))
 
 
@@ -137,12 +135,10 @@ def fold_phases(waves, data_rate, latency_hint=None):
 def write_folded_csv(waves, data_rate, path, latency_hint=None):
     """Folded samples as CSV: wire,phase_ui,volts (phase in a two-UI window)."""
     phases = fold_phases(waves, data_rate, latency_hint=latency_hint)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("wire,phase_ui,volts\n")
-        for w in range(waves.volts.shape[0]):
-            row = waves.volts[w]
-            for m in range(phases.size):
-                fh.write("%d,%r,%r\n" % (w + 1, float(phases[m]), float(row[m])))
+    n = waves.volts.shape[0]
+    write_csv(path, ["wire", "phase_ui", "volts"],
+              [np.repeat(np.arange(1, n + 1), phases.size), np.tile(phases, n),
+               waves.volts.ravel()])
 
 
 def write_eye_json(report, path):
@@ -198,28 +194,18 @@ def render_eye_svg(waves, data_rate, path, latency_hint=None, width=860, height=
     parts.append('<text x="%d" y="%d" font-family="monospace" font-size="12" '
                  'fill="#333333">%.3f V</text>' % (6, int(top + ph), vlo))
 
+    # A polyline per run of rising phase; a run of one point draws nothing.
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(phases) < 0) + 1, [samples]))
+    spans = [(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if b - a > 1]
+    xs = ["%.2f," % x for x in xpix(phases).tolist()]
     for w in range(n):
         color = _PALETTE[w % len(_PALETTE)]
-        row = waves.volts[w]
-        segs = []
-        cur = []
-        prev_phase = None
-        for m in range(samples):
-            p = float(phases[m])
-            if prev_phase is not None and p < prev_phase:
-                if len(cur) > 1:
-                    segs.append(cur)
-                cur = []
-            cur.append((xpix(p), ypix(float(row[m]))))
-            prev_phase = p
-        if len(cur) > 1:
-            segs.append(cur)
-        for seg in segs:
-            pts = " ".join("%.2f,%.2f" % (x, y) for x, y in seg)
+        pts = [x + "%.2f" % y for x, y in zip(xs, ypix(waves.volts[w]).tolist())]
+        for a, b in spans:
             parts.append('<polyline points="%s" fill="none" stroke="%s" '
-                         'stroke-width="1" stroke-opacity="0.55"/>' % (pts, color))
+                         'stroke-width="1" stroke-opacity="0.55"/>' % (" ".join(pts[a:b]), color))
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        # part by part: joining the parts first would hold the file twice
+        fh.writelines(part + "\n" for part in parts)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError
+from .textio import write_csv
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -194,11 +195,8 @@ def code_table(y, vref=0.5, levels=(0.0, 1.0)):
 
 
 def write_code_table_csv(table, path):
-    n = table.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("code," + ",".join("i%d" % (k + 1) for k in range(n)) + "\n")
-        for c in range(table.shape[0]):
-            fh.write("%d,%s\n" % (c, ",".join(repr(float(v)) for v in table[c])))
+    write_csv(path, ["code"] + ["i%d" % (k + 1) for k in range(table.shape[1])],
+              [np.arange(table.shape[0]), *table.T])
 
 
 def write_report_json(report, path):

@@ -49,10 +49,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import CouplingMatrices, bundle_from_dict, characteristic_impedance, load_bundle
-from .errors import SimulationDivergedError, ValidationError
+from .errors import SimulationDivergedError, ValidationError, converted
 from .stimulus import SourceWaveform, StimulusSpec, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
+from .textio import write_csv
 
 LINK_SCHEMA_VERSION = 1
 
@@ -377,12 +378,8 @@ def run_transient(engine, duration_s=None):
 
 def write_waveform_csv(waves, path):
     """Waveform CSV: time_s,w1..wn with voltages relative to the reference."""
-    t = waves.times()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s," + ",".join("w%d" % (k + 1) for k in range(waves.n)) + "\n")
-        for m in range(t.size):
-            fh.write("%r,%s\n" % (float(t[m]),
-                                  ",".join(repr(float(v)) for v in waves.volts[:, m])))
+    write_csv(path, ["time_s"] + ["w%d" % (k + 1) for k in range(waves.n)],
+              [waves.times(), *waves.volts])
 
 
 def read_waveform_csv(path):
@@ -425,6 +422,19 @@ def read_waveform_csv(path):
     return t, data[:, 1:].T.copy()
 
 
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
+def _optional(raw, key, convert):
+    """convert(raw[key]), or None when the field is absent or null."""
+    return None if raw.get(key) is None else converted(convert, raw[key], key)
+
+
 def _spec_value(raw, key):
     if key not in raw:
         raise ValidationError("link document missing field %r" % key)
@@ -451,18 +461,20 @@ def link_from_dict(raw, base_dir="."):
             bundle = load_bundle(os.path.join(base_dir, ref))
         else:
             bundle = bundle_from_dict(ref)
-        segments.append(Segment(bundle=bundle, length_m=float(entry["length_m"])))
+        segments.append(Segment(bundle=bundle,
+                                length_m=converted(float, entry["length_m"], "length_m")))
 
     drv = _spec_value(raw, "drivers")
     if not isinstance(drv, dict):
         raise ValidationError("drivers must be an object")
     n = segments[0].bundle.n
     rs = drv.get("rs_ohms", 0.0)
-    rs_tuple = tuple(float(r) for r in rs) if isinstance(rs, (list, tuple)) else (float(rs),) * n
+    rs_tuple = (converted(_floats, rs, "rs_ohms") if isinstance(rs, (list, tuple))
+                else (converted(float, rs, "rs_ohms"),) * n)
     drivers = DriverBank(rs_ohms=rs_tuple,
-                         v_low=float(drv.get("v_low", 0.0)),
-                         v_high=float(drv.get("v_high", 1.0)),
-                         rise_s=float(drv.get("rise_s", 10e-12)))
+                         v_low=converted(float, drv.get("v_low", 0.0), "v_low"),
+                         v_high=converted(float, drv.get("v_high", 1.0), "v_high"),
+                         rise_s=converted(float, drv.get("rise_s", 10e-12), "rise_s"))
 
     term_ref = _spec_value(raw, "termination")
     if isinstance(term_ref, str):
@@ -473,26 +485,22 @@ def link_from_dict(raw, base_dir="."):
     stim_raw = _spec_value(raw, "stimulus")
     if not isinstance(stim_raw, dict) or "data_rate" not in stim_raw:
         raise ValidationError("stimulus needs at least a data_rate")
-    streams = stim_raw.get("streams")
     stimulus = StimulusSpec(
-        data_rate=float(stim_raw["data_rate"]),
-        prbs_order=int(stim_raw.get("prbs_order", 7)),
-        seed=None if stim_raw.get("seed") is None else int(stim_raw["seed"]),
+        data_rate=converted(float, stim_raw["data_rate"], "data_rate"),
+        prbs_order=converted(int, stim_raw.get("prbs_order", 7), "prbs_order"),
+        seed=_optional(stim_raw, "seed", int),
         mode=stim_raw.get("mode", "random"),
-        invert_mask=None if stim_raw.get("invert_mask") is None
-        else tuple(int(b) for b in stim_raw["invert_mask"]),
-        offsets=None if stim_raw.get("offsets") is None
-        else tuple(int(o) for o in stim_raw["offsets"]),
-        streams=None if streams is None
-        else tuple(tuple(int(b) for b in row) for row in streams),
+        invert_mask=_optional(stim_raw, "invert_mask", _ints),
+        offsets=_optional(stim_raw, "offsets", _ints),
+        streams=_optional(stim_raw, "streams", lambda rows: tuple(_ints(r) for r in rows)),
     )
 
     return LinkSpec(segments=tuple(segments),
                     drivers=drivers,
                     termination=termination,
                     stimulus=stimulus,
-                    timestep_s=None if raw.get("timestep_s") is None else float(raw["timestep_s"]),
-                    duration_s=None if raw.get("duration_s") is None else float(raw["duration_s"]))
+                    timestep_s=_optional(raw, "timestep_s", float),
+                    duration_s=_optional(raw, "duration_s", float))
 
 
 def load_link(path):

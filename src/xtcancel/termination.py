@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import spd_inverse
-from .errors import IsolatedWireError, NonRealizableCouplingError, ValidationError
+from .errors import IsolatedWireError, NonRealizableCouplingError, ValidationError, converted
+from .textio import write_csv
 
 NETWORK_SCHEMA_VERSION = 1
 
@@ -233,11 +234,7 @@ def conductance_histogram(net, bins=HISTOGRAM_BINS):
 
 
 def write_histogram_csv(net, path, bins=HISTOGRAM_BINS):
-    rows = conductance_histogram(net, bins=bins)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("siemens,count\n")
-        for center, count in rows:
-            fh.write("%r,%d\n" % (center, count))
+    write_csv(path, ["siemens", "count"], zip(*conductance_histogram(net, bins=bins)))
 
 
 def load_network(path):
@@ -252,6 +249,8 @@ def network_from_dict(raw):
     missing = [k for k in ("n", "vref", "elements") if k not in raw]
     if missing:
         raise ValidationError("network document missing field(s): %s" % ", ".join(missing))
+    if not isinstance(raw["elements"], list):
+        raise ValidationError("network elements must be a list")
     elements = []
     for entry in raw["elements"]:
         try:
@@ -260,7 +259,9 @@ def network_from_dict(raw):
                                      ohms=float(entry["ohms"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("bad network element %r: %s" % (entry, exc)) from None
-    net = TerminationNetwork(n=int(raw["n"]), vref=float(raw["vref"]), elements=tuple(elements))
+    net = TerminationNetwork(n=converted(int, raw["n"], "network n"),
+                             vref=converted(float, raw["vref"], "network vref"),
+                             elements=tuple(elements))
     loose = floating_wires(net)
     if loose:
         warnings.warn("wire(s) %s float relative to the reference supply"

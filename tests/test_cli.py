@@ -187,6 +187,8 @@ def test_sweep_value_validation(tmp_path):
                      "--values", "1,abc", "-o", out]) == 2
     assert cli.main(["sweep", "--mode", "cutoff", "--link", fx("link-pair.json"),
                      "--values", "500", "-o", out]) == 2
+    assert cli.main(["sweep", "--mode", "cutoff", "--link", fx("link-pair.json"),
+                     "--values", "abc/1", "-o", out]) == 2
 
 
 def test_exit_code_2_on_bad_inputs(tmp_path):
@@ -199,6 +201,12 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
                      "--levels", "1"]) == 2
     assert cli.main(["sim", "--no-such-flag"]) == 2
     assert cli.main(["frobnicate"]) == 2
+    # malformed bundle fields: a non-numeric n, a ragged or non-numeric L
+    for field, value in (("n", "two"), ("L", [[2.5e-7, 1e-8], [1e-8]]), ("L", "abc")):
+        raw = json.loads(Path(fx("pair.json")).read_text())
+        raw[field] = value
+        bad.write_text(json.dumps(raw))
+        assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
 
 
 def test_non_finite_bundle_exit_2(tmp_path, capsys):

@@ -33,6 +33,59 @@ def square_waves(unit, reps=4, data_rate=16e9, steps=64, amplitude=0.5,
     return waves, unit[None, :]
 
 
+def reference_eye_measure(waves, streams, data_rate, latency_hint=None):
+    """The per-wire, per-offset scan eye_measure replaced: [(eye_v, phase_ui)]."""
+    n, samples = waves.volts.shape
+    ui = 1.0 / float(data_rate)
+    period = streams.shape[1]
+    hint = waves.nominal_delay_s if latency_hint is None else float(latency_hint)
+    t0 = waves.start_time
+    t_last = t0 + (samples - 1) * waves.dt
+    offsets = hint - 0.5 * ui + waves.dt * np.arange(max(int(round(ui / waves.dt)), 1))
+    out = []
+    for w in range(n):
+        eyes = np.full(offsets.size, -np.inf)
+        for k, o in enumerate(offsets):
+            b_lo = int(np.ceil((t0 - o) / ui - 0.5))
+            b_hi = int(np.floor((t_last - o) / ui - 0.5))
+            if b_hi - b_lo + 1 < period:
+                continue
+            bits = np.arange(b_lo, b_hi + 1)
+            idx = np.round((o + (bits + 0.5) * ui - t0) / waves.dt).astype(np.int64)
+            keep = (idx >= 0) & (idx < samples)
+            vals = waves.volts[w, idx[keep]]
+            labels = streams[w, bits[keep] % period]
+            ones = vals[labels == 1]
+            zeros = vals[labels == 0]
+            if ones.size == 0 or zeros.size == 0:
+                continue
+            eyes[k] = ones.min() - zeros.max()
+        best_eye = float(eyes.max())
+        best_off = float(offsets[int(np.argmax(eyes >= best_eye - 1e-12))])
+        out.append((max(best_eye, 0.0), float((best_off % ui) / ui)))
+    return out
+
+
+def test_eye_measure_matches_per_wire_reference():
+    link = simple_link(pair_bundle(), fifty_ohm_network(2), rs_ohms=1.67, mode="random")
+    engine = build_link(link)
+    waves = run_transient(engine)
+    rng = np.random.default_rng(5)
+    units = rng.integers(0, 2, (3, 16))
+    units[:, 0], units[:, 1] = 0, 1
+    square, _ = square_waves(units[0], reps=3)
+    square = Waveforms(dt=square.dt, start_time=0.0, vref=0.5, nominal_delay_s=0.0,
+                       volts=np.concatenate([square_waves(u, reps=3)[0].volts
+                                             for u in units])
+                       + 0.05 * np.sin(0.37 * np.arange(square.volts.shape[1])))
+    # the last case moves the offset grid by an explicit latency hint
+    for wv, streams, hint in ((waves, engine.streams, None), (square, units, None),
+                              (square, units, 0.3 * UI)):
+        got = eye_measure(wv, streams, 16e9, latency_hint=hint).per_wire
+        assert [(w.eye_v, w.phase_ui) for w in got] \
+            == reference_eye_measure(wv, np.asarray(streams), 16e9, latency_hint=hint)
+
+
 def test_square_wave_eye_is_full_swing():
     waves, streams = square_waves([1, 0, 1, 1, 0, 0, 1, 0])
     report = eye_measure(waves, streams, 16e9)

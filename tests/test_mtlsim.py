@@ -390,6 +390,19 @@ def test_link_json_loading(tmp_path):
                                       "length_m": 0.1}],
                         "drivers": {}, "termination": term,
                         "stimulus": {}})  # stimulus missing data_rate
+    # malformed field values name the field instead of escaping as bare
+    # ValueError/TypeError
+    for part, key, value in (("segment", "length_m", "abc"),
+                             ("segment", "length_m", None),
+                             ("stimulus", "prbs_order", "seven"),
+                             ("drivers", "rs_ohms", [1, "x"]),
+                             ("stimulus", "streams", [["a", 0, 1]])):
+        doc = {"segments": [{"bundle": {"n": 1, "L": [[2.5e-7]], "C": [[1e-10]]},
+                             "length_m": 0.1}],
+               "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}
+        (doc["segments"][0] if part == "segment" else doc[part])[key] = value
+        with pytest.raises(ValidationError, match="bad %s" % key):
+            link_from_dict(doc)
 
 
 def test_run_transient_duration_override():

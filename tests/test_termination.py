@@ -217,3 +217,8 @@ def test_network_from_dict_errors():
             {"kind": "diagonal", "i": 1, "j": None, "ohms": 50.0}]})
     with pytest.raises(ValidationError):
         network_from_dict("not an object")
+    for bad in ({"n": "two", "vref": 0.5, "elements": []},
+                {"n": 1, "vref": None, "elements": []},
+                {"n": 1, "vref": 0.5, "elements": 5}):
+        with pytest.raises(ValidationError):
+            network_from_dict(bad)

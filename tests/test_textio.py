@@ -1,0 +1,217 @@
+"""Byte oracle for the output layer.
+
+The reference_* functions below are the per-value writers the package used
+before every CSV went through textio.write_csv and the SVG writer worked on
+whole arrays.  They are kept as the specification of the file formats: the
+package writers must produce the same bytes.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from xtcancel import cli
+from xtcancel.bundle import characteristic_impedance, load_bundle
+from xtcancel.eye import eye_measure, fold_phases, render_eye_svg, write_folded_csv
+from xtcancel.fom import code_table, write_code_table_csv
+from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
+                             write_waveform_csv)
+from xtcancel.termination import (conductance_histogram, network_admittance,
+                                  realize_network, write_histogram_csv)
+from xtcancel.textio import write_csv
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SWEEP_HEADER = ["value", "wire", "eye_v", "min_v", "avg_v", "max_v"]
+EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, float("inf"), 0.1, 1.0 / 3.0, 2.5e-12]
+
+_PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
+            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
+
+
+def reference_waveform_csv(waves, path):
+    t = waves.times()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time_s," + ",".join("w%d" % (k + 1) for k in range(waves.n)) + "\n")
+        for m in range(t.size):
+            fh.write("%r,%s\n" % (float(t[m]),
+                                  ",".join(repr(float(v)) for v in waves.volts[:, m])))
+
+
+def reference_folded_csv(waves, data_rate, path):
+    phases = fold_phases(waves, data_rate)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("wire,phase_ui,volts\n")
+        for w in range(waves.volts.shape[0]):
+            row = waves.volts[w]
+            for m in range(phases.size):
+                fh.write("%d,%r,%r\n" % (w + 1, float(phases[m]), float(row[m])))
+
+
+def reference_code_table_csv(table, path):
+    n = table.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("code," + ",".join("i%d" % (k + 1) for k in range(n)) + "\n")
+        for c in range(table.shape[0]):
+            fh.write("%d,%s\n" % (c, ",".join(repr(float(v)) for v in table[c])))
+
+
+def reference_histogram_csv(rows, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("siemens,count\n")
+        for center, count in rows:
+            fh.write("%r,%d\n" % (center, count))
+
+
+def reference_sweep_csv(rows, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("value,wire,eye_v,min_v,avg_v,max_v\n")
+        for col, wire, eye_v, mn, av, mx in rows:
+            fh.write("%r,%d,%r,%r,%r,%r\n" % (col, wire, eye_v, mn, av, mx))
+
+
+def reference_eye_svg(waves, data_rate, path, width=860, height=460):
+    phases = fold_phases(waves, data_rate)
+    n, samples = waves.volts.shape
+    vmin = float(waves.volts.min())
+    vmax = float(waves.volts.max())
+    if vmax <= vmin:
+        vmax = vmin + 1.0
+    pad = 0.05 * (vmax - vmin)
+    vlo, vhi = vmin - pad, vmax + pad
+
+    left, right, top, bottom = 60, 20, 20, 40
+    pw = width - left - right
+    ph = height - top - bottom
+
+    def xpix(phase):
+        return left + pw * (phase / 2.0)
+
+    def ypix(v):
+        return top + ph * (1.0 - (v - vlo) / (vhi - vlo))
+
+    parts = []
+    parts.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+                 'viewBox="0 0 %d %d">' % (width, height, width, height))
+    parts.append('<rect x="0" y="0" width="%d" height="%d" fill="#ffffff"/>' % (width, height))
+    parts.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
+                 'stroke="#444444" stroke-width="1"/>' % (left, top, pw, ph))
+    y0 = ypix(0.0)
+    if top <= y0 <= top + ph:
+        parts.append('<line x1="%d" y1="%.2f" x2="%d" y2="%.2f" stroke="#999999" '
+                     'stroke-dasharray="4,4" stroke-width="1"/>'
+                     % (left, y0, left + pw, y0))
+    xmid = xpix(1.0)
+    parts.append('<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" stroke="#cccccc" '
+                 'stroke-width="1"/>' % (xmid, top, xmid, top + ph))
+    parts.append('<text x="%d" y="%d" font-family="monospace" font-size="12" '
+                 'fill="#333333">phase (UI)</text>' % (left + pw // 2 - 30, height - 12))
+    parts.append('<text x="%d" y="%d" font-family="monospace" font-size="12" '
+                 'fill="#333333">%.3f V</text>' % (6, int(top) + 12, vhi))
+    parts.append('<text x="%d" y="%d" font-family="monospace" font-size="12" '
+                 'fill="#333333">%.3f V</text>' % (6, int(top + ph), vlo))
+
+    for w in range(n):
+        color = _PALETTE[w % len(_PALETTE)]
+        row = waves.volts[w]
+        segs = []
+        cur = []
+        prev_phase = None
+        for m in range(samples):
+            p = float(phases[m])
+            if prev_phase is not None and p < prev_phase:
+                if len(cur) > 1:
+                    segs.append(cur)
+                cur = []
+            cur.append((xpix(p), ypix(float(row[m]))))
+            prev_phase = p
+        if len(cur) > 1:
+            segs.append(cur)
+        for seg in segs:
+            pts = " ".join("%.2f,%.2f" % (x, y) for x, y in seg)
+            parts.append('<polyline points="%s" fill="none" stroke="%s" '
+                         'stroke-width="1" stroke-opacity="0.55"/>' % (pts, color))
+
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
+
+
+def same_bytes(tmp_path, write, reference):
+    """Run both writers (each takes the output path) and compare the files."""
+    got, want = tmp_path / "got", tmp_path / "want"
+    write(got)
+    reference(want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pair_link_waves():
+    """The shipped pair link: 8857 samples per wire, so every CSV spans
+    several row chunks; volts is the stepper's transposed view."""
+    engine = build_link(load_link(FIXTURES / "link-pair.json"))
+    return run_transient(engine), engine.spec.stimulus.data_rate
+
+
+def edge_waves():
+    """Three wires of edge values, with a fold that wraps after the first
+    sample (a one-point span) and then about every third sample."""
+    ui = 1.0 / 16e9
+    volts = np.array([EDGE_VALUES[:4] * 3, EDGE_VALUES[4:] * 3, [0.25, -0.5, 0.0] * 4])
+    return Waveforms(dt=0.7 * ui, start_time=0.0, vref=0.5, volts=volts,
+                     nominal_delay_s=0.1 * ui), 16e9
+
+
+def test_waveform_and_folded_csv_match_reference(tmp_path, pair_link_waves):
+    for waves, rate in (pair_link_waves, edge_waves()):
+        same_bytes(tmp_path, lambda p: write_waveform_csv(waves, p),
+                   lambda p: reference_waveform_csv(waves, p))
+        same_bytes(tmp_path, lambda p: write_folded_csv(waves, rate, p),
+                   lambda p: reference_folded_csv(waves, rate, p))
+
+
+def test_eye_svg_matches_reference(tmp_path, pair_link_waves):
+    waves, rate = edge_waves()
+    waves.volts[1] = [0.3, 0.1, -0.2, 0.4] * 3  # no inf: the SVG scales to the data
+    phases = fold_phases(waves, rate)
+    assert phases[1] < phases[0]  # the first span is one point and draws nothing
+    for waves, rate in (pair_link_waves, (waves, rate)):
+        same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
+                   lambda p: reference_eye_svg(waves, rate, p))
+
+
+def test_code_table_and_histogram_csv_match_reference(tmp_path):
+    bundle = load_bundle(FIXTURES / "twelve.json")
+    net = realize_network(characteristic_impedance(bundle)[0].zc)
+    table = code_table(network_admittance(net))
+    same_bytes(tmp_path, lambda p: write_code_table_csv(table, p),
+               lambda p: reference_code_table_csv(table, p))
+    edges = np.array([EDGE_VALUES, EDGE_VALUES[::-1]]).T
+    same_bytes(tmp_path, lambda p: write_code_table_csv(edges, p),
+               lambda p: reference_code_table_csv(edges, p))
+    same_bytes(tmp_path, lambda p: write_histogram_csv(net, p),
+               lambda p: reference_histogram_csv(conductance_histogram(net), p))
+
+
+def test_sweep_csv_matches_reference(tmp_path):
+    spec = load_link(FIXTURES / "link-pair.json")
+    rows = []
+    for value in (None, (90.0, 100.0)):  # None is the full network, value inf
+        col, point = cli._sweep_point(spec, "cutoff", value)
+        engine = build_link(point)
+        report = eye_measure(run_transient(engine), engine.streams,
+                             point.stimulus.data_rate)
+        rows += [(col, we.wire, we.eye_v, report.min_v, report.avg_v, report.max_v)
+                 for we in report.per_wire]
+    got = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--mode", "cutoff", "--link", str(FIXTURES / "link-pair.json"),
+                     "--values", "inf,90/100", "-o", str(got)]) == 0
+    want = tmp_path / "want.csv"
+    reference_sweep_csv(rows, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().splitlines()[1].startswith("inf,1,")
+    # edge values and integer columns through the one writer
+    edge_rows = [(v, w + 1, -v, 5e-324, 1e300, -0.0) for w, v in enumerate(EDGE_VALUES)]
+    same_bytes(tmp_path, lambda p: write_csv(p, SWEEP_HEADER, zip(*edge_rows)),
+               lambda p: reference_sweep_csv(edge_rows, p))
