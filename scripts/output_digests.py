@@ -1,7 +1,8 @@
 """Print the SHA-256 of every file the CLI writes for the shipped fixtures.
 
 Runs each command (synth with --zc/--histogram, synth reduction, fom with
---codes, sim, eye with --svg/--folded, and sweep in all three modes) on
+--codes and sampled with --samples, sim, eye with --svg/--folded, and sweep
+in all three modes) on
 fixtures/ into a temporary directory and prints one "sha256  name" line per
 output file.  Two checkouts whose outputs are byte-identical print the same
 lines, so a refactor of the output layer can be checked with diff:
@@ -36,6 +37,8 @@ def commands():
         runs.append((["fom", "--lc", "@%s.json" % name, "-o", "fom-%s.json" % name,
                       "--codes", "codes-%s.csv" % name],
                      ["fom-%s.json" % name, "codes-%s.csv" % name]))
+    runs.append((["fom", "--lc", "@twelve.json", "--samples", "5000", "--seed", "3",
+                  "-o", "fom-sampled-twelve.json"], ["fom-sampled-twelve.json"]))
     for name in ("scalar", "pair", "twelve"):
         link = "@link-%s.json" % name
         waves = "waves-%s.csv" % name

@@ -20,7 +20,7 @@ from .fom import (ENUMERATION_CAP, FomReport, LogicCode, SampledFomReport,
                   bundle_fom, bundle_fom_sampled, code_table, wire_currents)
 from .mtlsim import (DriverBank, LinkSpec, Segment, Waveforms, build_link,
                      dc_solve, link_from_dict, load_link, run_transient)
-from .stimulus import SourceWaveform, StimulusSpec, pattern_assign, prbs
+from .stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
 from .termination import (ReductionPolicy, Resistor, TerminationNetwork,
                           conductance_histogram, floating_wires, load_network,
                           network_admittance, realize_network, reduce_network,
@@ -40,7 +40,7 @@ __all__ = [
     "bundle_fom", "bundle_fom_sampled", "code_table", "wire_currents",
     "DriverBank", "LinkSpec", "Segment", "Waveforms", "build_link", "dc_solve",
     "link_from_dict", "load_link", "run_transient",
-    "SourceWaveform", "StimulusSpec", "pattern_assign", "prbs",
+    "StimulusSpec", "drive_levels", "pattern_assign", "prbs",
     "ReductionPolicy", "Resistor", "TerminationNetwork", "conductance_histogram",
     "floating_wires", "load_network", "network_admittance", "realize_network",
     "reduce_network", "save_network",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalBundleError, ValidationError, converted
+from .errors import NonPhysicalBundleError, ValidationError, converted, integer
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -236,7 +236,7 @@ def bundle_from_dict(raw):
     if missing:
         raise ValidationError("bundle document missing field(s): %s" % ", ".join(missing))
     bundle = CouplingMatrices.from_arrays(raw["L"], raw["C"], name=raw.get("name", ""))
-    if converted(int, raw["n"], "bundle n") != bundle.n:
+    if integer(raw["n"], "bundle n") != bundle.n:
         raise ValidationError("bundle declares n=%s but matrices are %dx%d"
                               % (raw["n"], bundle.n, bundle.n))
     return bundle

@@ -3,7 +3,7 @@
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError.
 converted() turns a malformed field of an input document into a
-ValidationError.
+ValidationError, and integer() does the same for a number that is not whole.
 """
 
 
@@ -75,5 +75,15 @@ def converted(convert, value, field):
     ValidationError naming field instead of a bare TypeError/ValueError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad %s: %s" % (field, exc)) from None
+
+
+def integer(value, field):
+    """value as an int when it is a whole number (7 or 7.0).  Anything else,
+    7.9, "7" or null, raises ValidationError naming field rather than being
+    truncated the way int() would."""
+    whole = converted(int, value, field)
+    if whole != value:
+        raise ValidationError("bad %s: %r is not an integer" % (field, value))
+    return whole

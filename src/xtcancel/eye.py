@@ -27,6 +27,7 @@ EYE_SCHEMA_VERSION = 1
 # last-digit roundoff move the reported phase by a large part of a UI.
 _PHASE_TIE_V = 1e-12
 
+_SVG_SIZE = (860, 460)  # width, height in px
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
 
@@ -66,20 +67,19 @@ def _check_streams(streams):
     streams = np.asarray(streams)
     if streams.ndim != 2:
         raise ValidationError("streams must be a 2-d bit array")
-    for w in range(streams.shape[0]):
-        row = streams[w]
-        if row.min() == row.max():
-            raise DegenerateStreamError(w + 1)
+    flat = streams.min(axis=1) == streams.max(axis=1)
+    if flat.any():
+        raise DegenerateStreamError(int(flat.argmax()) + 1)
     return streams
 
 
-def eye_measure(waves, streams, data_rate, latency_hint=None):
+def eye_measure(waves, streams, data_rate):
     """Measure the vertical eye of every wire.
 
     streams holds the transmitted bit pattern (one row per wire, one shared
     period); waves.volts must already be relative to the slicer reference.
-    latency_hint centers the sampling-offset search; it defaults to the
-    link's nominal flight time carried on the waveforms.
+    The sampling-offset search is centered on the link's nominal flight time
+    carried on the waveforms.
     """
     streams = _check_streams(streams)
     n, samples = waves.volts.shape
@@ -92,12 +92,11 @@ def eye_measure(waves, streams, data_rate, latency_hint=None):
         raise ValidationError(
             "waveform span %g s is too short to sample a %d-bit period at %g b/s"
             % (span, period, data_rate))
-    hint = waves.nominal_delay_s if latency_hint is None else float(latency_hint)
 
     t0 = waves.start_time
     t_last = t0 + span
     k_cand = max(int(round(ui / waves.dt)), 1)
-    offsets = hint - 0.5 * ui + waves.dt * np.arange(k_cand)
+    offsets = waves.nominal_delay_s - 0.5 * ui + waves.dt * np.arange(k_cand)
 
     eyes = np.full((k_cand, n), -np.inf)  # eyes[k, w]: wire w's eye at offset k
     for k, o in enumerate(offsets):
@@ -124,17 +123,16 @@ def eye_measure(waves, streams, data_rate, latency_hint=None):
     return EyeReport(per_wire, data_rate=float(data_rate))
 
 
-def fold_phases(waves, data_rate, latency_hint=None):
-    """Phase (in UI, folded to a two-UI window) of every waveform sample."""
+def fold_phases(waves, data_rate):
+    """Phase (in UI, folded to a two-UI window from the nominal flight time)
+    of every waveform sample."""
     ui = 1.0 / float(data_rate)
-    delay = waves.nominal_delay_s if latency_hint is None else float(latency_hint)
-    t = waves.times()
-    return ((t - delay) % (2.0 * ui)) / ui
+    return ((waves.times() - waves.nominal_delay_s) % (2.0 * ui)) / ui
 
 
-def write_folded_csv(waves, data_rate, path, latency_hint=None):
+def write_folded_csv(waves, data_rate, path):
     """Folded samples as CSV: wire,phase_ui,volts (phase in a two-UI window)."""
-    phases = fold_phases(waves, data_rate, latency_hint=latency_hint)
+    phases = fold_phases(waves, data_rate)
     n = waves.volts.shape[0]
     write_csv(path, ["wire", "phase_ui", "volts"],
               [np.repeat(np.arange(1, n + 1), phases.size), np.tile(phases, n),
@@ -147,12 +145,12 @@ def write_eye_json(report, path):
         fh.write("\n")
 
 
-def render_eye_svg(waves, data_rate, path, latency_hint=None, width=860, height=460):
+def render_eye_svg(waves, data_rate, path):
     """Self-contained SVG eye diagram (two-UI fold, one color per wire).
 
-    Output is deterministic: fixed palette, fixed formatting, no timestamps.
+    Output is deterministic: fixed size, palette and formatting, no timestamps.
     """
-    phases = fold_phases(waves, data_rate, latency_hint=latency_hint)
+    phases = fold_phases(waves, data_rate)
     n, samples = waves.volts.shape
     vmin = float(waves.volts.min())
     vmax = float(waves.volts.max())
@@ -161,6 +159,7 @@ def render_eye_svg(waves, data_rate, path, latency_hint=None, width=860, height=
     pad = 0.05 * (vmax - vmin)
     vlo, vhi = vmin - pad, vmax + pad
 
+    width, height = _SVG_SIZE
     left, right, top, bottom = 60, 20, 20, 40
     pw = width - left - right
     ph = height - top - bottom

@@ -49,8 +49,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import CouplingMatrices, bundle_from_dict, characteristic_impedance, load_bundle
-from .errors import SimulationDivergedError, ValidationError, converted
-from .stimulus import SourceWaveform, StimulusSpec, pattern_assign, stream_period
+from .errors import SimulationDivergedError, ValidationError, converted, integer
+from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
 from .textio import write_csv
@@ -199,6 +199,9 @@ class Engine:
         self.dt = spec.timestep_s if spec.timestep_s is not None else self.ui / TIMESTEPS_PER_UI
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError("timestep must be positive, got %r" % (self.dt,))
+        if not spec.drivers.rise_s < self.ui:
+            raise ValidationError("rise time %g s must be inside (0, bit period %g s)"
+                                  % (spec.drivers.rise_s, self.ui))
 
         self.segments = [_SegmentState(seg, self.dt) for seg in spec.segments]
         self.total_delay_s = float(sum(s.tau.max() for s in self.segments))
@@ -222,15 +225,6 @@ class Engine:
         self.step_count(self.duration_s)  # pre-flight, before any stream exists
 
         self.streams = pattern_assign(spec.stimulus, n)
-        self.period = self.streams.shape[1]
-        self.sources = [
-            SourceWaveform(bits=tuple(int(b) for b in self.streams[k]),
-                           data_rate=spec.stimulus.data_rate,
-                           rise_time=spec.drivers.rise_s,
-                           v_low=spec.drivers.v_low,
-                           v_high=spec.drivers.v_high)
-            for k in range(n)
-        ]
 
         # Terminal and junction systems, factored once.
         rs = np.asarray(spec.drivers.rs_ohms, dtype=float)
@@ -339,10 +333,10 @@ def run_transient(engine, duration_s=None):
                               % (duration, engine.warmup_s))
 
     n, w, pad = engine.n, engine.width, engine.pad
-    times = dt * np.arange(steps)
+    d = engine.spec.drivers
     drive = np.ones((steps, n + 1))  # the last column weights the map's constant
-    for k, wave in enumerate(engine.sources):
-        drive[:, k] = wave.at(times)
+    drive[:, :n] = drive_levels(engine.streams, dt * np.arange(steps),
+                                engine.spec.stimulus.data_rate, d.rise_s, d.v_low, d.v_high)
     if not np.isfinite(drive).all():
         raise ValidationError("source waveform produced non-finite values")
 
@@ -426,13 +420,21 @@ def _floats(values):
     return tuple(float(v) for v in values)
 
 
-def _ints(values):
-    return tuple(int(v) for v in values)
+def _float(value, field):
+    return converted(float, value, field)
+
+
+def _ints(values, field):
+    return tuple(integer(v, field) for v in converted(list, values, field))
+
+
+def _bit_rows(rows, field):
+    return tuple(_ints(row, field) for row in converted(list, rows, field))
 
 
 def _optional(raw, key, convert):
-    """convert(raw[key]), or None when the field is absent or null."""
-    return None if raw.get(key) is None else converted(convert, raw[key], key)
+    """convert(raw[key], key), or None when the field is absent or null."""
+    return None if raw.get(key) is None else convert(raw[key], key)
 
 
 def _spec_value(raw, key):
@@ -487,20 +489,20 @@ def link_from_dict(raw, base_dir="."):
         raise ValidationError("stimulus needs at least a data_rate")
     stimulus = StimulusSpec(
         data_rate=converted(float, stim_raw["data_rate"], "data_rate"),
-        prbs_order=converted(int, stim_raw.get("prbs_order", 7), "prbs_order"),
-        seed=_optional(stim_raw, "seed", int),
+        prbs_order=integer(stim_raw.get("prbs_order", 7), "prbs_order"),
+        seed=_optional(stim_raw, "seed", integer),
         mode=stim_raw.get("mode", "random"),
         invert_mask=_optional(stim_raw, "invert_mask", _ints),
         offsets=_optional(stim_raw, "offsets", _ints),
-        streams=_optional(stim_raw, "streams", lambda rows: tuple(_ints(r) for r in rows)),
+        streams=_optional(stim_raw, "streams", _bit_rows),
     )
 
     return LinkSpec(segments=tuple(segments),
                     drivers=drivers,
                     termination=termination,
                     stimulus=stimulus,
-                    timestep_s=_optional(raw, "timestep_s", float),
-                    duration_s=_optional(raw, "duration_s", float))
+                    timestep_s=_optional(raw, "timestep_s", _float),
+                    duration_s=_optional(raw, "duration_s", _float))
 
 
 def load_link(path):

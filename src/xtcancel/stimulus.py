@@ -1,4 +1,4 @@
-"""PRBS generation, per-wire pattern assignment, and driver waveforms."""
+"""PRBS generation, per-wire pattern assignment, and the drive of every wire."""
 
 from __future__ import annotations
 
@@ -107,104 +107,68 @@ def pattern_assign(spec, n):
     if n < 1:
         raise ValidationError("need at least one wire")
     if spec.streams is not None:
-        rows = [np.asarray(row, dtype=np.uint8) for row in spec.streams]
-        if len(rows) != n:
-            raise ValidationError("explicit streams cover %d wires, bus has %d" % (len(rows), n))
-        period = rows[0].size
-        if period < 1 or any(r.size != period for r in rows):
+        if len(spec.streams) != n:
+            raise ValidationError("explicit streams cover %d wires, bus has %d"
+                                  % (len(spec.streams), n))
+        try:
+            streams = np.array(spec.streams)
+        except ValueError:  # ragged rows
+            streams = np.empty((n, 0))
+        if streams.ndim != 2 or streams.shape[1] < 1:
             raise ValidationError("explicit streams must share one nonzero period")
-        streams = np.stack(rows)
         if not np.isin(streams, (0, 1)).all():
             raise ValidationError("explicit streams must be 0/1 bits")
-        return streams
+        return streams.astype(np.uint8)
 
     base = prbs(spec.prbs_order, spec.seed)
     period = base.size
-    if spec.mode == "worst":
-        offsets = [0] * n
-        inverts = [0] * n
-    elif spec.mode == "best":
-        offsets = [0] * n
-        inverts = [k % 2 for k in range(n)]
-    else:
-        offsets = [(k * _RANDOM_STRIDE) % period for k in range(n)]
-        inverts = [0] * n
+    wires = np.arange(n)
+    offsets = wires * _RANDOM_STRIDE if spec.mode == "random" else np.zeros(n, np.int64)
+    inverts = wires % 2 == 1 if spec.mode == "best" else np.zeros(n, bool)
     if spec.offsets is not None:
         if len(spec.offsets) != n:
             raise ValidationError("offsets cover %d wires, bus has %d" % (len(spec.offsets), n))
-        offsets = [int(o) % period for o in spec.offsets]
+        # Python ints, so an offset of any size wraps exactly
+        offsets = np.array(spec.offsets, dtype=object) % period
     if spec.invert_mask is not None:
         if len(spec.invert_mask) != n:
             raise ValidationError("invert mask covers %d wires, bus has %d"
                                   % (len(spec.invert_mask), n))
-        inverts = [1 if b else 0 for b in spec.invert_mask]
-    streams = np.empty((n, period), dtype=np.uint8)
-    for k in range(n):
-        row = np.roll(base, -offsets[k])
-        streams[k] = (1 - row) if inverts[k] else row
-    return streams
+        inverts = np.array(spec.invert_mask, dtype=bool)
+    # Row k is the base rotated left by offsets[k]: np.roll(base, -offsets[k]).
+    at = (offsets.astype(np.int64)[:, None] + np.arange(period)) % period
+    return base[at] ^ inverts[:, None]
 
 
-@dataclass(frozen=True)
-class SourceWaveform:
-    """Trapezoidal NRZ drive: linear ramps of rise_time centered on bit edges.
+def drive_levels(streams, t, data_rate, rise_s, v_low, v_high):
+    """Trapezoidal NRZ drive of every wire at times t, shape (len(t), n).
 
-    The stream is replayed cyclically.  Before t=0 the source rests at v_low,
-    so a leading 1 bit ramps up through the t=0 boundary.  At every steady bit
-    center the value equals that bit's level exactly.
+    Each row of streams is replayed cyclically, with linear ramps of rise_s
+    centered on the bit edges.  Before t=0 a wire rests at v_low, so a leading
+    1 bit ramps up through the t=0 boundary.  At every steady bit center the
+    value equals that bit's level exactly.
     """
+    bits = np.asarray(streams, dtype=float).T  # (period, n)
+    period = bits.shape[0]
+    t = np.asarray(t, dtype=float)
+    ui = 1.0 / data_rate
+    half = 0.5 * rise_s
+    swing = v_high - v_low
 
-    bits: tuple[int, ...]
-    data_rate: float
-    rise_time: float
-    v_low: float = 0.0
-    v_high: float = 1.0
-
-    def __post_init__(self):
-        ui = 1.0 / self.data_rate
-        if not 0.0 < self.rise_time < ui:
-            raise ValidationError("rise time %g s must be inside (0, bit period %g s)"
-                                  % (self.rise_time, ui))
-        if not self.bits:
-            raise ValidationError("waveform needs at least one bit")
-
-    def at(self, t):
-        """Evaluate the waveform at time(s) t (seconds)."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        ui = 1.0 / self.data_rate
-        half = 0.5 * self.rise_time
-        swing = self.v_high - self.v_low
-        bits = np.asarray(self.bits, dtype=float)
-        period = bits.size
-
-        m = np.floor(t / ui).astype(np.int64)
-        t_in = t - m * ui
-        cur = bits[np.mod(m, period)]
-        # Before the stream starts the line idles at v_low ("bit 0").
-        prev = np.where(m <= 0, 0.0, bits[np.mod(m - 1, period)])
-        nxt = bits[np.mod(m + 1, period)]
-
-        v = self.v_low + cur * swing
-        early = t_in < half
-        if early.any():
-            frac = (t_in + half) / self.rise_time
-            ramp = self.v_low + (prev + (cur - prev) * frac) * swing
-            v = np.where(early, ramp, v)
-        late = t_in > ui - half
-        if late.any():
-            frac = (t_in - (ui - half)) / self.rise_time
-            ramp = self.v_low + (cur + (nxt - cur) * frac) * swing
-            v = np.where(late, ramp, v)
-        v = np.where(t < 0.0, self.v_low, v)
-        return float(v[0]) if scalar else v
-
-
-def source_waveform(bits, data_rate, rise_time, levels=(0.0, 1.0)):
-    """Build a SourceWaveform from a bit sequence."""
-    bits = tuple(int(b) for b in np.asarray(bits).ravel())
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("bits must be 0/1")
-    return SourceWaveform(bits=bits, data_rate=float(data_rate), rise_time=float(rise_time),
-                          v_low=float(levels[0]), v_high=float(levels[1]))
+    m = np.floor(t / ui).astype(np.int64)
+    t_in = t - m * ui
+    cur = bits[np.mod(m, period)]
+    v = v_low + cur * swing
+    # Ramps in from the previous bit; before the stream starts that is a 0.
+    early = t_in < half
+    me = m[early]
+    prev = np.where((me <= 0)[:, None], 0.0, bits[np.mod(me - 1, period)])
+    frac = ((t_in[early] + half) / rise_s)[:, None]
+    v[early] = v_low + (prev + (cur[early] - prev) * frac) * swing
+    # Ramps out towards the next bit.
+    late = t_in > ui - half
+    nxt = bits[np.mod(m[late] + 1, period)]
+    frac = ((t_in[late] - (ui - half)) / rise_s)[:, None]
+    v[late] = v_low + (cur[late] + (nxt - cur[late]) * frac) * swing
+    v[t < 0.0] = v_low
+    return v

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import spd_inverse
-from .errors import IsolatedWireError, NonRealizableCouplingError, ValidationError, converted
+from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, converted,
+                     integer)
 from .textio import write_csv
 
 NETWORK_SCHEMA_VERSION = 1
@@ -213,7 +214,7 @@ def floating_wires(net):
     return tuple(w for w in range(1, net.n + 1) if w not in reached)
 
 
-def conductance_histogram(net, bins=HISTOGRAM_BINS):
+def conductance_histogram(net):
     """Log-spaced histogram of element conductances.
 
     Returns a list of (bin_center_siemens, count) with the geometric center
@@ -227,14 +228,14 @@ def conductance_histogram(net, bins=HISTOGRAM_BINS):
     if lo == hi:
         lo *= 0.999
         hi *= 1.001
-    edges = np.geomspace(lo, hi, bins + 1)
+    edges = np.geomspace(lo, hi, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(g, edges)
     centers = np.sqrt(edges[:-1] * edges[1:])
     return list(zip(centers.tolist(), counts.tolist()))
 
 
-def write_histogram_csv(net, path, bins=HISTOGRAM_BINS):
-    write_csv(path, ["siemens", "count"], zip(*conductance_histogram(net, bins=bins)))
+def write_histogram_csv(net, path):
+    write_csv(path, ["siemens", "count"], zip(*conductance_histogram(net)))
 
 
 def load_network(path):
@@ -254,12 +255,12 @@ def network_from_dict(raw):
     elements = []
     for entry in raw["elements"]:
         try:
-            elements.append(Resistor(kind=entry["kind"], i=int(entry["i"]),
-                                     j=None if entry.get("j") is None else int(entry["j"]),
+            elements.append(Resistor(kind=entry["kind"], i=integer(entry["i"], "i"),
+                                     j=None if entry.get("j") is None else integer(entry["j"], "j"),
                                      ohms=float(entry["ohms"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("bad network element %r: %s" % (entry, exc)) from None
-    net = TerminationNetwork(n=converted(int, raw["n"], "network n"),
+    net = TerminationNetwork(n=integer(raw["n"], "network n"),
                              vref=converted(float, raw["vref"], "network vref"),
                              elements=tuple(elements))
     loose = floating_wires(net)

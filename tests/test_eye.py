@@ -1,6 +1,7 @@
 """Vertical eye measurement and rendering tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,12 +34,12 @@ def square_waves(unit, reps=4, data_rate=16e9, steps=64, amplitude=0.5,
     return waves, unit[None, :]
 
 
-def reference_eye_measure(waves, streams, data_rate, latency_hint=None):
+def reference_eye_measure(waves, streams, data_rate):
     """The per-wire, per-offset scan eye_measure replaced: [(eye_v, phase_ui)]."""
     n, samples = waves.volts.shape
     ui = 1.0 / float(data_rate)
     period = streams.shape[1]
-    hint = waves.nominal_delay_s if latency_hint is None else float(latency_hint)
+    hint = waves.nominal_delay_s
     t0 = waves.start_time
     t_last = t0 + (samples - 1) * waves.dt
     offsets = hint - 0.5 * ui + waves.dt * np.arange(max(int(round(ui / waves.dt)), 1))
@@ -78,12 +79,12 @@ def test_eye_measure_matches_per_wire_reference():
                        volts=np.concatenate([square_waves(u, reps=3)[0].volts
                                              for u in units])
                        + 0.05 * np.sin(0.37 * np.arange(square.volts.shape[1])))
-    # the last case moves the offset grid by an explicit latency hint
-    for wv, streams, hint in ((waves, engine.streams, None), (square, units, None),
-                              (square, units, 0.3 * UI)):
-        got = eye_measure(wv, streams, 16e9, latency_hint=hint).per_wire
+    # the last case moves the offset grid by a nonzero nominal delay
+    for wv, streams in ((waves, engine.streams), (square, units),
+                        (replace(square, nominal_delay_s=0.3 * UI), units)):
+        got = eye_measure(wv, streams, 16e9).per_wire
         assert [(w.eye_v, w.phase_ui) for w in got] \
-            == reference_eye_measure(wv, np.asarray(streams), 16e9, latency_hint=hint)
+            == reference_eye_measure(wv, np.asarray(streams), 16e9)
 
 
 def test_square_wave_eye_is_full_swing():

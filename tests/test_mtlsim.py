@@ -17,7 +17,7 @@ from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, build_link,
                              dc_solve, link_from_dict, load_link, run_transient,
                              read_waveform_csv, with_stimulus_seed,
                              write_waveform_csv)
-from xtcancel.stimulus import StimulusSpec
+from xtcancel.stimulus import StimulusSpec, drive_levels
 from xtcancel.termination import realize_network
 
 UI = 62.5e-12  # 16 Gb/s
@@ -47,7 +47,9 @@ def reference_transient(engine):
     dt = engine.dt
     steps = int(round(engine.duration_s / dt)) + 1
     start = int(math.ceil(engine.warmup_s / dt - 1e-9))
-    src = np.stack([wave.at(dt * np.arange(steps)) for wave in engine.sources])
+    d = engine.spec.drivers
+    src = drive_levels(engine.streams, dt * np.arange(steps), engine.spec.stimulus.data_rate,
+                       d.rise_s, d.v_low, d.v_high).T
     v0, i0 = engine.solve_dc(src[:, 0])
     segs = engine.segments
     pad = max(int(s.i0.max()) for s in segs) + 2
@@ -396,7 +398,13 @@ def test_link_json_loading(tmp_path):
                              ("segment", "length_m", None),
                              ("stimulus", "prbs_order", "seven"),
                              ("drivers", "rs_ohms", [1, "x"]),
-                             ("stimulus", "streams", [["a", 0, 1]])):
+                             ("stimulus", "streams", [["a", 0, 1]]),
+                             # non-integer numbers are rejected, not truncated
+                             ("stimulus", "prbs_order", 7.9),
+                             ("stimulus", "seed", 3.5),
+                             ("stimulus", "offsets", [1.5]),
+                             ("stimulus", "streams", [[0.5, 1]]),
+                             ("stimulus", "streams", [[0, 1.7]])):
         doc = {"segments": [{"bundle": {"n": 1, "L": [[2.5e-7]], "C": [[1e-10]]},
                              "length_m": 0.1}],
                "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}

@@ -1,11 +1,12 @@
-"""PRBS generation, pattern assignment, and source waveform tests."""
+"""PRBS generation, pattern assignment, and drive waveform tests."""
 
 import numpy as np
 import pytest
 
 from xtcancel.errors import ValidationError
-from xtcancel.stimulus import (SourceWaveform, StimulusSpec, pattern_assign,
-                               prbs, source_waveform)
+from xtcancel.fixtures import fifty_ohm_network, scalar_bundle, simple_link
+from xtcancel.mtlsim import build_link
+from xtcancel.stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
 
 
 def lfsr_reference(order, taps, seed, count):
@@ -120,6 +121,10 @@ def test_pattern_explicit_streams():
         pattern_assign(StimulusSpec(data_rate=16e9, streams=((1, 0), (1,))), 2)
     with pytest.raises(ValidationError):  # non-bit values
         pattern_assign(StimulusSpec(data_rate=16e9, streams=((2, 0),)), 1)
+    with pytest.raises(ValidationError):  # empty stream
+        pattern_assign(StimulusSpec(data_rate=16e9, streams=((),)), 1)
+    with pytest.raises(ValidationError):  # negative bit, not an overflow
+        pattern_assign(StimulusSpec(data_rate=16e9, streams=((-1, 0),)), 1)
 
 
 def test_stimulus_spec_validation():
@@ -130,23 +135,28 @@ def test_stimulus_spec_validation():
     assert StimulusSpec(data_rate=16e9).unit_interval == pytest.approx(62.5e-12)
 
 
+def drive(bits, t, levels=(0.0, 1.0), rise_s=10e-12):
+    """drive_levels of a one-wire stream at 16 Gb/s, as a 1-d array over t."""
+    return drive_levels(np.asarray(bits)[None, :], np.atleast_1d(t), 16e9, rise_s,
+                        levels[0], levels[1])[:, 0]
+
+
 def test_source_waveform_bit_centers():
-    wave = source_waveform([1, 0, 1, 1, 0], 16e9, 10e-12)
     ui = 62.5e-12
-    for k, bit in enumerate([1, 0, 1, 1, 0]):
-        assert wave.at((k + 0.5) * ui) == pytest.approx(float(bit), abs=1e-15)
+    bits = [1, 0, 1, 1, 0]
+    v = drive(bits, (np.arange(5) + 0.5) * ui)
+    for k, bit in enumerate(bits):
+        assert v[k] == pytest.approx(float(bit), abs=1e-15)
 
 
 def test_source_waveform_constant_zero():
-    wave = source_waveform([0, 0, 0], 16e9, 10e-12)
     t = np.linspace(-1e-10, 1e-9, 500)
-    assert np.array_equal(wave.at(t), np.zeros(500))
+    assert np.array_equal(drive([0, 0, 0], t), np.zeros(500))
 
 
 def test_source_waveform_bounds_and_continuity():
-    wave = source_waveform([1, 0, 0, 1, 1, 0, 1, 0], 16e9, 10e-12)
     t = np.linspace(0.0, 8 * 62.5e-12, 4001)
-    v = wave.at(t)
+    v = drive([1, 0, 0, 1, 1, 0, 1, 0], t)
     assert v.min() >= 0.0 and v.max() <= 1.0
     dt = t[1] - t[0]
     max_slope = 1.0 / 10e-12  # swing / rise time
@@ -154,29 +164,38 @@ def test_source_waveform_bounds_and_continuity():
 
 
 def test_source_waveform_idles_low_before_start():
-    wave = source_waveform([1, 1], 16e9, 10e-12)
-    assert wave.at(-1e-9) == 0.0
+    v = drive([1, 1], [-1e-9, 0.0])
+    assert v[0] == 0.0
     # leading 1 ramps through t=0: halfway up the edge at t=0
-    assert wave.at(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert v[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_source_waveform_alternating_period():
     ui = 62.5e-12
-    wave = source_waveform([1, 0], 16e9, 10e-12)
     t = np.linspace(0.0, 2 * ui, 257)
-    v = wave.at(t)
-    assert np.allclose(wave.at(t + 2 * ui), v, atol=1e-9)  # cyclic, 125 ps period
+    v = drive([1, 0], t)
+    assert np.allclose(drive([1, 0], t + 2 * ui), v, atol=1e-9)  # cyclic, 125 ps period
 
 
 def test_source_waveform_levels():
-    wave = source_waveform([1, 0], 16e9, 10e-12, levels=(-0.4, 0.4))
     ui = 62.5e-12
-    assert wave.at(0.5 * ui) == pytest.approx(0.4, abs=1e-15)
-    assert wave.at(1.5 * ui) == pytest.approx(-0.4, abs=1e-15)
+    v = drive([1, 0], [0.5 * ui, 1.5 * ui], levels=(-0.4, 0.4))
+    assert v[0] == pytest.approx(0.4, abs=1e-15)
+    assert v[1] == pytest.approx(-0.4, abs=1e-15)
+
+
+def test_source_waveform_wires_are_independent():
+    # every wire of one call equals its own one-wire drive
+    streams = np.array([[1, 0, 0, 1, 1], [0, 1, 1, 0, 1], [1, 1, 0, 0, 0]])
+    t = np.linspace(-1e-11, 12 * 62.5e-12, 3001)
+    v = drive_levels(streams, t, 16e9, 10e-12, 0.1, 0.9)
+    assert v.shape == (t.size, 3)
+    for k, row in enumerate(streams):
+        assert np.array_equal(v[:, k], drive(row, t, levels=(0.1, 0.9)))
 
 
 def test_source_waveform_validation():
-    with pytest.raises(ValidationError):
-        source_waveform([1, 0], 16e9, 62.5e-12)  # rise = bit period
-    with pytest.raises(ValidationError):
-        source_waveform([], 16e9, 10e-12)
+    # the rise time must be shorter than a bit period
+    link = simple_link(scalar_bundle(), fifty_ohm_network(1), rise_s=62.5e-12)
+    with pytest.raises(ValidationError, match="rise time"):
+        build_link(link)

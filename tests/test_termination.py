@@ -217,8 +217,12 @@ def test_network_from_dict_errors():
             {"kind": "diagonal", "i": 1, "j": None, "ohms": 50.0}]})
     with pytest.raises(ValidationError):
         network_from_dict("not an object")
-    for bad in ({"n": "two", "vref": 0.5, "elements": []},
-                {"n": 1, "vref": None, "elements": []},
-                {"n": 1, "vref": 0.5, "elements": 5}):
-        with pytest.raises(ValidationError):
+    for bad, field in (({"n": "two", "vref": 0.5, "elements": []}, "n"),
+                       ({"n": 1, "vref": None, "elements": []}, "vref"),
+                       ({"n": 1, "vref": 0.5, "elements": 5}, "elements"),
+                       # non-integer numbers are rejected, not truncated
+                       ({"n": 1.9, "vref": 0.5, "elements": []}, "network n"),
+                       ({"n": 1, "vref": 0.5, "elements": [
+                           {"kind": "self", "i": 1.6, "ohms": 50.0}]}, "bad i")):
+        with pytest.raises(ValidationError, match=field):
             network_from_dict(bad)
