@@ -19,7 +19,7 @@ from .eye import EyeReport, WireEye, eye_measure, render_eye_svg, write_eye_json
 from .fom import (ENUMERATION_CAP, FomReport, LogicCode, SampledFomReport,
                   bundle_fom, bundle_fom_sampled, code_table, wire_currents)
 from .mtlsim import (DriverBank, LinkSpec, Segment, Waveforms, build_link,
-                     dc_solve, link_from_dict, load_link, run_transient)
+                     link_from_dict, load_link, run_transient)
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
 from .termination import (ReductionPolicy, Resistor, TerminationNetwork,
                           conductance_histogram, floating_wires, load_network,
@@ -38,7 +38,7 @@ __all__ = [
     "EyeReport", "WireEye", "eye_measure", "render_eye_svg", "write_eye_json",
     "ENUMERATION_CAP", "FomReport", "LogicCode", "SampledFomReport",
     "bundle_fom", "bundle_fom_sampled", "code_table", "wire_currents",
-    "DriverBank", "LinkSpec", "Segment", "Waveforms", "build_link", "dc_solve",
+    "DriverBank", "LinkSpec", "Segment", "Waveforms", "build_link",
     "link_from_dict", "load_link", "run_transient",
     "StimulusSpec", "drive_levels", "pattern_assign", "prbs",
     "ReductionPolicy", "Resistor", "TerminationNetwork", "conductance_histogram",

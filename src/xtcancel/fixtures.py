@@ -56,23 +56,6 @@ def uncoupled_bundle(n=6, z0=50.0, velocity=2.0e8, name="uncoupled"):
     return CouplingMatrices.from_arrays(np.eye(n) * ell, np.eye(n) * cap, name=name)
 
 
-def coupled_pairs_bundle(pairs=3, name="pair-blocks"):
-    """Block-diagonal bundle: independent copies of pair_bundle().
-
-    Useful for checking that non-interacting sub-bundles behave exactly like
-    separate simulations of the pair.
-    """
-    blk = pair_bundle()
-    n = 2 * pairs
-    ell = np.zeros((n, n))
-    cap = np.zeros((n, n))
-    for k in range(pairs):
-        s = slice(2 * k, 2 * k + 2)
-        ell[s, s] = blk.L
-        cap[s, s] = blk.C
-    return CouplingMatrices.from_arrays(ell, cap, name=name)
-
-
 def six_wire_bundle(name="six"):
     """Six-wire bus: two stacked layers of three wires.
 

@@ -3,8 +3,9 @@
 For an n-wire bus every code is a bit vector; the launched wire currents are
 I = Y (v - vref) with Y either the line admittance Zc^-1 (currents sourced
 into the lines) or a realized network's admittance (steady-state supply
-currents).  Exhaustive enumeration covers all 2^n codes up to n=20; beyond
-that use the seeded sampling variant.
+currents).  The exact report covers all 2^n codes in closed form, up to
+n=20 (ENUMERATION_CAP, which also bounds the per-code table); beyond that use
+the seeded sampling variant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .textio import write_csv
 REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
-# Fixed chunk of codes for enumeration and sampling: partition boundaries and
+# Fixed chunk of codes for the code table and sampling: partition boundaries and
 # the reduction order are functions of n (and the sample count) only, so
 # results are bit-for-bit reproducible.
 _CHUNK = 1 << 14
@@ -101,18 +102,31 @@ def wire_currents(y, code, vref=0.5):
     return y @ (code.voltages() - vref)
 
 
-def _code_voltage_block(start, count, n, v_low, v_high, vref):
-    codes = np.arange(start, start + count, dtype=np.uint64)
-    bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    return v_low + bits.astype(float) * (v_high - v_low) - vref
+def _code_sums(c, a, b):
+    """c . x for every x whose entries are each a or b, in no fixed order."""
+    sums = np.zeros(1)
+    for ck in c:
+        sums = np.concatenate([sums + a * ck, sums + b * ck])
+    return sums
+
+
+def _max_abs_linear(rows, a, b):
+    """Largest |rows . x| over every x whose entries are each a or b."""
+    high = np.maximum(a * rows, b * rows).sum(axis=-1)
+    low = np.minimum(a * rows, b * rows).sum(axis=-1)
+    return float(max(np.max(high), -np.min(low)))
 
 
 def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
-    """Exhaustive figures of merit over all 2^n codes (n <= 20).
+    """Exact figures of merit over all 2^n codes (n <= 20), in closed form.
 
-    Complement codes give negated currents, so every |.| statistic is
-    symmetric; the full enumeration keeps the implementation obvious and the
-    runtime is trivial at bus widths where enumeration is allowed at all.
+    Every bit is independently a or b (the levels less vref), with mean mu
+    and half-swing h, so avg_power = mu^2 sum(Y) + h^2 trace(Y), and each
+    maximum of a linear form takes the larger or the smaller level bit by
+    bit.  avg_bundle_current = E|c . x| with c = Y 1 is met in the middle:
+    the code sums of one half of c are sorted, and each code sum s of the
+    other half splits them at -s by searchsorted, with prefix sums giving
+    both sides' totals.
     """
     y = checked_symmetric(y, "admittance matrix")
     n = y.shape[0]
@@ -120,25 +134,21 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
         raise EnumerationCapError(
             "exhaustive enumeration capped at %d wires (got %d); use the sampled variant"
             % (ENUMERATION_CAP, n))
-    v_low, v_high = float(levels[0]), float(levels[1])
+    a, b = float(levels[0]) - vref, float(levels[1]) - vref
+    mu, h = 0.5 * (a + b), 0.5 * (b - a)
+    c = y.sum(axis=1)
+    first = _code_sums(c[:n // 2], a, b)
+    second = np.sort(_code_sums(c[n // 2:], a, b))
+    prefix = np.concatenate([[0.0], np.cumsum(second)])
+    # second[:k] < -s <= second[k:], so the |s + t| over t sum to
+    # s (N - 2k) + (sum of all t) - 2 (sum of the first k t).
+    k = np.searchsorted(second, -first)
+    sum_abs_bundle = (first * (second.size - 2 * k) + prefix[-1] - 2.0 * prefix[k]).sum()
     total = 1 << n
-    sum_abs_bundle = 0.0
-    sum_power = 0.0
-    max_bundle = 0.0
-    max_wire = 0.0
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        x = _code_voltage_block(start, count, n, v_low, v_high, vref)
-        cur = x @ y
-        bundle = np.abs(cur.sum(axis=1))
-        sum_abs_bundle += float(bundle.sum())
-        max_bundle = max(max_bundle, float(bundle.max()))
-        max_wire = max(max_wire, float(np.abs(cur).max()))
-        sum_power += float((x * cur).sum())
-    return FomReport(avg_bundle_current=sum_abs_bundle / total,
-                     max_bundle_current=max_bundle,
-                     max_wire_current=max_wire,
-                     avg_power=sum_power / total,
+    return FomReport(avg_bundle_current=float(sum_abs_bundle) / total,
+                     max_bundle_current=_max_abs_linear(c, a, b),
+                     max_wire_current=_max_abs_linear(y, a, b),
+                     avg_power=mu * mu * math.fsum(y.flat) + h * h * math.fsum(y.diagonal()),
                      n_codes=total)
 
 
@@ -199,9 +209,10 @@ def code_table(y, vref=0.5, levels=(0.0, 1.0)):
     total = 1 << n
     out = np.empty((total, n))
     for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        x = _code_voltage_block(start, count, n, v_low, v_high, vref)
-        out[start:start + count] = x @ y
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+        bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        x = v_low + bits.astype(float) * (v_high - v_low) - vref
+        out[start:start + codes.size] = x @ y
     return out
 
 

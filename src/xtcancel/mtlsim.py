@@ -125,12 +125,6 @@ class Waveforms:
         return self.start_time + self.dt * np.arange(self.volts.shape[1])
 
 
-@dataclass
-class DcState:
-    node_volts: np.ndarray
-    source_currents: np.ndarray
-
-
 class _SegmentState:
     """Per-segment precomputation: modal transforms and delay bookkeeping."""
 
@@ -222,7 +216,7 @@ class Engine:
                 raise ValidationError(
                     "duration %g s is shorter than warmup + latency + one stream period (%g s)"
                     % (self.duration_s, window))
-        self.step_count(self.duration_s)  # pre-flight, before any stream exists
+        self.steps = self.step_count(self.duration_s)  # pre-flight, before any stream exists
 
         self.streams = pattern_assign(spec.stimulus, n)
 
@@ -297,15 +291,11 @@ class Engine:
                 % (steps, 8e-9 * words, 1e-9 * STEPPER_BUDGET_BYTES))
         return steps
 
-    def source_levels(self, code_bits):
-        bits = np.asarray(code_bits, dtype=float)
-        if bits.size != self.n:
-            raise ValidationError("code has %d bits, bus has %d" % (bits.size, self.n))
-        d = self.spec.drivers
-        return d.v_low + bits * (d.v_high - d.v_low)
-
     def solve_dc(self, e):
-        """Steady state with the lines as ideal connections; returns (v, i)."""
+        """DC operating point for drive levels e, with the lines as ideal
+        connections; returns (node volts, source currents)."""
+        if np.shape(e) != (self.n,):
+            raise ValidationError("drive has shape %s, bus has %d wires" % (np.shape(e), self.n))
         v = self.dc.solve(e, self.svec * self.vref)
         i = self.y_net @ v - self.svec * self.vref
         return v, i
@@ -315,22 +305,10 @@ def build_link(spec):
     return Engine(spec)
 
 
-def dc_solve(engine, code):
-    """DC operating point for one logic code (lines replaced by ideal wires)."""
-    e = engine.source_levels(code.bits if hasattr(code, "bits") else code)
-    v, i = engine.solve_dc(e)
-    return DcState(node_volts=v, source_currents=i)
-
-
-def run_transient(engine, duration_s=None):
-    """Step the link and return post-warmup receiver waveforms."""
-    dt = engine.dt
-    duration = engine.duration_s if duration_s is None else float(duration_s)
-    steps = engine.step_count(duration)
+def run_transient(engine):
+    """Step the link for its duration and return post-warmup receiver waveforms."""
+    dt, steps = engine.dt, engine.steps
     start_index = int(math.ceil(engine.warmup_s / dt - 1e-9))
-    if start_index >= steps:
-        raise ValidationError("duration %g s leaves no samples after warmup %g s"
-                              % (duration, engine.warmup_s))
 
     n, w, pad = engine.n, engine.width, engine.pad
     d = engine.spec.drivers

@@ -134,6 +134,9 @@ def pattern_assign(spec, n):
         if len(spec.invert_mask) != n:
             raise ValidationError("invert mask covers %d wires, bus has %d"
                                   % (len(spec.invert_mask), n))
+        if not np.isin(spec.invert_mask, (0, 1)).all():
+            raise ValidationError("invert_mask entries must be 0 or 1, got %r"
+                                  % (spec.invert_mask,))
         inverts = np.array(spec.invert_mask, dtype=bool)
     # Row k is the base rotated left by offsets[k]: np.roll(base, -offsets[k]).
     at = (offsets.astype(np.int64)[:, None] + np.arange(period)) % period

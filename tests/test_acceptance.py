@@ -20,9 +20,8 @@ from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network,
                                pair_bundle, reference_termination,
                                scalar_bundle, simple_link, six_wire_bundle,
                                twelve_wire_bundle, uncoupled_bundle)
-from xtcancel.fom import LogicCode, bundle_fom, code_table
-from xtcancel.mtlsim import (LinkSpec, Segment, build_link, dc_solve,
-                             run_transient)
+from xtcancel.fom import bundle_fom, code_table
+from xtcancel.mtlsim import LinkSpec, Segment, build_link, run_transient
 from xtcancel.stimulus import prbs
 from xtcancel.termination import (ReductionPolicy, network_admittance,
                                   realize_network, reduce_network)
@@ -294,11 +293,11 @@ def test_accept_10_simulator_self_consistency(capsys):
                                     streams=(s1, s2)))
     assert tail * UI > 10 * engine.total_delay_s
     waves = run_transient(engine)
-    dc = dc_solve(engine, LogicCode(bits=(1, 0)))
+    node_volts, _ = engine.solve_dc([1.0, 0.0])
     t_star = engine.nominal_delay_s + (8 + tail - 0.5) * UI
     m = int(round((t_star - waves.start_time) / waves.dt))
     settle_err = float(np.max(np.abs(waves.volts[:, m] + waves.vref
-                                     - dc.node_volts)))
+                                     - node_volts)))
 
     # (b) a diagonal bundle equals independent scalar runs exactly
     rows = (tuple(np.random.default_rng(5).integers(0, 2, 32)),

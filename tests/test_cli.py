@@ -240,7 +240,7 @@ def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
 
 
 def test_exit_code_5_on_divergence(tmp_path, monkeypatch):
-    def blow_up(engine, duration_s=None):
+    def blow_up(engine):
         raise SimulationDivergedError(41, "receiver node voltages")
 
     monkeypatch.setattr(cli, "run_transient", blow_up)

@@ -85,12 +85,25 @@ def test_zero_matrix_fom():
 
 def test_random_matches_brute_force():
     rng = np.random.default_rng(31)
+    cases = []
     for n in (1, 3, 5, 8):
         b = random_bundle(rng, n)
         basis, _ = characteristic_impedance(b)
-        y = basis.mi.T @ basis.mi
-        rep = bundle_fom(y, vref=0.4, levels=(-0.2, 1.1))
-        brute = brute_force_fom(y, 0.4, (-0.2, 1.1))
+        cases.append((basis.mi.T @ basis.mi, 0.4, (-0.2, 1.1)))
+    # symmetric indefinite Y whose row sums take both signs
+    indefinite = [np.array([[0.03, -0.01], [-0.01, -0.02]])]
+    m = rng.normal(size=(7, 7)) * 1e-2
+    indefinite.append(m + m.T)
+    for y in indefinite:
+        rows = y.sum(axis=1)
+        assert rows.min() < 0.0 < rows.max() and np.linalg.eigvalsh(y).min() < 0.0
+        cases.append((y, 0.4, (-0.2, 1.1)))
+    # vref at the low level and Y 1 > 0: every code sum is >= 0
+    assert cases[2][0].sum(axis=1).min() > 0.0
+    cases.append((cases[2][0], 0.0, (0.0, 1.0)))
+    for y, vref, levels in cases:
+        rep = bundle_fom(y, vref=vref, levels=levels)
+        brute = brute_force_fom(y, vref, levels)
         assert rep.avg_bundle_current == pytest.approx(brute[0], rel=1e-12)
         assert rep.max_bundle_current == pytest.approx(brute[1], rel=1e-12)
         assert rep.max_wire_current == pytest.approx(brute[2], rel=1e-12)

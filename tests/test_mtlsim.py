@@ -12,9 +12,8 @@ from xtcancel.bundle import characteristic_impedance
 from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network, pair_bundle,
                                scalar_bundle, simple_link, uncoupled_bundle)
-from xtcancel.fom import LogicCode
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, build_link,
-                             dc_solve, link_from_dict, load_link, run_transient,
+                             link_from_dict, load_link, run_transient,
                              read_waveform_csv, with_stimulus_seed,
                              write_waveform_csv)
 from xtcancel.stimulus import StimulusSpec, drive_levels
@@ -186,22 +185,24 @@ def test_matched_divider_exact():
 def test_dc_solve_oracles():
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=0.0)
     engine = build_link(link)
-    dc = dc_solve(engine, LogicCode(bits=(1,)))
-    assert dc.node_volts[0] == pytest.approx(1.0, abs=1e-15)
+    node_volts, _ = engine.solve_dc([1.0])
+    assert node_volts[0] == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValidationError, match="drive has shape"):
+        engine.solve_dc([1.0, 0.0])  # all pinned: no solve would notice
 
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=50.0)
-    dc = dc_solve(build_link(link), LogicCode(bits=(1,)))
-    assert dc.node_volts[0] == pytest.approx(0.75, abs=1e-12)  # vref + (e-vref)/2
+    node_volts, _ = build_link(link).solve_dc([1.0])
+    assert node_volts[0] == pytest.approx(0.75, abs=1e-12)  # vref + (e-vref)/2
 
     link = simple_link(pair_bundle(), full_pair_network(), rs_ohms=0.0)
-    dc = dc_solve(build_link(link), LogicCode(bits=(1, 0)))
-    assert np.allclose(dc.source_currents, [12.5e-3, -12.5e-3], atol=1e-12)
-    dc = dc_solve(build_link(link), LogicCode(bits=(1, 1)))
-    assert np.allclose(dc.source_currents, [6.0e-3, 6.0e-3], atol=1e-12)
+    _, source_currents = build_link(link).solve_dc([1.0, 0.0])
+    assert np.allclose(source_currents, [12.5e-3, -12.5e-3], atol=1e-12)
+    _, source_currents = build_link(link).solve_dc([1.0, 1.0])
+    assert np.allclose(source_currents, [6.0e-3, 6.0e-3], atol=1e-12)
 
 
 def test_transient_settles_to_dc():
-    # long constant tail after a few transitions, then compare with dc_solve
+    # long constant tail after a few transitions, then compare with solve_dc
     tail = 112
     s1 = tuple([1, 0, 1, 1, 0, 0, 1, 0] + [1] * tail)
     s2 = tuple([0, 1, 1, 0, 1, 0, 0, 1] + [0] * tail)
@@ -210,14 +211,14 @@ def test_transient_settles_to_dc():
     engine = build_link(link)
     assert tail * UI > 10 * engine.total_delay_s
     waves = run_transient(engine)
-    dc = dc_solve(engine, LogicCode(bits=(1, 0)))
+    node_volts, source_currents = engine.solve_dc([1.0, 0.0])
     # sample the center of the last tail bit as seen at the receiver: the
     # (1, 0) code has then been applied for more than ten line flights
     t_star = engine.nominal_delay_s + (8 + tail - 0.5) * UI
     m = int(round((t_star - waves.start_time) / waves.dt))
     got = waves.volts[:, m] + waves.vref
-    assert np.max(np.abs(got - dc.node_volts)) < 1e-3  # 0.1% of 1 V swing
-    assert np.max(np.abs(waves.source_currents[:, m] - dc.source_currents)) < 1e-6
+    assert np.max(np.abs(got - node_volts)) < 1e-3  # 0.1% of 1 V swing
+    assert np.max(np.abs(waves.source_currents[:, m] - source_currents)) < 1e-6
 
 
 def test_victim_isolation_and_source_currents():
@@ -416,7 +417,7 @@ def test_link_json_loading(tmp_path):
 def test_run_transient_duration_override():
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=0.0)
     engine = build_link(link)
-    waves = run_transient(engine, duration_s=engine.duration_s + 20 * UI)
+    waves = run_transient(build_link(replace(link, duration_s=engine.duration_s + 20 * UI)))
     longer = waves.volts.shape[1]
     base = run_transient(engine).volts.shape[1]
     assert longer > base

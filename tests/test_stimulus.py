@@ -1,5 +1,7 @@
 """PRBS generation, pattern assignment, and drive waveform tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,9 @@ def test_pattern_overrides():
     base = prbs(7)
     assert np.array_equal(streams[0], base)
     assert np.array_equal(streams[1], 1 - np.roll(base, -5))
+    for mask in ((0, 2), (-1, 0)):  # not 0/1: rejected, not read as "invert"
+        with pytest.raises(ValidationError, match="invert_mask"):
+            pattern_assign(replace(spec, invert_mask=mask), 2)
 
 
 def test_pattern_explicit_streams():
