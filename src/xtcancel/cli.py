@@ -6,9 +6,9 @@ error stream.  Given the same inputs and seed, every command produces
 byte-identical output files.
 
 Exit codes: 0 success; 2 bad input (validation, schema, malformed JSON,
-unknown flags); 3 coupling not realizable as a passive network; 4 code
-enumeration above the exact-mode cap; 5 simulation produced non-finite
-values.
+unknown flags); 3 coupling not realizable as a passive network; 4 bus wider
+than the cap of the exact report or of the code table; 5 simulation produced
+non-finite values.
 """
 
 from __future__ import annotations
@@ -112,9 +112,11 @@ def cmd_fom(args):
                                     samples=args.samples, seed=args.seed or 0)
     else:
         report = bundle_fom(y, vref=vref, levels=levels)
+    # The table's cap is lower than the report's: fail before writing either.
+    table = code_table(y, vref=vref, levels=levels) if args.codes else None
     write_report_json(report, args.output)
-    if args.codes:
-        write_code_table_csv(code_table(y, vref=vref, levels=levels), args.codes)
+    if table is not None:
+        write_code_table_csv(table, args.codes)
     _info("wrote %s (%d codes)" % (args.output, report.n_codes))
     return 0
 

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import write_csv
+from .textio import formatted, write_csv
 
 EYE_SCHEMA_VERSION = 1
 
@@ -135,7 +135,7 @@ def write_folded_csv(waves, data_rate, path):
     phases = fold_phases(waves, data_rate)
     n = waves.volts.shape[0]
     write_csv(path, ["wire", "phase_ui", "volts"],
-              [np.repeat(np.arange(1, n + 1), phases.size), np.tile(phases, n),
+              [np.repeat(np.arange(1, n + 1), phases.size), np.tile(formatted(phases), n),
                waves.volts.ravel()])
 
 
@@ -199,7 +199,7 @@ def render_eye_svg(waves, data_rate, path):
     xs = ["%.2f," % x for x in xpix(phases).tolist()]
     for w in range(n):
         color = _PALETTE[w % len(_PALETTE)]
-        pts = [x + "%.2f" % y for x, y in zip(xs, ypix(waves.volts[w]).tolist())]
+        pts = [x + y for x, y in zip(xs, formatted(ypix(waves.volts[w]), "%.2f").tolist())]
         for a, b in spans:
             parts.append('<polyline points="%s" fill="none" stroke="%s" '
                          'stroke-width="1" stroke-opacity="0.55"/>' % (" ".join(pts[a:b]), color))

@@ -4,8 +4,9 @@ For an n-wire bus every code is a bit vector; the launched wire currents are
 I = Y (v - vref) with Y either the line admittance Zc^-1 (currents sourced
 into the lines) or a realized network's admittance (steady-state supply
 currents).  The exact report covers all 2^n codes in closed form, up to
-n=20 (ENUMERATION_CAP, which also bounds the per-code table); beyond that use
-the seeded sampling variant.
+n=40 (EXACT_FOM_CAP: its meet-in-the-middle arrays hold 2^(n/2) code sums);
+beyond that use the seeded sampling variant.  The per-code table lists every
+code and stops at n=20 (ENUMERATION_CAP).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .textio import write_csv
 REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
+EXACT_FOM_CAP = 40
 # Fixed chunk of codes for the code table and sampling: partition boundaries and
 # the reduction order are functions of n (and the sample count) only, so
 # results are bit-for-bit reproducible.
@@ -118,7 +120,7 @@ def _max_abs_linear(rows, a, b):
 
 
 def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
-    """Exact figures of merit over all 2^n codes (n <= 20), in closed form.
+    """Exact figures of merit over all 2^n codes (n <= 40), in closed form.
 
     Every bit is independently a or b (the levels less vref), with mean mu
     and half-swing h, so avg_power = mu^2 sum(Y) + h^2 trace(Y), and each
@@ -130,10 +132,10 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
     """
     y = checked_symmetric(y, "admittance matrix")
     n = y.shape[0]
-    if n > ENUMERATION_CAP:
+    if n > EXACT_FOM_CAP:
         raise EnumerationCapError(
-            "exhaustive enumeration capped at %d wires (got %d); use the sampled variant"
-            % (ENUMERATION_CAP, n))
+            "exact figures of merit capped at %d wires (got %d); use the sampled variant"
+            % (EXACT_FOM_CAP, n))
     a, b = float(levels[0]) - vref, float(levels[1]) - vref
     mu, h = 0.5 * (a + b), 0.5 * (b - a)
     c = y.sum(axis=1)

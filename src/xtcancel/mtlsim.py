@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 
@@ -198,6 +199,11 @@ class Engine:
                                   % (spec.drivers.rise_s, self.ui))
 
         self.segments = [_SegmentState(seg, self.dt) for seg in spec.segments]
+        if spec.timestep_s is not None and self.dt > spec.drivers.rise_s:
+            # The drive ramp would fall between samples.  (Checked after the
+            # segments, which name a step longer than a modal delay.)
+            raise ValidationError("timestep_s %g s is longer than rise_s %g s"
+                                  % (self.dt, spec.drivers.rise_s))
         self.total_delay_s = float(sum(s.tau.max() for s in self.segments))
         self.nominal_delay_s = float(sum(s.tau.mean() for s in self.segments))
         self.warmup_s = WARMUP_FLIGHTS * self.total_delay_s + WARMUP_EXTRA_UI * self.ui
@@ -361,27 +367,22 @@ def read_waveform_csv(path):
         cols = header.split(",")
         if not cols or cols[0] != "time_s" or len(cols) < 2:
             raise ValidationError("waveform CSV must start with time_s,w1,... header")
-        # One flat buffer of doubles: a list of per-row float objects would
-        # take about four times the memory of the samples themselves.
-        values = array("d")
-        rows = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise ValidationError("waveform CSV row has %d fields, expected %d"
-                                      % (len(parts), len(cols)))
-            rows += 1
-            try:
-                values.extend(map(float, parts))
-            except ValueError:
-                raise ValidationError("waveform CSV data row %d has a non-numeric field"
-                                      % rows) from None
-    if rows < 2:
+        start = fh.tell()
+        try:
+            # A header-only file makes loadtxt warn "input contained no data";
+            # its (0, 1) result then goes to the row parser, which says why.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(cols):
+            # loadtxt parses a subset of what float() takes; the row parser
+            # decides what it refused and gives the reason.
+            fh.seek(start)
+            data = _parse_rows(fh, len(cols))
+    if data.shape[0] < 2:
         raise ValidationError("waveform CSV needs at least two samples")
-    data = np.frombuffer(values).reshape(rows, len(cols))
     bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
@@ -392,6 +393,29 @@ def read_waveform_csv(path):
     if float(np.abs(dts - dts[0]).max()) > 1e-6 * abs(float(dts[0])):
         raise ValidationError("waveform CSV is not uniformly sampled")
     return t, data[:, 1:].T.copy()
+
+
+def _parse_rows(fh, width):
+    """The data rows after the header, float() field by field, as (rows, width)."""
+    # One flat buffer of doubles: a list of per-row float objects would
+    # take about four times the memory of the samples themselves.
+    values = array("d")
+    rows = 0
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValidationError("waveform CSV row has %d fields, expected %d"
+                                  % (len(parts), width))
+        rows += 1
+        try:
+            values.extend(map(float, parts))
+        except ValueError:
+            raise ValidationError("waveform CSV data row %d has a non-numeric field"
+                                  % rows) from None
+    return np.frombuffer(values).reshape(rows, width)
 
 
 def _floats(values):

@@ -100,7 +100,7 @@ def test_fom_from_network_file(tmp_path):
 
 def test_fom_cap_and_sampling(tmp_path):
     wide = tmp_path / "wide.json"
-    save_bundle(uncoupled_bundle(21), wide)
+    save_bundle(uncoupled_bundle(41), wide)
     rep = tmp_path / "rep.json"
     assert cli.main(["fom", "--lc", str(wide), "-o", str(rep)]) == 4
     assert cli.main(["fom", "--lc", str(wide), "-o", str(rep),
@@ -111,6 +111,17 @@ def test_fom_cap_and_sampling(tmp_path):
     # exhaustive code table cannot combine with sampling
     assert cli.main(["fom", "--lc", str(wide), "-o", str(rep),
                      "--samples", "400", "--codes", str(tmp_path / "c.csv")]) == 2
+    # 21 wires: past the code table's cap, inside the exact report's
+    mid = tmp_path / "mid.json"
+    save_bundle(uncoupled_bundle(21), mid)
+    mid_rep = tmp_path / "mid-rep.json"
+    assert cli.main(["fom", "--lc", str(mid), "-o", str(mid_rep),
+                     "--codes", str(tmp_path / "c.csv")]) == 4
+    assert not mid_rep.exists() and not (tmp_path / "c.csv").exists()
+    assert cli.main(["fom", "--lc", str(mid), "-o", str(mid_rep)]) == 0
+    data = json.loads(mid_rep.read_text())
+    assert data["n_codes"] == 1 << 21
+    assert data["max_bundle_current_a"] == pytest.approx(21 * 10.0e-3, rel=1e-9)
 
 
 def test_sim_eye_flow(tmp_path):
@@ -237,6 +248,19 @@ def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
                      "-o", str(tmp_path / "e.json")]) == 2
     assert "error: waveform CSV has a non-finite w2 sample in data row 5" \
         in capsys.readouterr().err
+
+
+def test_timestep_longer_than_rise_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(fx("link-scalar.json")).read_text())
+    raw["segments"][0]["bundle"] = fx("scalar.json")
+    raw["termination"] = fx("50ohm-scalar.json")
+    link = tmp_path / "link.json"
+    for timestep, code in ((2e-11, 2), (1e-11, 0)):  # rise_s is 1e-11
+        raw["timestep_s"] = timestep
+        link.write_text(json.dumps(raw))
+        assert cli.main(["sim", "--link", str(link), "-o", str(tmp_path / "w.csv")]) == code
+    err = capsys.readouterr().err
+    assert "error: timestep_s 2e-11 s is longer than rise_s 1e-11 s" in err
 
 
 def test_exit_code_5_on_divergence(tmp_path, monkeypatch):

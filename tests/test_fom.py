@@ -9,7 +9,7 @@ from conftest import random_bundle
 from xtcancel.bundle import characteristic_impedance
 from xtcancel.errors import EnumerationCapError, ValidationError
 from xtcancel.fixtures import pair_bundle, uncoupled_bundle
-from xtcancel.fom import (ENUMERATION_CAP, LogicCode, bundle_fom,
+from xtcancel.fom import (ENUMERATION_CAP, EXACT_FOM_CAP, LogicCode, bundle_fom,
                           bundle_fom_sampled, code_table, wire_currents,
                           write_code_table_csv, write_report_json)
 from xtcancel.termination import network_admittance, realize_network
@@ -159,10 +159,42 @@ def test_chunked_enumeration_matches_single_pass():
 
 def test_enumeration_cap():
     y = np.eye(ENUMERATION_CAP + 1) * 0.02
-    with pytest.raises(EnumerationCapError):
-        bundle_fom(y)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="code table capped at 20 wires"):
         code_table(y)
+
+
+def test_exact_fom_cap():
+    assert bundle_fom(np.eye(EXACT_FOM_CAP) * 0.02).n_codes == 1 << EXACT_FOM_CAP
+    with pytest.raises(EnumerationCapError, match="exact figures of merit capped at 40 wires"):
+        bundle_fom(np.eye(EXACT_FOM_CAP + 1) * 0.02)
+
+
+def test_exact_fom_above_enumeration_cap():
+    # n=22: past the code table's cap.  The reference enumerates every code
+    # with numpy in blocks (brute_force_fom's loop would take minutes here).
+    n = 22
+    rng = np.random.default_rng(5)
+    g = np.abs(rng.normal(size=(n, n))) * 1e-3
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    y = np.diag(g.sum(axis=1) + 1e-3) - g
+    vref, (v_low, v_high) = 0.4, (-0.2, 1.1)
+    rep = bundle_fom(y, vref=vref, levels=(v_low, v_high))
+    sum_abs_bundle = max_bundle = max_wire = sum_power = 0.0
+    for start in range(0, 1 << n, 1 << 16):
+        codes = np.arange(start, start + (1 << 16))
+        v = np.where((codes[:, None] >> np.arange(n)) & 1, v_high, v_low) - vref
+        cur = v @ y
+        bundle = np.abs(cur.sum(axis=1))
+        sum_abs_bundle += bundle.sum()
+        max_bundle = max(max_bundle, bundle.max())
+        max_wire = max(max_wire, np.abs(cur).max())
+        sum_power += np.einsum("ij,ij->", cur, v)
+    assert rep.n_codes == 1 << n
+    assert rep.avg_bundle_current == pytest.approx(sum_abs_bundle / (1 << n), rel=1e-12)
+    assert rep.max_bundle_current == pytest.approx(max_bundle, rel=1e-12)
+    assert rep.max_wire_current == pytest.approx(max_wire, rel=1e-12)
+    assert rep.avg_power == pytest.approx(sum_power / (1 << n), rel=1e-12)
 
 
 def test_sampled_fom():

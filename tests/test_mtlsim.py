@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -374,6 +375,53 @@ def test_waveform_csv_validation(tmp_path):
         odd.write_text("time_s,w1\n0.0,0.1\n1.0,%s\n2.0,0.3\n" % cell)
         with pytest.raises(ValidationError, match=reason):
             read_waveform_csv(odd)
+
+
+# Waveform CSV texts whose rows loadtxt reads (True) or leaves to the row
+# parser (False).
+READER_CASES = {
+    "hash-field": ("time_s,w1\n0.0,0.1\n#1.0,0.2\n2.0,0.3\n", False),
+    "hash-line": ("time_s,w1\n0.0,0.1\n# note\n2.0,0.3\n", False),
+    "underscore": ("time_s,w1\n0.0,1_0\n1.0,2.0\n", False),  # float() reads 10.0
+    "trailing-comma": ("time_s,w1\n0.0,0.1,\n1.0,0.2,\n", False),
+    "blank-lines": ("time_s,w1\n\n0.0,0.1\n\n1.0,0.2\n\n2.0,0.3\n\n", True),
+    "space-line": ("time_s,w1\n0.0,0.1\n   \n1.0,0.2\n", False),
+    "padded": ("time_s,w1\n 0.0 , 0.1\n1.0,\t0.2 \n", True),
+    "header-only": ("time_s,w1\n", False),
+}
+
+
+@pytest.mark.parametrize("text,fast", READER_CASES.values(), ids=READER_CASES.keys())
+def test_waveform_csv_parsers_agree(tmp_path, monkeypatch, text, fast):
+    """read_waveform_csv gives the same result (or error) whether loadtxt
+    parses the rows or the row parser does, and never warns."""
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    loadtxt = np.loadtxt
+    parsed = []
+
+    def read(*args, **kwargs):
+        data = loadtxt(*args, **kwargs)
+        parsed.append(data.shape[1] == 2)
+        return data
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    def result():
+        try:
+            t, volts = read_waveform_csv(path)
+            return t.tolist(), volts.tolist()
+        except ValidationError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(np, "loadtxt", read)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = result()
+    assert any(parsed) == fast
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert result() == got
 
 
 def test_link_json_loading(tmp_path):

@@ -19,7 +19,7 @@ from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
                              write_waveform_csv)
 from xtcancel.termination import (conductance_histogram, network_admittance,
                                   realize_network, write_histogram_csv)
-from xtcancel.textio import write_csv
+from xtcancel.textio import _CHUNK_ROWS, write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SWEEP_HEADER = ["value", "wire", "eye_v", "min_v", "avg_v", "max_v"]
@@ -215,3 +215,57 @@ def test_sweep_csv_matches_reference(tmp_path):
     edge_rows = [(v, w + 1, -v, 5e-324, 1e300, -0.0) for w, v in enumerate(EDGE_VALUES)]
     same_bytes(tmp_path, lambda p: write_csv(p, SWEEP_HEADER, zip(*edge_rows)),
                lambda p: reference_sweep_csv(edge_rows, p))
+
+
+def run_table():
+    """Columns of runs: signed zeros side by side, a run of NaNs (two bit
+    patterns), a run across the row-chunk boundary, an all-equal column."""
+    rows = _CHUNK_ROWS + 10
+    zeros = np.zeros(rows)
+    zeros[1::2] = -0.0  # 0.0, -0.0, 0.0, ...
+    zeros[100:110] = -0.0  # then -0.0 runs that meet 0.0 on both sides
+    nans = np.full(rows, 0.25)
+    nans[3:40] = np.nan
+    nans[20:30] = -np.nan
+    across = np.full(rows, 1.0 / 3.0)
+    across[_CHUNK_ROWS - 5:_CHUNK_ROWS + 5] = 0.1
+    return np.array([zeros, nans, across, np.full(rows, 2.5e-12)]).T
+
+
+def test_runs_of_equal_values_match_reference(tmp_path):
+    table = run_table()
+    assert np.signbit(table[:4, 0]).tolist() == [False, True, False, True]
+    for rows in (table, table[:1], table[::-1]):
+        same_bytes(tmp_path, lambda p: write_code_table_csv(rows, p),
+                   lambda p: reference_code_table_csv(rows, p))
+
+
+def test_object_column_is_written_as_given(tmp_path):
+    text = np.array(["a", "a", "0.1", "-0.0", "-0.0"], dtype=object)
+    floats = np.array([-0.0, 0.0, 0.0, np.nan, np.nan])
+
+    def reference(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("k,s,v\n")
+            for k, (s, v) in enumerate(zip(text, floats)):
+                fh.write("%d,%s,%r\n" % (k, s, float(v)))
+
+    same_bytes(tmp_path, lambda p: write_csv(p, ["k", "s", "v"], [np.arange(5), text, floats]),
+               reference)
+
+
+def test_settled_waveform_outputs_match_reference(tmp_path):
+    """Waveforms that hold their level for many samples, as a matched line
+    does, through every waveform writer."""
+    ui = 1.0 / 16e9
+    steps = np.repeat([0.0, 1.0, -0.0, 0.5, 0.5 + 1e-15, 1.0], 300)
+    volts = np.array([steps, steps[::-1], np.roll(steps, 137)])
+    waves = Waveforms(dt=ui / 64, start_time=0.0, vref=0.5, volts=volts,
+                      nominal_delay_s=3.3 * ui)
+    rate = 16e9
+    same_bytes(tmp_path, lambda p: write_waveform_csv(waves, p),
+               lambda p: reference_waveform_csv(waves, p))
+    same_bytes(tmp_path, lambda p: write_folded_csv(waves, rate, p),
+               lambda p: reference_folded_csv(waves, rate, p))
+    same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
+               lambda p: reference_eye_svg(waves, rate, p))
