@@ -46,10 +46,13 @@ def commands():
         outs = ["eye-%s.json" % name, "eye-%s.svg" % name, "folded-%s.csv" % name]
         runs.append((["eye", "--waves", waves, "--link", link, "-o", outs[0],
                       "--svg", outs[1], "--folded", outs[2]], outs))
-    for mode, link, values in (("rs", "scalar", "0,1.67,25"),
-                               ("cutoff", "pair", "inf,90/100"),
-                               ("uncoupled", "pair", "0,0.0005")):
-        out = "sweep-%s.csv" % mode
+    # The twelve-wire breakouts step in blocks of 601, 2 and 5 steps through
+    # resistive drivers; the pair link's drivers are all pinned.
+    for mode, link, values, out in (
+            ("rs", "scalar", "0,1.67,25", "sweep-rs.csv"),
+            ("cutoff", "pair", "inf,90/100", "sweep-cutoff.csv"),
+            ("uncoupled", "pair", "0,0.0005", "sweep-uncoupled.csv"),
+            ("uncoupled", "twelve", "0,0.0005,0.001", "sweep-uncoupled-twelve.csv")):
         runs.append((["sweep", "--mode", mode, "--link", "@link-%s.json" % link,
                       "--values", values, "-o", out], [out]))
     return runs

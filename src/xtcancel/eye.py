@@ -197,14 +197,13 @@ def render_eye_svg(waves, data_rate, path):
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(phases) < 0) + 1, [samples]))
     spans = [(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if b - a > 1]
     xs = ["%.2f," % x for x in xpix(phases).tolist()]
-    for w in range(n):
-        color = _PALETTE[w % len(_PALETTE)]
-        pts = [x + y for x, y in zip(xs, formatted(ypix(waves.volts[w]), "%.2f").tolist())]
-        for a, b in spans:
-            parts.append('<polyline points="%s" fill="none" stroke="%s" '
-                         'stroke-width="1" stroke-opacity="0.55"/>' % (" ".join(pts[a:b]), color))
-
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        # part by part: joining the parts first would hold the file twice
         fh.writelines(part + "\n" for part in parts)
+        # wire by wire: holding every polyline would hold most of the file
+        for w in range(n):
+            color = _PALETTE[w % len(_PALETTE)]
+            pts = [x + y for x, y in zip(xs, formatted(ypix(waves.volts[w]), "%.2f").tolist())]
+            fh.writelines('<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
+                          'stroke-opacity="0.55"/>\n' % (" ".join(pts[a:b]), color)
+                          for a, b in spans)
+        fh.write("</svg>\n")

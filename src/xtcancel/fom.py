@@ -170,18 +170,26 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     samples = int(samples)
     # Codes are drawn _CHUNK rows at a time, which consumes the generator
     # exactly as one draw of all rows would; only the per-sample totals are
-    # kept whole, so the statistics below see the same vectors.
+    # kept whole, so the statistics below see the same vectors.  Each chunk
+    # reuses the volts and currents buffers in place.
     bundle = np.empty(samples)
     power = np.empty(samples)
     max_wire = 0.0
+    rows = min(_CHUNK, samples)
+    x_buf, cur_buf = np.empty((rows, n)), np.empty((rows, n))
     for start in range(0, samples, _CHUNK):
         count = min(_CHUNK, samples - start)
-        bits = rng.integers(0, 2, size=(count, n)).astype(float)
-        x = v_low + bits * (v_high - v_low) - vref
-        cur = x @ y
+        x, cur = x_buf[:count], cur_buf[:count]
+        x[...] = rng.integers(0, 2, size=(count, n))
+        x *= v_high - v_low
+        x += v_low
+        x -= vref
+        np.matmul(x, y, out=cur)
         bundle[start:start + count] = np.abs(cur.sum(axis=1))
-        power[start:start + count] = (x * cur).sum(axis=1)
-        max_wire = max(max_wire, float(np.abs(cur).max()))
+        x *= cur
+        power[start:start + count] = x.sum(axis=1)
+        np.abs(cur, out=cur)
+        max_wire = max(max_wire, float(cur.max()))
     k = float(samples)
     return SampledFomReport(
         avg_bundle_current=float(bundle.mean()),

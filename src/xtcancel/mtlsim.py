@@ -36,6 +36,15 @@ times the wave part of the map.
 y holds the new history row, then the receiver volts relative to vref, then
 the source currents; its constant (svec vref at the receiver, -vref in the
 volts) rides on a column of ones appended to the drive.
+
+run_transient keeps all three in one output array whose rows are the steps'
+y, so the gather indices step over 2n (S + 1) columns a row for S segments.
+The drive part [src, 1] @ step_s reads no history: it is computed for every
+step before the loop and written into those rows, and a block is then one
+gather, one product and one in-place add.  The receiver volts are checked for
+non-finite values once, after the loop; a check never changed what the loop
+computes, only where it stopped, so the first non-finite row is the step a
+check after every block would report.
 """
 
 from __future__ import annotations
@@ -256,13 +265,15 @@ class Engine:
         self.step_e = np.vstack([(1.0 - frac)[:, None] * step[:, :w].T,
                                  frac[:, None] * step[:, :w].T])
         self.step_s = step[:, w:].T
-        # Flat history indices of one block's incident waves: row pad + m - i0
-        # then the row before it, each read from the other end of the mode.
+        # Flat indices of one block's incident waves in run_transient's output
+        # array, whose rows are y (w + 2n wide): row pad + m - i0 then the row
+        # before it, each read from the other end of the mode.
         cols = np.arange(w)
         other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
+        stride = w + 2 * n
         rows = self.pad + np.arange(self.block)[:, None] - i0
-        at = rows * w + other_end
-        self.gather = np.concatenate([at, at - w], axis=1)
+        at = rows * stride + other_end
+        self.gather = np.concatenate([at, at - stride], axis=1)
 
     def _step_columns(self, e, src, one):
         """One step for column blocks of incident waves e (width, k), drives
@@ -288,14 +299,26 @@ class Engine:
     def step_count(self, duration):
         """Timesteps covering duration; rejects links over the memory budget."""
         steps = int(round(duration / self.dt)) + 1
-        words = ((self.pad + steps) * self.width + steps * (3 * self.n + 1)
-                 + self.block * (4 * self.width + 2 * self.n))
-        if 8 * words > STEPPER_BUDGET_BYTES:
+        need = self.stepper_bytes(steps)
+        if need > STEPPER_BUDGET_BYTES:
             raise ValidationError(
                 "link needs %d timesteps and about %.3g GB of stepper memory, over the "
                 "%.3g GB budget; lower prbs_order, lengthen timestep_s or shorten duration_s"
-                % (steps, 8e-9 * words, 1e-9 * STEPPER_BUDGET_BYTES))
+                % (steps, 1e-9 * need, 1e-9 * STEPPER_BUDGET_BYTES))
         return steps
+
+    def stepper_bytes(self, steps):
+        """An upper bound on the memory of a run of steps: the gather indices
+        plus the largest of what run_transient holds at once, plus 64 KiB
+        for its small arrays."""
+        w, n, block = self.width, self.n, self.block
+        out = (self.pad + steps) * (w + 2 * n)
+        drive = steps * (n + 1)
+        words = block * 2 * w + max(
+            4 * drive,  # the drive and drive_levels' temporaries, 3 (n + 1) words a step
+            out + drive,  # the drive product
+            out + block * (3 * w + 2 * n) + steps * 2 * n)  # the loop's buffers, the copies
+        return 8 * words + (1 << 16)
 
     def solve_dc(self, e):
         """DC operating point for drive levels e, with the lines as ideal
@@ -316,7 +339,8 @@ def run_transient(engine):
     dt, steps = engine.dt, engine.steps
     start_index = int(math.ceil(engine.warmup_s / dt - 1e-9))
 
-    n, w, pad = engine.n, engine.width, engine.pad
+    n, w, pad, block = engine.n, engine.width, engine.pad, engine.block
+    row = w + 2 * n  # one output row: history, receiver volts, source currents
     d = engine.spec.drivers
     drive = np.ones((steps, n + 1))  # the last column weights the map's constant
     drive[:, :n] = drive_levels(engine.streams, dt * np.arange(steps),
@@ -324,33 +348,40 @@ def run_transient(engine):
     if not np.isfinite(drive).all():
         raise ValidationError("source waveform produced non-finite values")
 
-    # Start every line at the DC state of the t=0 drive so the startup
-    # transient is only the difference from that state (warmup still applies).
+    # The drive part of every step, written into the rows it belongs to; the
+    # loop adds the wave part.  Start every line at the DC state of the t=0
+    # drive so the startup transient is only the difference from that state
+    # (warmup still applies).
+    out = np.empty((pad + steps, row))
+    np.matmul(drive, engine.step_s, out=out[pad:])
     v0, i0 = engine.solve_dc(drive[0, :n])
-    hist = np.empty((pad + steps, w))
+    del drive
     for k, s in enumerate(engine.segments):
-        hist[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
-        hist[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
-    flat = hist.reshape(-1)
-    volts = np.empty((steps, n))
-    src_cur = np.empty((steps, n))
+        out[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
+        out[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
+    flat = out.reshape(-1)
 
-    for m in range(0, steps, engine.block):
-        b = min(engine.block, steps - m)
-        y = flat[engine.gather[:b] + m * w] @ engine.step_e + drive[m:m + b] @ engine.step_s
-        v_rx = y[:, w:w + n]
-        if not np.isfinite(v_rx).all():
-            first = int(np.isfinite(v_rx).all(axis=1).argmin())
-            raise SimulationDivergedError(m + first, "receiver node voltages")
-        hist[pad + m:pad + m + b] = y[:, :w]
-        volts[m:m + b] = v_rx
-        src_cur[m:m + b] = y[:, w + n:]
+    step_e, gather = engine.step_e, engine.gather[:block]
+    waves = np.empty(gather.shape)
+    y = np.empty((block, row))
+    for m in range(0, steps, block):
+        if steps - m < block:  # the last block is short
+            gather, waves, y = gather[:steps - m], waves[:steps - m], y[:steps - m]
+        np.take(flat[m * row:], gather, out=waves)
+        np.matmul(waves, step_e, out=y)
+        rows = out[pad + m:pad + m + block]
+        np.add(rows, y, out=rows)
 
+    finite = np.isfinite(out[pad:, w:w + n]).all(axis=1)
+    if not finite.all():
+        raise SimulationDivergedError(int(finite.argmin()), "receiver node voltages")
+    # copies, so the waveforms do not hold the history
+    body = out[pad + start_index:]
     return Waveforms(dt=dt,
                      start_time=start_index * dt,
                      vref=engine.vref,
-                     volts=volts[start_index:].T,
-                     source_currents=src_cur[start_index:].T,
+                     volts=body[:, w:w + n].copy().T,
+                     source_currents=body[:, w + n:].copy().T,
                      nominal_delay_s=engine.nominal_delay_s)
 
 

@@ -211,6 +211,39 @@ def test_sampled_fom():
     assert a.max_bundle_current <= 24 * 10.0e-3 + 1e-15
 
 
+def sampled_fom_oracle(y, vref, levels, samples, seed):
+    """The sampled report from fresh per-chunk arrays, chunk by chunk."""
+    n = y.shape[0]
+    v_low, v_high = levels
+    rng = np.random.default_rng(seed)
+    bundle, power, max_wire = np.empty(samples), np.empty(samples), 0.0
+    for start in range(0, samples, 1 << 14):
+        count = min(1 << 14, samples - start)
+        bits = rng.integers(0, 2, size=(count, n)).astype(float)
+        x = v_low + bits * (v_high - v_low) - vref
+        cur = x @ y
+        bundle[start:start + count] = np.abs(cur.sum(axis=1))
+        power[start:start + count] = (x * cur).sum(axis=1)
+        max_wire = max(max_wire, float(np.abs(cur).max()))
+    k = float(samples)
+    return (float(bundle.mean()), float(bundle.std(ddof=1) / np.sqrt(k)), float(bundle.max()),
+            max_wire, float(power.mean()), float(power.std(ddof=1) / np.sqrt(k)))
+
+
+@pytest.mark.parametrize("n,samples", [(3, 2), (24, 4000), (20, 3 * (1 << 14) + 77)],
+                         ids=["tiny", "one-partial-chunk", "partial-last-chunk"])
+def test_sampled_fom_matches_per_chunk_oracle(n, samples):
+    rng = np.random.default_rng(n)
+    g = np.abs(rng.normal(size=(n, n))) * 1e-3
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    y = np.diag(g.sum(axis=1) + 1e-3) - g
+    rep = bundle_fom_sampled(y, vref=0.4, levels=(-0.2, 1.1), samples=samples, seed=9)
+    assert (rep.avg_bundle_current, rep.avg_bundle_current_stderr, rep.max_bundle_current,
+            rep.max_wire_current, rep.avg_power, rep.avg_power_stderr) \
+        == sampled_fom_oracle(y, 0.4, (-0.2, 1.1), samples, 9)
+
+
 def test_sampled_tracks_exact_on_small_bus():
     exact = bundle_fom(PAIR_Y)
     est = bundle_fom_sampled(PAIR_Y, samples=20000, seed=7)

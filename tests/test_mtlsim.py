@@ -158,6 +158,26 @@ def test_oversized_link_rejected_before_allocation(change):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("name", ["twelve", "twelve-breakout-0.5mm", "pair",
+                                  "scalar-breakout-0.5mm"])
+def test_stepper_peak_within_preflight_estimate(name):
+    twelve = load_link(FIXTURES / "link-twelve.json")
+    spec = {"twelve": twelve, "twelve-breakout-0.5mm": breakout_link(twelve, 0.0005),
+            "pair": load_link(FIXTURES / "link-pair.json"),
+            # the peak is the output rows and the drive, as estimated, so the
+            # 64 KiB allowance for small arrays is what keeps it under
+            "scalar-breakout-0.5mm": breakout_link(load_link(FIXTURES / "link-scalar.json"),
+                                                   0.0005)}[name]
+    engine = build_link(spec)
+    tracemalloc.start()
+    try:
+        run_transient(engine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= engine.stepper_bytes(engine.steps)
+
+
 def test_matched_line_delay_and_flatness():
     # R_s = 0, matched 50 ohm termination: received = source delayed by tau
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=0.0,
