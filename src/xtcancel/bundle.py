@@ -20,12 +20,12 @@ resistive crosstalk-cancelling networks built in the termination module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPhysicalBundleError, ValidationError, converted, integer
+from .textio import read_json, write_json
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -224,9 +224,7 @@ def lc_from_impedance(zc, velocity, name=""):
 
 def load_bundle(path):
     """Load a bundle JSON file ({"n", "L", "C", "name"})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return bundle_from_dict(raw)
+    return bundle_from_dict(read_json(path))
 
 
 def bundle_from_dict(raw):
@@ -243,6 +241,4 @@ def bundle_from_dict(raw):
 
 
 def save_bundle(bundle, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, bundle.to_dict())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from .mtlsim import (LINK_SCHEMA_VERSION, Segment, Waveforms, build_link,
 from .termination import (NETWORK_SCHEMA_VERSION, ReductionPolicy,
                           load_network, network_admittance, realize_network,
                           reduce_network, save_network, write_histogram_csv)
-from .textio import write_csv
+from .textio import write_csv, write_json
 
 _VERSION_TEXT = ("xtcancel %s (schemas: bundle %d, network %d, report %d, link %d, eye %d)"
                  % (__version__, BUNDLE_SCHEMA_VERSION, NETWORK_SCHEMA_VERSION,
@@ -57,13 +58,6 @@ def _reduction_policy(args):
     return ReductionPolicy(self_cutoff=args.cutoff_self, cross_cutoff=args.cutoff_cross)
 
 
-def _write_zc_json(zc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": zc.shape[0], "zc": [[float(v) for v in row] for row in zc]},
-                  fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_synth(args):
     policy = _reduction_policy(args)
     if args.net is not None:
@@ -79,7 +73,7 @@ def cmd_synth(args):
         basis, _ = characteristic_impedance(bundle)
         net = realize_network(basis.zc, vref=args.vref)
         if args.zc:
-            _write_zc_json(basis.zc, args.zc)
+            write_json(args.zc, {"n": basis.zc.shape[0], "zc": basis.zc.tolist()})
     if policy is not None:
         net = reduce_network(net, policy)
     save_network(net, args.output)
@@ -104,6 +98,8 @@ def cmd_fom(args):
         y = basis.mi.T @ basis.mi
     if vref is None:
         vref = 0.5
+    if not math.isfinite(vref):
+        raise ValidationError("--vref must be finite, got %r" % vref)
     levels = _parse_levels(args.levels)
     if args.samples is not None:
         if args.codes:
@@ -129,6 +125,8 @@ def _parse_levels(text):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValidationError("--levels values must be numbers, got %r" % text) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("--levels values must be finite, got %r" % text)
     return (lo, hi)
 
 

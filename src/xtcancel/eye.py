@@ -13,12 +13,10 @@ of edge position.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import formatted, write_csv
+from .textio import formatted, write_csv, write_json
 
 EYE_SCHEMA_VERSION = 1
 
@@ -140,9 +138,7 @@ def write_folded_csv(waves, data_rate, path):
 
 
 def write_eye_json(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def render_eye_svg(waves, data_rate, path):

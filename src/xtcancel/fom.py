@@ -11,7 +11,6 @@ code and stops at n=20 (ENUMERATION_CAP).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError
-from .textio import write_csv
+from .textio import write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -232,6 +231,4 @@ def write_code_table_csv(table, path):
 
 
 def write_report_json(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_dict())

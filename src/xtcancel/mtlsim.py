@@ -10,9 +10,11 @@ impedance, so its two ends obey the method-of-characteristics relations
 with w = u + j, u the modal voltage, j the modal current into the line, and
 tau the modal one-way delay.  Back in wire coordinates each segment end is a
 Norton equivalent (conductance Zc^-1, injection Zc^-1 Mv E = Mi^T E), so the
-driver bank, inter-segment junctions, and the termination network reduce to
-small nodal solves whose matrices are factored once.  Wires driven through
-zero source resistance are handled exactly by pinning their node voltage.
+driver bank, each inter-segment junction, the termination network and the DC
+operating point are each one small nodal system A v = g e + injection, with
+e the drive behind conductances g, inverted once.  A wire driven through zero
+source resistance is handled exactly as in modified nodal analysis: its row
+of A is the identity row and reads v = e.
 
 History is read with linear interpolation at t - tau, so modal delays need
 not be timestep multiples; every modal delay must be at least one timestep
@@ -49,7 +51,6 @@ check after every block would report.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -63,7 +64,7 @@ from .errors import SimulationDivergedError, ValidationError, converted, integer
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
-from .textio import write_csv
+from .textio import read_json, write_csv
 
 LINK_SCHEMA_VERSION = 1
 
@@ -90,6 +91,9 @@ class DriverBank:
         for r in self.rs_ohms:
             if not (r >= 0.0 and math.isfinite(r)):
                 raise ValidationError("driver resistance must be finite and >= 0, got %r" % (r,))
+        if not all(map(math.isfinite, (self.v_low, self.v_high, self.v_high - self.v_low))):
+            raise ValidationError("driver v_low %r, v_high %r and their difference must be finite"
+                                  % (self.v_low, self.v_high))
         if not self.v_high > self.v_low:
             raise ValidationError("driver v_high must exceed v_low")
         if not (self.rise_s > 0.0 and math.isfinite(self.rise_s)):
@@ -156,30 +160,32 @@ class _SegmentState:
                 % (dt, float(self.tau.min()), segment.length_m))
 
 
-class _PinnedSolve:
-    """Nodal solve with voltage-source rows eliminated (exact rs = 0)."""
+class _NodeSolve:
+    """One nodal system A v = g e + injection, inverted once.
 
-    def __init__(self, a, g, pinned):
-        self.g = g
-        self.pinned = pinned
-        self.free = ~pinned
-        self.all_pinned = bool(pinned.all())
-        if not self.all_pinned:
-            aff = a[np.ix_(self.free, self.free)]
-            self.inv_ff = np.linalg.inv(aff)
-            self.a_fp = a[np.ix_(self.free, pinned)]
+    Modified nodal analysis: a pinned node (a zero-ohm source) has its row of
+    A replaced by the identity row and reads v = e, so its injection is
+    dropped; a free node sees drive e through conductance g.
+    """
+
+    def __init__(self, a, g, pinned, what):
+        a = np.where(pinned[:, None], np.eye(g.size), a)
+        # Rows scaled to unit max: a pinned row and the row of a driver behind
+        # a tiny resistance differ in scale, not in rank.
+        cond = np.linalg.cond(a / np.abs(a).max(axis=1, keepdims=True))
+        if not np.isfinite(cond) or cond > 1e14:
+            raise ValidationError("%s nodal system is singular (cond %.3g)" % (what, cond))
+        self.inv = np.linalg.inv(a)
+        self.g = np.where(pinned, 1.0, g)
+        self.free = (~pinned).astype(float)
 
     def solve(self, e, injection):
-        """Node volts for drives e and injections, each (n,) or a column block (n, k)."""
-        v = np.array(e, dtype=float)
-        if self.all_pinned:
-            return v
-        g = self.g if v.ndim == 1 else self.g[:, None]
-        rhs = (g * v + injection)[self.free]
-        if self.pinned.any():
-            rhs = rhs - self.a_fp @ v[self.pinned]
-        v[self.free] = self.inv_ff @ rhs
-        return v
+        """Node volts for injections, (n,) or a column block (n, k), and drives e
+        that broadcast against them."""
+        g, free = self.g, self.free
+        if np.ndim(injection) == 2:
+            g, free = g[:, None], free[:, None]
+        return self.inv @ (g * e + free * injection)
 
 
 class Engine:
@@ -235,27 +241,21 @@ class Engine:
 
         self.streams = pattern_assign(spec.stimulus, n)
 
-        # Terminal and junction systems, factored once.
+        # The node systems, inverted once: the driver, each junction and the
+        # receiver, whose termination pulls towards vref through svec.
         rs = np.asarray(spec.drivers.rs_ohms, dtype=float)
         pinned = rs == 0.0
-        g = np.zeros(n)
-        g[~pinned] = 1.0 / rs[~pinned]
-        self.tx = _PinnedSolve(np.diag(g) + self.segments[0].yc, g, pinned)
-        self.junction_inv = [
-            np.linalg.inv(self.segments[k].yc + self.segments[k + 1].yc)
-            for k in range(len(self.segments) - 1)
-        ]
+        g = np.divide(1.0, rs, out=np.zeros(n), where=~pinned)
         self.y_net = network_admittance(spec.termination)
         self.svec = self_conductances(spec.termination)
-        # Every free row has g > 0 and y_net is positive semidefinite, so the
-        # free block is positive definite and the DC solve cannot be singular.
-        self.dc = _PinnedSolve(np.diag(g) + self.y_net, g, pinned)
         self.vref = spec.termination.vref
-        a_rx = self.y_net + self.segments[-1].yc
-        cond = np.linalg.cond(a_rx)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise ValidationError("receiver nodal system is singular (all-floating termination?)")
-        self.rx_inv = np.linalg.inv(a_rx)
+        segs, unpinned = self.segments, np.zeros(n, dtype=bool)
+        self.nodes = [_NodeSolve(np.diag(g) + segs[0].yc, g, pinned, "driver")]
+        for k in range(len(segs) - 1):
+            self.nodes.append(_NodeSolve(segs[k].yc + segs[k + 1].yc, np.zeros(n), unpinned,
+                                         "junction %d" % (k + 1)))
+        self.nodes.append(_NodeSolve(self.y_net + segs[-1].yc, self.svec, unpinned, "receiver"))
+        self.dc = _NodeSolve(np.diag(g) + self.y_net, g, pinned, "DC")
 
         # The step map: one step of the link is affine in the incident waves
         # and the drive, so the node solves run once, on identity columns.
@@ -283,17 +283,16 @@ class Engine:
         segs = self.segments
         e_near = [e[2 * n * k:2 * n * k + n] for k in range(len(segs))]
         e_far = [e[2 * n * k + n:2 * n * (k + 1)] for k in range(len(segs))]
-        inj_tx = segs[0].mit @ e_near[0]
-        nodes = [self.tx.solve(src, inj_tx)]
-        for k in range(len(segs) - 1):
-            nodes.append(self.junction_inv[k] @ (
-                segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]))
-        nodes.append(self.rx_inv @ (segs[-1].mit @ e_far[-1]
-                                    + np.outer(self.svec * self.vref, one)))
+        inj = ([segs[0].mit @ e_near[0]]
+               + [segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]
+                  for k in range(len(segs) - 1)]
+               + [segs[-1].mit @ e_far[-1]])
+        drives = [src] + [0.0] * (len(segs) - 1) + [self.vref * one]
+        nodes = [s.solve(d, j) for s, d, j in zip(self.nodes, drives, inj)]
         rows = []
         for k, s in enumerate(segs):
             rows += [2.0 * s.mi @ nodes[k] - e_near[k], 2.0 * s.mi @ nodes[k + 1] - e_far[k]]
-        rows += [nodes[-1] - self.vref * one, segs[0].yc @ nodes[0] - inj_tx]
+        rows += [nodes[-1] - self.vref * one, segs[0].yc @ nodes[0] - inj[0]]
         return np.vstack(rows)
 
     def step_count(self, duration):
@@ -315,7 +314,9 @@ class Engine:
         out = (self.pad + steps) * (w + 2 * n)
         drive = steps * (n + 1)
         words = block * 2 * w + max(
-            4 * drive,  # the drive and drive_levels' temporaries, 3 (n + 1) words a step
+            # the drive, drive_levels' result, its ramps (two arrays of at most
+            # every step's rows) and its times, bit indices, masks and phases
+            drive + steps * (3 * n + 6),
             out + drive,  # the drive product
             out + block * (3 * w + 2 * n) + steps * 2 * n)  # the loop's buffers, the copies
         return 8 * words + (1 << 16)
@@ -345,8 +346,6 @@ def run_transient(engine):
     drive = np.ones((steps, n + 1))  # the last column weights the map's constant
     drive[:, :n] = drive_levels(engine.streams, dt * np.arange(steps),
                                 engine.spec.stimulus.data_rate, d.rise_s, d.v_low, d.v_high)
-    if not np.isfinite(drive).all():
-        raise ValidationError("source waveform produced non-finite values")
 
     # The drive part of every step, written into the rows it belongs to; the
     # loop adds the wave part.  Start every line at the DC state of the t=0
@@ -539,9 +538,7 @@ def link_from_dict(raw, base_dir="."):
 
 
 def load_link(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return link_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return link_from_dict(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def with_stimulus_seed(spec, seed):

@@ -160,18 +160,19 @@ def drive_levels(streams, t, data_rate, rise_s, v_low, v_high):
 
     m = np.floor(t / ui).astype(np.int64)
     t_in = t - m * ui
-    cur = bits[np.mod(m, period)]
-    v = v_low + cur * swing
-    # Ramps in from the previous bit; before the stream starts that is a 0.
-    early = t_in < half
+    v = bits[np.mod(m, period)]  # the current bits, scaled to volts at the end
+    # Ramps from the previous bit (a 0 before the stream starts) and to the
+    # next bit: a ramp from a to b is a + (b - a) f, built in b's array.
+    early, late = t_in < half, t_in > ui - half
     me = m[early]
     prev = np.where((me <= 0)[:, None], 0.0, bits[np.mod(me - 1, period)])
-    frac = ((t_in[early] + half) / rise_s)[:, None]
-    v[early] = v_low + (prev + (cur[early] - prev) * frac) * swing
-    # Ramps out towards the next bit.
-    late = t_in > ui - half
-    nxt = bits[np.mod(m[late] + 1, period)]
-    frac = ((t_in[late] - (ui - half)) / rise_s)[:, None]
-    v[late] = v_low + (cur[late] + (nxt - cur[late]) * frac) * swing
+    for rows, a, b, shift in ((early, prev, v[early], half),
+                              (late, v[late], bits[np.mod(m[late] + 1, period)], half - ui)):
+        b -= a
+        b *= ((t_in[rows] + shift) / rise_s)[:, None]
+        b += a
+        v[rows] = b
+    v *= swing
+    v += v_low
     v[t < 0.0] = v_low
     return v

@@ -8,7 +8,7 @@ most far-pair resistors are far too large to matter.
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +17,7 @@ import numpy as np
 from .bundle import spd_inverse
 from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, converted,
                      integer)
-from .textio import write_csv
+from .textio import read_json, write_csv, write_json
 
 NETWORK_SCHEMA_VERSION = 1
 
@@ -65,6 +65,8 @@ class TerminationNetwork:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("network needs at least one wire")
+        if not math.isfinite(self.vref):
+            raise ValidationError("network vref must be finite, got %r" % (self.vref,))
         seen_self = set()
         seen_cross = set()
         for el in self.elements:
@@ -239,9 +241,7 @@ def write_histogram_csv(net, path):
 
 
 def load_network(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return network_from_dict(raw)
+    return network_from_dict(read_json(path))
 
 
 def network_from_dict(raw):
@@ -271,6 +271,4 @@ def network_from_dict(raw):
 
 
 def save_network(net, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, net.to_dict())

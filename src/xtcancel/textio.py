@@ -1,5 +1,6 @@
-"""The one CSV writer: floats as their shortest round-trip repr, so a read
-gives back the exact doubles, and integer columns as plain decimals.
+"""The one CSV writer and the one JSON reader and writer.  CSV floats are
+their shortest round-trip repr, so a read gives back the exact doubles, and
+integer columns plain decimals.
 
 A run of equal values is formatted once.  A settled lossless line holds its
 level exactly, so most receiver samples repeat the one before them, and
@@ -8,6 +9,8 @@ formatting a float costs far more than comparing it.  Equal means equal bits
 differently, and nan != nan although one text serves every copy of the same
 NaN.
 """
+
+import json
 
 import numpy as np
 
@@ -53,3 +56,14 @@ def write_csv(path, header, columns):
         for start in range(0, columns[0].size, _CHUNK_ROWS):
             rows = zip(*[_cells(c[start:start + _CHUNK_ROWS]) for c in columns])
             fh.write("".join([",".join(row) + "\n" for row in rows]))
+
+
+def write_json(path, doc):
+    """Write doc as JSON indented by two spaces, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)

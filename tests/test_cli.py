@@ -229,6 +229,31 @@ def test_non_finite_bundle_exit_2(tmp_path, capsys):
     assert "error: inductance matrix has non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fom", "--lc", fx("pair.json"), "--vref", "inf"], "error: --vref must be finite, got inf"),
+    (["fom", "--lc", fx("pair.json"), "--levels", "nan,1"],
+     "error: --levels values must be finite, got 'nan,1'"),
+    (["synth", "--lc", fx("pair.json"), "--vref", "nan"],
+     "error: network vref must be finite, got nan"),
+], ids=["fom-vref", "fom-levels", "synth-vref"])
+def test_non_finite_voltage_flag_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.json"
+    assert cli.main(argv + ["-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_network_vref_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(fx("link-scalar.json")).read_text())
+    raw["segments"][0]["bundle"] = fx("scalar.json")
+    raw["termination"] = json.loads(Path(fx("50ohm-scalar.json")).read_text())
+    raw["termination"]["vref"] = float("nan")
+    link = tmp_path / "link.json"
+    link.write_text(json.dumps(raw))  # json writes the value as NaN
+    assert cli.main(["sim", "--link", str(link), "-o", str(tmp_path / "w.csv")]) == 2
+    assert "error: network vref must be finite, got nan" in capsys.readouterr().err
+
+
 def test_eye_wire_mismatch_exit_2(tmp_path):
     waves = tmp_path / "waves.csv"
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0

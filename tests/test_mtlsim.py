@@ -13,12 +13,12 @@ from xtcancel.bundle import characteristic_impedance
 from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network, pair_bundle,
                                scalar_bundle, simple_link, uncoupled_bundle)
-from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, build_link,
+from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _NodeSolve, build_link,
                              link_from_dict, load_link, run_transient,
                              read_waveform_csv, with_stimulus_seed,
                              write_waveform_csv)
 from xtcancel.stimulus import StimulusSpec, drive_levels
-from xtcancel.termination import realize_network
+from xtcancel.termination import network_admittance, realize_network, self_conductances
 
 UI = 62.5e-12  # 16 Gb/s
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,11 +64,11 @@ def reference_transient(engine):
             e_near.append(hist_far[k][row, modes] * om + hist_far[k][row - 1, modes] * s.frac)
             e_far.append(hist_near[k][row, modes] * om + hist_near[k][row - 1, modes] * s.frac)
         inj_tx = segs[0].mit @ e_near[0]
-        nodes = [engine.tx.solve(src[:, m], inj_tx)]
+        nodes = [engine.nodes[0].solve(src[:, m], inj_tx)]
         for k in range(len(segs) - 1):
-            nodes.append(engine.junction_inv[k] @ (
-                segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]))
-        nodes.append(engine.rx_inv @ (segs[-1].mit @ e_far[-1] + engine.svec * engine.vref))
+            nodes.append(engine.nodes[k + 1].solve(
+                0.0, segs[k].mit @ e_far[k] + segs[k + 1].mit @ e_near[k + 1]))
+        nodes.append(engine.nodes[-1].solve(engine.vref, segs[-1].mit @ e_far[-1]))
         if not np.isfinite(nodes[-1]).all():
             raise SimulationDivergedError(m, "receiver node voltages")
         for k, s in enumerate(segs):
@@ -222,6 +222,26 @@ def test_dc_solve_oracles():
     assert np.allclose(source_currents, [6.0e-3, 6.0e-3], atol=1e-12)
 
 
+def test_dc_solve_mixed_pinned_and_free():
+    # wire 1 is pinned at its drive; wire 2 sees its drive through 25 ohm, so
+    # its row of the nodal system, with v1 known, is one equation in v2
+    net = full_pair_network()
+    engine = build_link(simple_link(pair_bundle(), net, rs_ohms=(0.0, 25.0)))
+    y, s = network_admittance(net), self_conductances(net)
+    g2 = 1.0 / 25.0
+    for e in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.3, -0.7]):
+        node_volts, source_currents = engine.solve_dc(e)
+        v2 = (g2 * e[1] + s[1] * net.vref - y[1, 0] * e[0]) / (g2 + y[1, 1])
+        assert abs(node_volts[0] - e[0]) <= 1e-12
+        assert abs(node_volts[1] - v2) <= 1e-12
+        assert abs(source_currents[1] - g2 * (e[1] - v2)) <= 1e-12
+
+
+def test_singular_node_system_is_named():
+    with pytest.raises(ValidationError, match="junction 1 nodal system is singular"):
+        _NodeSolve(np.ones((2, 2)), np.zeros(2), np.zeros(2, dtype=bool), "junction 1")
+
+
 def test_transient_settles_to_dc():
     # long constant tail after a few transitions, then compare with solve_dc
     tail = 112
@@ -360,6 +380,16 @@ def test_timestep_and_duration_validation():
         Segment(bundle=scalar_bundle(), length_m=0.0)
     with pytest.raises(ValidationError):
         DriverBank(rs_ohms=(-1.0,))
+
+
+@pytest.mark.parametrize("levels, message", [
+    ((-math.inf, 1.0), "driver v_low -inf, v_high 1.0 and their difference must be finite"),
+    ((0.0, math.inf), "driver v_low 0.0, v_high inf and their difference must be finite"),
+    ((-1e308, 1e308), "driver v_low -1e\\+308, v_high 1e\\+308 and their difference must"),
+], ids=["v_low", "v_high", "swing"])
+def test_driver_levels_must_be_finite(levels, message):
+    with pytest.raises(ValidationError, match=message):
+        DriverBank(rs_ohms=(0.0,), v_low=levels[0], v_high=levels[1])
 
 
 def test_waveform_csv_roundtrip(tmp_path):

@@ -1,13 +1,15 @@
 """PRBS generation, pattern assignment, and drive waveform tests."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xtcancel.errors import ValidationError
 from xtcancel.fixtures import fifty_ohm_network, scalar_bundle, simple_link
-from xtcancel.mtlsim import build_link
+from xtcancel.mtlsim import build_link, load_link
 from xtcancel.stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
 
 
@@ -204,3 +206,20 @@ def test_source_waveform_validation():
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rise_s=62.5e-12)
     with pytest.raises(ValidationError, match="rise time"):
         build_link(link)
+
+
+def test_drive_levels_peak_within_twice_its_result():
+    # the drive is built in its own array: the ramps' rows and a few words a
+    # step of times and indices are all it holds besides its result
+    engine = build_link(load_link(Path(__file__).resolve().parent.parent
+                                  / "fixtures" / "link-twelve.json"))
+    d = engine.spec.drivers
+    t = engine.dt * np.arange(engine.steps)
+    tracemalloc.start()
+    try:
+        v = drive_levels(engine.streams, t, engine.spec.stimulus.data_rate, d.rise_s,
+                         d.v_low, d.v_high)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * v.nbytes

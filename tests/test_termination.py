@@ -158,6 +158,13 @@ def test_network_validation():
             Resistor(kind="self", i=3, j=None, ohms=50.0),))
 
 
+@pytest.mark.parametrize("vref", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_network_vref_must_be_finite(vref):
+    with pytest.raises(ValidationError, match="network vref must be finite, got %s" % vref):
+        TerminationNetwork(n=1, vref=vref, elements=(
+            Resistor(kind="self", i=1, j=None, ohms=50.0),))
+
+
 def test_floating_wire_detection():
     # a wire with no elements at all never reaches the supply
     bare = TerminationNetwork(n=2, vref=0.5, elements=(
