@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalBundleError, ValidationError, converted, integer
+from .errors import NonPhysicalBundleError, ValidationError, converted, document, integer
 from .textio import read_json, write_json
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -69,12 +69,10 @@ def symmetric_eig(a):
         ValidationError: non-square, non-finite or asymmetric input.
     """
     values, vectors = np.linalg.eigh(checked_symmetric(a))
-    values = values[::-1]
     vectors = vectors[:, ::-1].copy()
-    for k in range(vectors.shape[1]):
-        if vectors[int(np.argmax(np.abs(vectors[:, k]))), k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    return values, vectors
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(peak < 0.0, -1.0, 1.0)  # negation is exact
+    return values[::-1], vectors
 
 
 def spd_inverse(a, what="matrix"):
@@ -228,11 +226,7 @@ def load_bundle(path):
 
 
 def bundle_from_dict(raw):
-    if not isinstance(raw, dict):
-        raise ValidationError("bundle document must be a JSON object")
-    missing = [k for k in ("n", "L", "C") if k not in raw]
-    if missing:
-        raise ValidationError("bundle document missing field(s): %s" % ", ".join(missing))
+    raw = document(raw, "bundle document", ("n", "L", "C"))
     bundle = CouplingMatrices.from_arrays(raw["L"], raw["C"], name=raw.get("name", ""))
     if integer(raw["n"], "bundle n") != bundle.n:
         raise ValidationError("bundle declares n=%s but matrices are %dx%d"

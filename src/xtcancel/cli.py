@@ -66,12 +66,14 @@ def cmd_synth(args):
         net = load_network(args.net)
         if args.zc:
             raise ValidationError("--zc needs --lc (no impedance in a network file)")
+        if args.vref is not None:
+            net = replace(net, vref=args.vref)
     else:
         if args.lc is None:
             raise ValidationError("synth needs --lc (bundle file) or --net (network file)")
         bundle = load_bundle(args.lc)
         basis, _ = characteristic_impedance(bundle)
-        net = realize_network(basis.zc, vref=args.vref)
+        net = realize_network(basis.zc, vref=0.5 if args.vref is None else args.vref)
         if args.zc:
             write_json(args.zc, {"n": basis.zc.shape[0], "zc": basis.zc.tolist()})
     if policy is not None:
@@ -106,6 +108,8 @@ def cmd_fom(args):
             raise ValidationError("--codes enumerates every code; drop it or drop --samples")
         report = bundle_fom_sampled(y, vref=vref, levels=levels,
                                     samples=args.samples, seed=args.seed or 0)
+    elif args.seed is not None:
+        raise ValidationError("--seed seeds --samples; drop it or pass --samples")
     else:
         report = bundle_fom(y, vref=vref, levels=levels)
     # The table's cap is lower than the report's: fail before writing either.
@@ -248,7 +252,7 @@ def build_parser():
     sp = sub.add_parser("synth", help="synthesize or reduce a termination network")
     sp.add_argument("--lc", help="bundle (L/C matrices) JSON file")
     sp.add_argument("--net", help="existing network JSON file (reduce only)")
-    sp.add_argument("--vref", type=float, default=0.5, help="termination rail voltage")
+    sp.add_argument("--vref", type=float, help="termination rail voltage (default 0.5 or --net's)")
     sp.add_argument("--cutoff-self", type=float, help="drop self resistors above this (ohm)")
     sp.add_argument("--cutoff-cross", type=float, help="drop bridges above this (ohm)")
     sp.add_argument("-o", "--output", required=True, help="network JSON output")

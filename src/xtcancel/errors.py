@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of document fields.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError.
-converted() turns a malformed field of an input document into a
-ValidationError, and integer() does the same for a number that is not whole.
+document(), number() and integer() read an input document: a field must hold
+a JSON number, so a bool or a quoted number is rejected (RFC 8259), and
+converted() turns any other malformed value into a ValidationError.
 """
+
+import numbers
 
 
 class XtcancelError(Exception):
@@ -79,11 +82,30 @@ def converted(convert, value, field):
         raise ValidationError("bad %s: %s" % (field, exc)) from None
 
 
+def document(raw, what, required=()):
+    """raw when it is a JSON object holding every key in required; otherwise
+    ValidationError naming what and the missing keys."""
+    if not isinstance(raw, dict):
+        raise ValidationError("%s must be a JSON object" % what)
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ValidationError("%s missing field(s): %s" % (what, ", ".join(missing)))
+    return raw
+
+
+def number(value, field):
+    """value as a float when it is a real number.  A bool, a string or null
+    raises ValidationError naming field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError("bad %s: %r is not a number" % (field, value))
+    return converted(float, value, field)  # an int past the float range
+
+
 def integer(value, field):
     """value as an int when it is a whole number (7 or 7.0).  Anything else,
-    7.9, "7" or null, raises ValidationError naming field rather than being
-    truncated the way int() would."""
-    whole = converted(int, value, field)
-    if whole != value:
+    7.9, "7", true or null, raises ValidationError naming field rather than
+    being truncated the way int() would."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or converted(int, value, field) != value):
         raise ValidationError("bad %s: %r is not an integer" % (field, value))
-    return whole
+    return int(value)

@@ -118,6 +118,15 @@ def _max_abs_linear(rows, a, b):
     return float(max(np.max(high), -np.min(low)))
 
 
+def _checked_inputs(y, vref, levels):
+    """y checked symmetric, then vref, v_low and v_high as finite floats."""
+    y = checked_symmetric(y, "admittance matrix")
+    volts = float(vref), float(levels[0]), float(levels[1])
+    if not all(map(math.isfinite, volts)):
+        raise ValidationError("vref %r and levels %r must be finite" % (vref, tuple(levels)))
+    return (y,) + volts
+
+
 def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
     """Exact figures of merit over all 2^n codes (n <= 40), in closed form.
 
@@ -129,13 +138,13 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
     other half splits them at -s by searchsorted, with prefix sums giving
     both sides' totals.
     """
-    y = checked_symmetric(y, "admittance matrix")
+    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if n > EXACT_FOM_CAP:
         raise EnumerationCapError(
             "exact figures of merit capped at %d wires (got %d); use the sampled variant"
             % (EXACT_FOM_CAP, n))
-    a, b = float(levels[0]) - vref, float(levels[1]) - vref
+    a, b = v_low - vref, v_high - vref
     mu, h = 0.5 * (a + b), 0.5 * (b - a)
     c = y.sum(axis=1)
     first = _code_sums(c[:n // 2], a, b)
@@ -160,11 +169,10 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     seeded generator, so results are reproducible.  Standard errors cover the
     two averages; the max fields are sample maxima.
     """
-    y = checked_symmetric(y, "admittance matrix")
+    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    v_low, v_high = float(levels[0]), float(levels[1])
     rng = np.random.default_rng(int(seed))
     samples = int(samples)
     # Codes are drawn _CHUNK rows at a time, which consumes the generator
@@ -209,12 +217,11 @@ def code_table(y, vref=0.5, levels=(0.0, 1.0)):
     Bit k (LSB) of the code integer is wire k+1, so row c and row
     2^n-1-c are exact negations of each other.
     """
-    y = checked_symmetric(y, "admittance matrix")
+    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             "code table capped at %d wires (got %d)" % (ENUMERATION_CAP, n))
-    v_low, v_high = float(levels[0]), float(levels[1])
     total = 1 << n
     out = np.empty((total, n))
     for start in range(0, total, _CHUNK):

@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import CouplingMatrices, bundle_from_dict, characteristic_impedance, load_bundle
-from .errors import SimulationDivergedError, ValidationError, converted, integer
+from .errors import SimulationDivergedError, ValidationError, converted, document, integer, number
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
@@ -448,14 +448,6 @@ def _parse_rows(fh, width):
     return np.frombuffer(values).reshape(rows, width)
 
 
-def _floats(values):
-    return tuple(float(v) for v in values)
-
-
-def _float(value, field):
-    return converted(float, value, field)
-
-
 def _ints(values, field):
     return tuple(integer(v, field) for v in converted(list, values, field))
 
@@ -469,58 +461,39 @@ def _optional(raw, key, convert):
     return None if raw.get(key) is None else convert(raw[key], key)
 
 
-def _spec_value(raw, key):
-    if key not in raw:
-        raise ValidationError("link document missing field %r" % key)
-    return raw[key]
-
-
 def link_from_dict(raw, base_dir="."):
     """Build a LinkSpec from a parsed link JSON document.
 
     "bundle" and "termination" entries may be inline objects or paths
     relative to the link file's directory.
     """
-    if not isinstance(raw, dict):
-        raise ValidationError("link document must be a JSON object")
-    seg_entries = _spec_value(raw, "segments")
-    if not isinstance(seg_entries, list) or not seg_entries:
+    raw = document(raw, "link document", ("segments", "drivers", "termination", "stimulus"))
+    if not isinstance(raw["segments"], list) or not raw["segments"]:
         raise ValidationError("link needs a non-empty segments list")
     segments = []
-    for entry in seg_entries:
-        if not isinstance(entry, dict) or "bundle" not in entry or "length_m" not in entry:
-            raise ValidationError("each segment needs bundle and length_m, got %r" % (entry,))
+    for entry in raw["segments"]:
+        entry = document(entry, "segment", ("bundle", "length_m"))
         ref = entry["bundle"]
-        if isinstance(ref, str):
-            bundle = load_bundle(os.path.join(base_dir, ref))
-        else:
-            bundle = bundle_from_dict(ref)
-        segments.append(Segment(bundle=bundle,
-                                length_m=converted(float, entry["length_m"], "length_m")))
+        bundle = (load_bundle(os.path.join(base_dir, ref)) if isinstance(ref, str)
+                  else bundle_from_dict(ref))
+        segments.append(Segment(bundle=bundle, length_m=number(entry["length_m"], "length_m")))
 
-    drv = _spec_value(raw, "drivers")
-    if not isinstance(drv, dict):
-        raise ValidationError("drivers must be an object")
-    n = segments[0].bundle.n
+    drv = document(raw["drivers"], "drivers")
     rs = drv.get("rs_ohms", 0.0)
-    rs_tuple = (converted(_floats, rs, "rs_ohms") if isinstance(rs, (list, tuple))
-                else (converted(float, rs, "rs_ohms"),) * n)
-    drivers = DriverBank(rs_ohms=rs_tuple,
-                         v_low=converted(float, drv.get("v_low", 0.0), "v_low"),
-                         v_high=converted(float, drv.get("v_high", 1.0), "v_high"),
-                         rise_s=converted(float, drv.get("rise_s", 10e-12), "rise_s"))
+    rs_ohms = (tuple(number(r, "rs_ohms") for r in rs) if isinstance(rs, (list, tuple))
+               else (number(rs, "rs_ohms"),) * segments[0].bundle.n)
+    drivers = DriverBank(rs_ohms=rs_ohms,
+                         v_low=number(drv.get("v_low", 0.0), "v_low"),
+                         v_high=number(drv.get("v_high", 1.0), "v_high"),
+                         rise_s=number(drv.get("rise_s", 10e-12), "rise_s"))
 
-    term_ref = _spec_value(raw, "termination")
-    if isinstance(term_ref, str):
-        termination = load_network(os.path.join(base_dir, term_ref))
-    else:
-        termination = network_from_dict(term_ref)
+    ref = raw["termination"]
+    termination = (load_network(os.path.join(base_dir, ref)) if isinstance(ref, str)
+                   else network_from_dict(ref))
 
-    stim_raw = _spec_value(raw, "stimulus")
-    if not isinstance(stim_raw, dict) or "data_rate" not in stim_raw:
-        raise ValidationError("stimulus needs at least a data_rate")
+    stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",))
     stimulus = StimulusSpec(
-        data_rate=converted(float, stim_raw["data_rate"], "data_rate"),
+        data_rate=number(stim_raw["data_rate"], "data_rate"),
         prbs_order=integer(stim_raw.get("prbs_order", 7), "prbs_order"),
         seed=_optional(stim_raw, "seed", integer),
         mode=stim_raw.get("mode", "random"),
@@ -533,8 +506,8 @@ def link_from_dict(raw, base_dir="."):
                     drivers=drivers,
                     termination=termination,
                     stimulus=stimulus,
-                    timestep_s=_optional(raw, "timestep_s", _float),
-                    duration_s=_optional(raw, "duration_s", _float))
+                    timestep_s=_optional(raw, "timestep_s", number),
+                    duration_s=_optional(raw, "duration_s", number))
 
 
 def load_link(path):

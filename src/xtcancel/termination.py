@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import spd_inverse
-from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, converted,
-                     integer)
+from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, document,
+                     integer, number)
 from .textio import read_json, write_csv, write_json
 
 NETWORK_SCHEMA_VERSION = 1
@@ -113,7 +113,7 @@ def realize_network(zc, vref=0.5):
     zc = np.asarray(zc, dtype=float)
     y = spd_inverse(zc, what="impedance matrix")
     n = y.shape[0]
-    elements = []
+    elements = []  # built in _element_order
     floating = []
     for i in range(n):
         row_sum = float(y[i, :].sum())
@@ -132,7 +132,6 @@ def realize_network(zc, vref=0.5):
     if floating:
         warnings.warn("wire(s) %s have no self resistor (floating relative to the reference supply)"
                       % ", ".join(str(w) for w in floating), stacklevel=2)
-    elements.sort(key=_element_order)
     return TerminationNetwork(n=n, vref=float(vref), elements=tuple(elements))
 
 
@@ -245,23 +244,17 @@ def load_network(path):
 
 
 def network_from_dict(raw):
-    if not isinstance(raw, dict):
-        raise ValidationError("network document must be a JSON object")
-    missing = [k for k in ("n", "vref", "elements") if k not in raw]
-    if missing:
-        raise ValidationError("network document missing field(s): %s" % ", ".join(missing))
+    raw = document(raw, "network document", ("n", "vref", "elements"))
     if not isinstance(raw["elements"], list):
         raise ValidationError("network elements must be a list")
     elements = []
-    for entry in raw["elements"]:
-        try:
-            elements.append(Resistor(kind=entry["kind"], i=integer(entry["i"], "i"),
-                                     j=None if entry.get("j") is None else integer(entry["j"], "j"),
-                                     ohms=float(entry["ohms"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("bad network element %r: %s" % (entry, exc)) from None
+    for e in raw["elements"]:
+        e = document(e, "network element", ("kind", "i", "ohms"))
+        elements.append(Resistor(kind=e["kind"], i=integer(e["i"], "i"),
+                                 j=None if e.get("j") is None else integer(e["j"], "j"),
+                                 ohms=number(e["ohms"], "ohms")))
     net = TerminationNetwork(n=integer(raw["n"], "network n"),
-                             vref=converted(float, raw["vref"], "network vref"),
+                             vref=number(raw["vref"], "network vref"),
                              elements=tuple(elements))
     loose = floating_wires(net)
     if loose:

@@ -247,6 +247,8 @@ def test_bundle_from_dict_errors():
         bundle_from_dict([1, 2, 3])
     with pytest.raises(ValidationError, match="bundle n"):  # not truncated to 1
         bundle_from_dict({"n": 1.5, "L": [[2.5e-7]], "C": [[1e-10]]})
+    with pytest.raises(ValidationError, match="bundle n"):  # true is not 1
+        bundle_from_dict({"n": True, "L": [[2.5e-7]], "C": [[1e-10]]})
 
 
 def test_pipeline_determinism():

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: flows, file outputs, and exit codes."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,17 @@ def test_synth_reduce_existing_network(tmp_path):
     assert cli.main(["synth", "--net", str(src), "--cutoff-self", "500",
                      "-o", str(implied)]) == 0
     assert implied.read_bytes() == explicit.read_bytes()
+
+
+def test_synth_vref_rereferences_network(tmp_path):
+    src = tmp_path / "table.json"
+    save_network(replace(reference_termination(), vref=0.75), src)
+    kept, moved = tmp_path / "kept.json", tmp_path / "moved.json"
+    assert cli.main(["synth", "--net", str(src), "-o", str(kept)]) == 0
+    assert cli.main(["synth", "--net", str(src), "--vref", "0.9", "-o", str(moved)]) == 0
+    assert load_network(kept).vref == 0.75
+    assert load_network(moved).vref == 0.9
+    assert load_network(moved).elements == load_network(src).elements
 
 
 def test_synth_flag_validation(tmp_path):
@@ -122,6 +134,14 @@ def test_fom_cap_and_sampling(tmp_path):
     data = json.loads(mid_rep.read_text())
     assert data["n_codes"] == 1 << 21
     assert data["max_bundle_current_a"] == pytest.approx(21 * 10.0e-3, rel=1e-9)
+
+
+def test_fom_seed_needs_samples(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    assert cli.main(["fom", "--lc", fx("pair.json"), "--seed", "3", "-o", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--samples" in err
+    assert not rep.exists()
 
 
 def test_sim_eye_flow(tmp_path):

@@ -284,6 +284,15 @@ def test_admittance_rejects_non_finite():
             bundle_fom(y)
 
 
+def test_fom_rejects_non_finite_voltages():
+    y = 0.02 * np.eye(2)
+    for vref, levels in ((np.inf, (0.0, 1.0)), (np.nan, (0.0, 1.0)), (0.5, (0.0, np.nan)),
+                         (0.5, (-np.inf, 1.0))):
+        for fom in (bundle_fom, bundle_fom_sampled, code_table):
+            with pytest.raises(ValidationError, match="must be finite"):
+                fom(y, vref=vref, levels=levels)
+
+
 def test_csv_and_json_outputs(tmp_path):
     y = PAIR_Y
     table = code_table(y, vref=0.5)

@@ -503,7 +503,13 @@ def test_link_json_loading(tmp_path):
                              ("stimulus", "seed", 3.5),
                              ("stimulus", "offsets", [1.5]),
                              ("stimulus", "streams", [[0.5, 1]]),
-                             ("stimulus", "streams", [[0, 1.7]])):
+                             ("stimulus", "streams", [[0, 1.7]]),
+                             # true and quoted numbers are not numbers
+                             ("segment", "length_m", True),
+                             ("stimulus", "seed", True),
+                             ("drivers", "rs_ohms", True),
+                             ("drivers", "rs_ohms", "25"),
+                             ("stimulus", "streams", [[True, 0]])):
         doc = {"segments": [{"bundle": {"n": 1, "L": [[2.5e-7]], "C": [[1e-10]]},
                              "length_m": 0.1}],
                "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}

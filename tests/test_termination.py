@@ -230,6 +230,15 @@ def test_network_from_dict_errors():
                        # non-integer numbers are rejected, not truncated
                        ({"n": 1.9, "vref": 0.5, "elements": []}, "network n"),
                        ({"n": 1, "vref": 0.5, "elements": [
-                           {"kind": "self", "i": 1.6, "ohms": 50.0}]}, "bad i")):
+                           {"kind": "self", "i": 1.6, "ohms": 50.0}]}, "bad i"),
+                       # true and quoted numbers are not numbers
+                       ({"n": 1, "vref": 0.5, "elements": [
+                           {"kind": "self", "i": 1, "ohms": "50"}]}, "bad ohms"),
+                       ({"n": 1, "vref": 0.5, "elements": [
+                           {"kind": "self", "i": 1, "ohms": True}]}, "bad ohms"),
+                       ({"n": 1, "vref": 0.5, "elements": [5]},
+                        "network element must be a JSON object"),
+                       ({"n": 1, "vref": 0.5, "elements": [{"i": 1, "ohms": 50.0}]},
+                        r"network element missing field\(s\): kind")):
         with pytest.raises(ValidationError, match=field):
             network_from_dict(bad)
