@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalBundleError, ValidationError, converted, document, integer
+from .errors import (NonPhysicalBundleError, ValidationError, converted, document, integer,
+                     number)
 from .textio import read_json, write_json
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -225,8 +226,21 @@ def load_bundle(path):
     return bundle_from_dict(read_json(path))
 
 
+def _number_rows(rows, what):
+    """Reject an entry of a matrix row that is not a JSON number: np.asarray
+    would read a true as 1 and a quoted "1e-10" as 1e-10.  A bool or string
+    in place of a row gives an array of the wrong shape, which
+    checked_symmetric rejects."""
+    for row in (rows if isinstance(rows, list) else ()):
+        if isinstance(row, list) and not set(map(type, row)) <= {float, int}:
+            for entry in row:
+                number(entry, what)
+
+
 def bundle_from_dict(raw):
     raw = document(raw, "bundle document", ("n", "L", "C"))
+    _number_rows(raw["L"], "inductance matrix")
+    _number_rows(raw["C"], "capacitance matrix")
     bundle = CouplingMatrices.from_arrays(raw["L"], raw["C"], name=raw.get("name", ""))
     if integer(raw["n"], "bundle n") != bundle.n:
         raise ValidationError("bundle declares n=%s but matrices are %dx%d"

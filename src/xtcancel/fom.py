@@ -18,16 +18,20 @@ import numpy as np
 
 from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError
+from .mtlsim import STEPPER_BUDGET_BYTES
 from .textio import write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
 EXACT_FOM_CAP = 40
-# Fixed chunk of codes for the code table and sampling: partition boundaries and
-# the reduction order are functions of n (and the sample count) only, so
-# results are bit-for-bit reproducible.
+# Fixed chunk of codes for the code table: partition boundaries are a function
+# of n only, so the table is bit-for-bit reproducible.
 _CHUNK = 1 << 14
+# Rows of sampled codes per chunk: even, so every chunk but the last draws a
+# whole number of 64-bit words, and small, so one chunk's codes and currents
+# (512 KiB each at n=64) stay in cache from the draw to the reductions.
+_SAMPLE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -162,41 +166,56 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
                      n_codes=total)
 
 
+def sampled_fom_bytes(n, samples):
+    """An upper bound on the memory of bundle_fom_sampled: the per-sample
+    bundle and power arrays and std's temporary of one of them, one chunk's
+    codes, currents, raw words and row sums, plus 64 KiB for small arrays."""
+    rows = min(_SAMPLE_ROWS, samples)
+    return 8 * 3 * samples + rows * (8 * n + 8 * n + 4 * n + 8) + (1 << 16)
+
+
 def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     """Monte Carlo estimate of the figures of merit for wide buses.
 
     Codes are drawn uniformly with replacement from the 2^n space using a
-    seeded generator, so results are reproducible.  Standard errors cover the
-    two averages; the max fields are sample maxima.
+    seeded generator, so results are reproducible.  Bit k of the flattened
+    (samples, n) code array is the top bit of the k-th 32-bit half of the
+    generator's 64-bit words, low half first (on a little-endian host): the
+    bits that Generator.integers(0, 2) takes.  Chunk boundaries do not change
+    which codes are drawn.  Standard errors cover the two averages; the max
+    fields are sample maxima.
     """
     y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    rng = np.random.default_rng(int(seed))
     samples = int(samples)
-    # Codes are drawn _CHUNK rows at a time, which consumes the generator
-    # exactly as one draw of all rows would; only the per-sample totals are
-    # kept whole, so the statistics below see the same vectors.  Each chunk
-    # reuses the volts and currents buffers in place.
+    need = sampled_fom_bytes(n, samples)
+    if need > STEPPER_BUDGET_BYTES:
+        raise ValidationError(
+            "%d samples need about %.3g GB of memory, over the %.3g GB budget; "
+            "draw fewer samples" % (samples, 1e-9 * need, 1e-9 * STEPPER_BUDGET_BYTES))
+    words = np.random.default_rng(int(seed)).bit_generator
+    volts = np.arange(2.0) * (v_high - v_low) + v_low - vref  # bit 0 or 1 -> x
+    # Only the per-sample totals are kept whole, so the statistics below see
+    # the same vectors whatever the chunk; each chunk reuses the codes and
+    # currents buffers in place.
     bundle = np.empty(samples)
     power = np.empty(samples)
     max_wire = 0.0
-    rows = min(_CHUNK, samples)
+    rows = min(_SAMPLE_ROWS, samples)
     x_buf, cur_buf = np.empty((rows, n)), np.empty((rows, n))
-    for start in range(0, samples, _CHUNK):
-        count = min(_CHUNK, samples - start)
+    for start in range(0, samples, _SAMPLE_ROWS):
+        count = min(_SAMPLE_ROWS, samples - start)
         x, cur = x_buf[:count], cur_buf[:count]
-        x[...] = rng.integers(0, 2, size=(count, n))
-        x *= v_high - v_low
-        x += v_low
-        x -= vref
+        halves = words.random_raw((count * n + 1) // 2).view(np.uint32)[:count * n]
+        np.right_shift(halves, 31, out=halves)
+        np.take(volts, halves, out=x.reshape(-1), mode="clip")  # "raise" would buffer out
         np.matmul(x, y, out=cur)
-        bundle[start:start + count] = np.abs(cur.sum(axis=1))
+        np.abs(cur.sum(axis=1), out=bundle[start:start + count])
         x *= cur
-        power[start:start + count] = x.sum(axis=1)
-        np.abs(cur, out=cur)
-        max_wire = max(max_wire, float(cur.max()))
+        x.sum(axis=1, out=power[start:start + count])
+        max_wire = max(max_wire, float(cur.max()), -float(cur.min()))
     k = float(samples)
     return SampledFomReport(
         avg_bundle_current=float(bundle.mean()),

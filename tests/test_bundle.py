@@ -249,6 +249,13 @@ def test_bundle_from_dict_errors():
         bundle_from_dict({"n": 1.5, "L": [[2.5e-7]], "C": [[1e-10]]})
     with pytest.raises(ValidationError, match="bundle n"):  # true is not 1
         bundle_from_dict({"n": True, "L": [[2.5e-7]], "C": [[1e-10]]})
+    with pytest.raises(ValidationError, match="bad inductance matrix: True is not a number"):
+        bundle_from_dict({"n": 1, "L": [[True]], "C": [[1e-10]]})  # not a 1 H/m line
+    with pytest.raises(ValidationError, match="bad capacitance matrix: True is not a number"):
+        bundle_from_dict({"n": 2, "L": [[2.5e-7, 0.0], [0.0, 2.5e-7]],
+                          "C": [[True, -1e-11], [-1e-11, 1e-10]]})
+    with pytest.raises(ValidationError, match="bad inductance matrix: '2.5e-7' is not a number"):
+        bundle_from_dict({"n": 1, "L": [["2.5e-7"]], "C": [[1e-10]]})
 
 
 def test_pipeline_determinism():

@@ -144,6 +144,15 @@ def test_fom_seed_needs_samples(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_fom_samples_over_budget_exit_2(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    assert cli.main(["fom", "--lc", fx("pair.json"), "--samples", "1000000000000000",
+                     "-o", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert "error: 1000000000000000 samples need about" in err and "GB budget" in err
+    assert not rep.exists()
+
+
 def test_sim_eye_flow(tmp_path):
     waves = tmp_path / "waves.csv"
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0
@@ -247,6 +256,15 @@ def test_non_finite_bundle_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(raw))  # json writes the value as NaN
     assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
     assert "error: inductance matrix has non-finite entries" in capsys.readouterr().err
+
+
+def test_bool_in_bundle_matrix_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(fx("pair.json")).read_text())
+    raw["C"][0][0] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+    assert "error: bad capacitance matrix: True is not a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

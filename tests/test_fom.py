@@ -1,6 +1,7 @@
 """Switching-current and power figure-of-merit tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from conftest import random_bundle
 from xtcancel.bundle import characteristic_impedance
 from xtcancel.errors import EnumerationCapError, ValidationError
 from xtcancel.fixtures import pair_bundle, uncoupled_bundle
-from xtcancel.fom import (ENUMERATION_CAP, EXACT_FOM_CAP, LogicCode, bundle_fom,
-                          bundle_fom_sampled, code_table, wire_currents,
+from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, LogicCode, bundle_fom,
+                          bundle_fom_sampled, code_table, sampled_fom_bytes, wire_currents,
                           write_code_table_csv, write_report_json)
+from xtcancel.mtlsim import STEPPER_BUDGET_BYTES
 from xtcancel.termination import network_admittance, realize_network
 
 PAIR_Y = np.array([[0.0185, -0.0065], [-0.0065, 0.0185]])
@@ -212,13 +214,15 @@ def test_sampled_fom():
 
 
 def sampled_fom_oracle(y, vref, levels, samples, seed):
-    """The sampled report from fresh per-chunk arrays, chunk by chunk."""
+    """The sampled report from fresh per-chunk arrays, chunk by chunk, with
+    codes from Generator.integers.  It follows the sampler's partition: BLAS
+    may round x @ y differently for another number of rows."""
     n = y.shape[0]
     v_low, v_high = levels
     rng = np.random.default_rng(seed)
     bundle, power, max_wire = np.empty(samples), np.empty(samples), 0.0
-    for start in range(0, samples, 1 << 14):
-        count = min(1 << 14, samples - start)
+    for start in range(0, samples, _SAMPLE_ROWS):
+        count = min(_SAMPLE_ROWS, samples - start)
         bits = rng.integers(0, 2, size=(count, n)).astype(float)
         x = v_low + bits * (v_high - v_low) - vref
         cur = x @ y
@@ -230,8 +234,10 @@ def sampled_fom_oracle(y, vref, levels, samples, seed):
             max_wire, float(power.mean()), float(power.std(ddof=1) / np.sqrt(k)))
 
 
-@pytest.mark.parametrize("n,samples", [(3, 2), (24, 4000), (20, 3 * (1 << 14) + 77)],
-                         ids=["tiny", "one-partial-chunk", "partial-last-chunk"])
+@pytest.mark.parametrize("n,samples", [(3, 2), (24, 4000), (20, 3 * (1 << 14) + 77),
+                                       (7, 2 * _SAMPLE_ROWS + 3), (64, 5 * _SAMPLE_ROWS + 1)],
+                         ids=["tiny", "one-partial-chunk", "partial-last-chunk", "odd-draws",
+                              "wide"])
 def test_sampled_fom_matches_per_chunk_oracle(n, samples):
     rng = np.random.default_rng(n)
     g = np.abs(rng.normal(size=(n, n))) * 1e-3
@@ -242,6 +248,32 @@ def test_sampled_fom_matches_per_chunk_oracle(n, samples):
     assert (rep.avg_bundle_current, rep.avg_bundle_current_stderr, rep.max_bundle_current,
             rep.max_wire_current, rep.avg_power, rep.avg_power_stderr) \
         == sampled_fom_oracle(y, 0.4, (-0.2, 1.1), samples, 9)
+
+
+def test_sampled_fom_peak_within_estimate():
+    n, samples = 64, 200000
+    y = 0.02 * np.eye(n) - 0.001 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    tracemalloc.start()
+    try:
+        bundle_fom_sampled(y, samples=samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampled_fom_bytes(n, samples)
+
+
+def test_sampled_fom_over_budget_fails_before_allocating():
+    samples = 10 ** 15
+    assert sampled_fom_bytes(2, samples) > STEPPER_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"10+ samples need about 2\.4e\+07 GB of "
+                                                  r"memory, over the 1\.07 GB budget"):
+            bundle_fom_sampled(PAIR_Y, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sampled_tracks_exact_on_small_bus():
