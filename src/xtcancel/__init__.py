@@ -16,8 +16,8 @@ from .errors import (DegenerateStreamError, EnumerationCapError,
                      NonRealizableCouplingError, SimulationDivergedError,
                      ValidationError, XtcancelError)
 from .eye import EyeReport, WireEye, eye_measure, render_eye_svg, write_eye_json
-from .fom import (ENUMERATION_CAP, FomReport, LogicCode, SampledFomReport,
-                  bundle_fom, bundle_fom_sampled, code_table, wire_currents)
+from .fom import (ENUMERATION_CAP, FomReport, SampledFomReport, bundle_fom,
+                  bundle_fom_sampled, code_table)
 from .mtlsim import (DriverBank, LinkSpec, Segment, Waveforms, build_link,
                      link_from_dict, load_link, run_transient)
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
@@ -36,8 +36,8 @@ __all__ = [
     "NonPhysicalBundleError", "NonRealizableCouplingError",
     "SimulationDivergedError", "ValidationError", "XtcancelError",
     "EyeReport", "WireEye", "eye_measure", "render_eye_svg", "write_eye_json",
-    "ENUMERATION_CAP", "FomReport", "LogicCode", "SampledFomReport",
-    "bundle_fom", "bundle_fom_sampled", "code_table", "wire_currents",
+    "ENUMERATION_CAP", "FomReport", "SampledFomReport",
+    "bundle_fom", "bundle_fom_sampled", "code_table",
     "DriverBank", "LinkSpec", "Segment", "Waveforms", "build_link",
     "link_from_dict", "load_link", "run_transient",
     "StimulusSpec", "drive_levels", "pattern_assign", "prbs",

@@ -29,6 +29,7 @@ from .errors import (NonPhysicalBundleError, ValidationError, converted, documen
 from .textio import read_json, write_json
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+DEFAULT_VELOCITY = SPEED_OF_LIGHT / np.sqrt(3.0)  # homogeneous Er = 3 dielectric
 
 BUNDLE_SCHEMA_VERSION = 1
 
@@ -219,6 +220,13 @@ def lc_from_impedance(zc, velocity, name=""):
         raise ValidationError("velocity must be positive, got %g" % velocity)
     inv = spd_inverse(zc, what="impedance matrix")
     return CouplingMatrices.from_arrays(zc / velocity, inv / velocity, name=name)
+
+
+def uncoupled_bundle(n=6, z0=50.0, velocity=2.0e8, name="uncoupled"):
+    """n identical isolated wires: diagonal L and C, no crosstalk."""
+    ell = float(z0) / velocity
+    cap = 1.0 / (float(z0) * velocity)
+    return CouplingMatrices.from_arrays(np.eye(n) * ell, np.eye(n) * cap, name=name)
 
 
 def load_bundle(path):

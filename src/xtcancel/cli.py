@@ -22,14 +22,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bundle import BUNDLE_SCHEMA_VERSION, characteristic_impedance, load_bundle
+from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_impedance,
+                     load_bundle, uncoupled_bundle)
 from .errors import (EnumerationCapError, NonRealizableCouplingError,
                      SimulationDivergedError, ValidationError)
 from .eye import (EYE_SCHEMA_VERSION, eye_measure, render_eye_svg,
                   write_eye_json, write_folded_csv)
 from .fom import (REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
                   code_table, write_code_table_csv, write_report_json)
-from .fixtures import DEFAULT_VELOCITY, uncoupled_bundle
 from .mtlsim import (LINK_SCHEMA_VERSION, Segment, Waveforms, build_link,
                      load_link, read_waveform_csv, run_transient,
                      with_stimulus_seed, write_waveform_csv)
@@ -150,13 +150,32 @@ def cmd_sim(args):
     return 0
 
 
+def _check_grid(engine, t, volts):
+    """Reject waveforms that are not on the grid this link's sim writes: its
+    wire count, timestep, start time and sample count.  Another seed or
+    network with the same timing passes."""
+    if volts.shape[0] != engine.n:
+        raise ValidationError("waveform file has %d wires, link has %d"
+                              % (volts.shape[0], engine.n))
+    dt = engine.dt
+    step = float(t[1] - t[0])
+    if abs(step - dt) > 1e-9 * dt:
+        raise ValidationError("waveform file has a %r s timestep, link has %r s" % (step, dt))
+    start = engine.start_index * dt
+    if abs(float(t[0]) - start) > 1e-9 * dt:
+        raise ValidationError("waveform file starts at %r s, link's waveforms start at %r s"
+                              % (float(t[0]), start))
+    samples = engine.steps - engine.start_index
+    if t.size != samples:
+        raise ValidationError("waveform file has %d samples, link's waveforms have %d"
+                              % (t.size, samples))
+
+
 def cmd_eye(args):
     spec = _load_link_seeded(args)
     engine = build_link(spec)
     t, volts = read_waveform_csv(args.waves)
-    if volts.shape[0] != engine.n:
-        raise ValidationError("waveform file has %d wires, link has %d"
-                              % (volts.shape[0], engine.n))
+    _check_grid(engine, t, volts)
     waves = Waveforms(dt=float(t[1] - t[0]), start_time=float(t[0]),
                       vref=engine.vref, volts=volts,
                       nominal_delay_s=engine.nominal_delay_s)

@@ -35,24 +35,6 @@ _SAMPLE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
-class LogicCode:
-    """A bit pattern plus its voltage mapping (bit 0 -> v_low, 1 -> v_high)."""
-
-    bits: tuple[int, ...]
-    v_low: float = 0.0
-    v_high: float = 1.0
-
-    def __post_init__(self):
-        if not self.bits:
-            raise ValidationError("logic code needs at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError("logic code bits must be 0 or 1")
-
-    def voltages(self):
-        return self.v_low + np.asarray(self.bits, dtype=float) * (self.v_high - self.v_low)
-
-
-@dataclass(frozen=True)
 class FomReport:
     avg_bundle_current: float  # A, mean over codes of |sum of wire currents|
     max_bundle_current: float  # A
@@ -96,15 +78,6 @@ class SampledFomReport:
             "seed": self.seed,
             "sampled": True,
         }
-
-
-def wire_currents(y, code, vref=0.5):
-    """Per-wire currents for one code: I = Y (v - vref)."""
-    y = checked_symmetric(y, "admittance matrix")
-    if len(code.bits) != y.shape[0]:
-        raise ValidationError("code has %d bits but admittance is %dx%d"
-                              % (len(code.bits), y.shape[0], y.shape[0]))
-    return y @ (code.voltages() - vref)
 
 
 def _code_sums(c, a, b):

@@ -222,6 +222,9 @@ class Engine:
         self.total_delay_s = float(sum(s.tau.max() for s in self.segments))
         self.nominal_delay_s = float(sum(s.tau.mean() for s in self.segments))
         self.warmup_s = WARMUP_FLIGHTS * self.total_delay_s + WARMUP_EXTRA_UI * self.ui
+        # The first step kept in the waveforms: the grid run_transient returns
+        # and cmd_eye checks a waveform file against.
+        self.start_index = int(math.ceil(self.warmup_s / self.dt - 1e-9))
         i0 = np.concatenate([np.tile(s.i0, 2) for s in self.segments])  # near, far ends
         frac = np.concatenate([np.tile(s.frac, 2) for s in self.segments])
         self.width = i0.size
@@ -337,8 +340,7 @@ def build_link(spec):
 
 def run_transient(engine):
     """Step the link for its duration and return post-warmup receiver waveforms."""
-    dt, steps = engine.dt, engine.steps
-    start_index = int(math.ceil(engine.warmup_s / dt - 1e-9))
+    dt, steps, start_index = engine.dt, engine.steps, engine.start_index
 
     n, w, pad, block = engine.n, engine.width, engine.pad, engine.block
     row = w + 2 * n  # one output row: history, receiver volts, source currents

@@ -24,7 +24,7 @@ NETWORK_SCHEMA_VERSION = 1
 # Off-diagonal admittance above this is a genuinely negative resistor demand;
 # anything smaller in magnitude is treated as no coupling at all.
 _REALIZABLE_TOL = 1e-12  # S
-# Row sums at or below this leave the wire floating relative to the supply.
+# Row sums at or below this get no self resistor.
 _FLOATING_TOL = 1e-15  # S
 
 HISTOGRAM_BINS = 40
@@ -103,8 +103,9 @@ def realize_network(zc, vref=0.5):
 
     Y = Zc^-1; each negative off-diagonal entry becomes a coupling resistor
     -1/Y[i,j], and each positive row sum becomes a self resistor to the
-    reference supply.  Wires whose row sum is ~zero get no self resistor and
-    are left floating relative to the supply (allowed, but warned about).
+    reference supply.  Wires whose row sum is ~zero get no self resistor; a
+    wire left with no resistor path to the supply is allowed, but warned
+    about (see floating_wires).
 
     Raises:
         NonRealizableCouplingError: some off-diagonal Y entry is positive
@@ -113,13 +114,10 @@ def realize_network(zc, vref=0.5):
     zc = np.asarray(zc, dtype=float)
     y = spd_inverse(zc, what="impedance matrix")
     n = y.shape[0]
-    elements = []  # built in _element_order
-    floating = []
+    elements = []
     for i in range(n):
         row_sum = float(y[i, :].sum())
-        if row_sum <= _FLOATING_TOL:
-            floating.append(i + 1)
-        else:
+        if row_sum > _FLOATING_TOL:
             elements.append(Resistor(kind="self", i=i + 1, j=None, ohms=1.0 / row_sum))
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -129,17 +127,7 @@ def realize_network(zc, vref=0.5):
             if yij >= -_REALIZABLE_TOL:
                 continue  # no coupling between this pair
             elements.append(Resistor(kind="cross", i=i + 1, j=j + 1, ohms=-1.0 / yij))
-    if floating:
-        warnings.warn("wire(s) %s have no self resistor (floating relative to the reference supply)"
-                      % ", ".join(str(w) for w in floating), stacklevel=2)
-    return TerminationNetwork(n=n, vref=float(vref), elements=tuple(elements))
-
-
-def _element_order(el):
-    # Self elements first by wire, then cross pairs lexicographically.
-    if el.kind == "self":
-        return (0, el.i, 0)
-    return (1, el.i, el.j)
+    return _warn_floating(TerminationNetwork(n=n, vref=float(vref), elements=tuple(elements)))
 
 
 def network_admittance(net):
@@ -188,6 +176,15 @@ def reduce_network(net, policy):
     if isolated:
         raise IsolatedWireError(isolated)
     return TerminationNetwork(n=net.n, vref=net.vref, elements=kept)
+
+
+def _warn_floating(net):
+    """net, after a warning that names its floating wires, if any."""
+    loose = floating_wires(net)
+    if loose:
+        warnings.warn("wire(s) %s float relative to the reference supply"
+                      % ", ".join(str(w) for w in loose), stacklevel=3)
+    return net
 
 
 def floating_wires(net):
@@ -253,14 +250,9 @@ def network_from_dict(raw):
         elements.append(Resistor(kind=e["kind"], i=integer(e["i"], "i"),
                                  j=None if e.get("j") is None else integer(e["j"], "j"),
                                  ohms=number(e["ohms"], "ohms")))
-    net = TerminationNetwork(n=integer(raw["n"], "network n"),
-                             vref=number(raw["vref"], "network vref"),
-                             elements=tuple(elements))
-    loose = floating_wires(net)
-    if loose:
-        warnings.warn("wire(s) %s float relative to the reference supply"
-                      % ", ".join(str(w) for w in loose), stacklevel=2)
-    return net
+    return _warn_floating(TerminationNetwork(n=integer(raw["n"], "network n"),
+                                             vref=number(raw["vref"], "network vref"),
+                                             elements=tuple(elements)))
 
 
 def save_network(net, path):

@@ -1,10 +1,11 @@
-"""Reference bundles and termination designs used by tests, docs, and demos.
+"""Reference bundles and termination designs used by the tests and by
+scripts/make_fixtures.py.
 
 Everything here is constructed so its electrical behavior is known in closed
-form (scalar and pair bundles, uncoupled buses) or by explicit construction
-(the twelve-wire bus, whose wire-space admittance is written down directly
-and then converted to L/C, so the synthesized network can be checked against
-the generating values).
+form (scalar and pair bundles) or by explicit construction (the twelve-wire
+bus, whose wire-space admittance is written down directly and then converted
+to L/C, so the synthesized network can be checked against the generating
+values).
 
 The module also carries a reference termination dataset for a twelve-wire
 electrode bundle.  The dataset is triangular-incomplete in its raw form; the
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import SPEED_OF_LIGHT, CouplingMatrices, lc_from_impedance, spd_inverse
-from .errors import ValidationError
-from .mtlsim import DriverBank, LinkSpec, Segment
-from .stimulus import StimulusSpec
-from .termination import Resistor, TerminationNetwork, _element_order
+from xtcancel.bundle import (DEFAULT_VELOCITY, CouplingMatrices, characteristic_impedance,
+                             lc_from_impedance, spd_inverse)
+from xtcancel.errors import ValidationError
+from xtcancel.mtlsim import DriverBank, LinkSpec, Segment
+from xtcancel.stimulus import StimulusSpec
+from xtcancel.termination import Resistor, TerminationNetwork, realize_network
 
-DEFAULT_VELOCITY = SPEED_OF_LIGHT / np.sqrt(3.0)  # homogeneous Er = 3 dielectric
 FOUR_INCHES_M = 0.1016
 
 
@@ -47,13 +48,6 @@ def pair_bundle(name="pair"):
     det = a * a - b * b
     zc = np.array([[a, b], [b, a]]) / det
     return lc_from_impedance(zc, DEFAULT_VELOCITY, name=name)
-
-
-def uncoupled_bundle(n=6, z0=50.0, velocity=2.0e8, name="uncoupled"):
-    """n identical isolated wires: diagonal L and C, no crosstalk."""
-    ell = float(z0) / velocity
-    cap = 1.0 / (float(z0) * velocity)
-    return CouplingMatrices.from_arrays(np.eye(n) * ell, np.eye(n) * cap, name=name)
 
 
 def six_wire_bundle(name="six"):
@@ -134,6 +128,28 @@ def fifty_ohm_network(n, vref=0.5, ohms=50.0):
     elements = tuple(Resistor(kind="self", i=k + 1, j=None, ohms=float(ohms))
                      for k in range(n))
     return TerminationNetwork(n=n, vref=vref, elements=elements)
+
+
+def fixture_bundles():
+    """The bundles of fixtures/, by file name, as their builders give them."""
+    return {
+        "scalar.json": scalar_bundle(50.0, 2.0e8, name="scalar-50ohm"),
+        "pair.json": pair_bundle(name="pair"),
+        "six.json": six_wire_bundle(name="six"),
+        "twelve.json": twelve_wire_bundle(name="twelve"),
+    }
+
+
+def fixture_networks(bundles):
+    """The networks of fixtures/, by file name, from fixture_bundles()."""
+    nets = {}
+    for fname, source in (("pair-network.json", "pair.json"),
+                          ("twelve-network.json", "twelve.json")):
+        basis, _ = characteristic_impedance(bundles[source])
+        nets[fname] = realize_network(basis.zc, vref=0.5)
+    nets["twelve-50ohm.json"] = fifty_ohm_network(12, vref=0.5)
+    nets["50ohm-scalar.json"] = fifty_ohm_network(1, vref=0.5)
+    return nets
 
 
 def simple_link(bundle, network, length_m=FOUR_INCHES_M, data_rate=16e9,
@@ -239,7 +255,8 @@ def reference_termination(vref=0.5):
         else:
             lo, hi = min(e.i, e.j), max(e.i, e.j)
             elements.append(Resistor(kind="cross", i=lo, j=hi, ohms=e.ohms))
-    elements.sort(key=_element_order)
+    # self elements first by wire, then cross pairs lexicographically
+    elements.sort(key=lambda el: (el.kind == "cross", el.i, el.j or 0))
     net = TerminationNetwork(n=12, vref=vref, elements=tuple(elements))
     covered = {(min(e.i, e.j), max(e.i, e.j)) for e in REFERENCE_TWELVE_WIRE_TABLE}
     absent = set(REFERENCE_ABSENT_PAIRS)

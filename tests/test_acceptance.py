@@ -14,12 +14,10 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import random_bundle
-from xtcancel.bundle import characteristic_impedance
+from designs import (fifty_ohm_network, pair_bundle, reference_termination, scalar_bundle,
+                     simple_link, six_wire_bundle, twelve_wire_bundle)
+from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.eye import eye_measure
-from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network,
-                               pair_bundle, reference_termination,
-                               scalar_bundle, simple_link, six_wire_bundle,
-                               twelve_wire_bundle, uncoupled_bundle)
 from xtcancel.fom import bundle_fom, code_table
 from xtcancel.mtlsim import LinkSpec, Segment, build_link, run_transient
 from xtcancel.stimulus import prbs

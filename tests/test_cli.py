@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli
-from xtcancel.bundle import save_bundle
+from xtcancel.bundle import save_bundle, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError
-from xtcancel.fixtures import (non_realizable_bundle, reference_termination,
-                               uncoupled_bundle)
+from xtcancel.mtlsim import build_link, load_link, read_waveform_csv
 from xtcancel.termination import load_network, save_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -297,6 +297,39 @@ def test_eye_wire_mismatch_exit_2(tmp_path):
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0
     assert cli.main(["eye", "--waves", str(waves), "--link", fx("link-pair.json"),
                      "-o", str(tmp_path / "e.json")]) == 2
+
+
+def _resized(raw, length_m=None, **fields):
+    if length_m is not None:
+        raw["segments"][0]["length_m"] = length_m
+    raw.update(fields)
+    return raw
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"length_m": 0.2}, "waveform file starts at 1.6748046875e-09 s, "
+                        "link's waveforms start at 2.8115234375000003e-09 s"),
+    ({"timestep_s": 7.8125e-13},
+     "waveform file has a 9.765625000000734e-13 s timestep, link has 7.8125e-13 s"),
+    ({"duration_s": 1.1e-8}, "waveform file has 8857 samples, link's waveforms have 9550"),
+], ids=["length", "timestep", "duration"])
+def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
+    waves = tmp_path / "waves.csv"
+    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
+    # sim writes the grid its link's engine names, start time bit for bit
+    engine = build_link(load_link(fx("link-pair.json")))
+    t, _ = read_waveform_csv(str(waves))
+    assert t[0] == engine.start_index * engine.dt
+    assert t.size == engine.steps - engine.start_index
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    raw["segments"][0]["bundle"] = fx("pair.json")
+    raw["termination"] = fx("pair-network.json")
+    link = tmp_path / "other.json"
+    link.write_text(json.dumps(_resized(raw, **change)))
+    out = tmp_path / "e.json"
+    assert cli.main(["eye", "--waves", str(waves), "--link", str(link), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eye_non_finite_sample_exit_2(tmp_path, capsys):

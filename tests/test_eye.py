@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
 from xtcancel.errors import DegenerateStreamError, ValidationError
 from xtcancel.eye import (eye_measure, fold_phases, render_eye_svg,
                           write_eye_json, write_folded_csv)
-from xtcancel.fixtures import (fifty_ohm_network, pair_bundle, scalar_bundle,
-                               simple_link)
 from xtcancel.mtlsim import Waveforms, build_link, run_transient
 
 UI = 62.5e-12

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_bundle
-from xtcancel.bundle import characteristic_impedance
+from xtcancel.bundle import characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import EnumerationCapError, ValidationError
-from xtcancel.fixtures import pair_bundle, uncoupled_bundle
-from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, LogicCode, bundle_fom,
-                          bundle_fom_sampled, code_table, sampled_fom_bytes, wire_currents,
+from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, bundle_fom,
+                          bundle_fom_sampled, code_table, sampled_fom_bytes,
                           write_code_table_csv, write_report_json)
 from xtcancel.mtlsim import STEPPER_BUDGET_BYTES
 from xtcancel.termination import network_admittance, realize_network
@@ -38,20 +37,26 @@ def brute_force_fom(y, vref, levels):
     return sum_abs_bundle / total, max_bundle, max_wire, sum_power / total
 
 
+def code_of(bits):
+    """The code_table row of a bit pattern: bit k (LSB) is wire k+1."""
+    return sum(b << k for k, b in enumerate(bits))
+
+
 def test_wire_currents_pair_oracle():
-    i_same = wire_currents(PAIR_Y, LogicCode(bits=(1, 1)), vref=0.5)
+    table = code_table(PAIR_Y, vref=0.5)
+    i_same = table[code_of((1, 1))]
     assert np.allclose(i_same, [6.0e-3, 6.0e-3], atol=1e-15)
-    i_diff = wire_currents(PAIR_Y, LogicCode(bits=(1, 0)), vref=0.5)
+    i_diff = table[code_of((1, 0))]
     assert np.allclose(i_diff, [12.5e-3, -12.5e-3], atol=1e-15)
     # complementing every bit negates the currents
-    i_comp = wire_currents(PAIR_Y, LogicCode(bits=(0, 0)), vref=0.5)
+    i_comp = table[code_of((0, 0))]
     assert np.allclose(i_comp, -i_same, atol=0)
 
 
 def test_uncoupled_six_wire_currents():
-    y = np.diag([0.02] * 6)
+    table = code_table(np.diag([0.02] * 6), vref=0.5)
     for bits in ((1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 1, 0), (0, 0, 0, 1, 0, 0)):
-        i = wire_currents(y, LogicCode(bits=bits), vref=0.5)
+        i = table[code_of(bits)]
         assert np.allclose(np.abs(i), 10.0e-3, atol=1e-15)
 
 
@@ -298,12 +303,6 @@ def test_code_table_shapes_and_symmetry():
 
 
 def test_logic_code_validation():
-    with pytest.raises(ValidationError):
-        LogicCode(bits=())
-    with pytest.raises(ValidationError):
-        LogicCode(bits=(0, 2))
-    with pytest.raises(ValidationError):
-        wire_currents(PAIR_Y, LogicCode(bits=(1, 0, 1)), vref=0.5)
     with pytest.raises(ValidationError):
         bundle_fom(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
 

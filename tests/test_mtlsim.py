@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xtcancel.bundle import characteristic_impedance
+from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
+from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
-from xtcancel.fixtures import (DEFAULT_VELOCITY, fifty_ohm_network, pair_bundle,
-                               scalar_bundle, simple_link, uncoupled_bundle)
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _NodeSolve, build_link,
                              link_from_dict, load_link, run_transient,
                              read_waveform_csv, with_stimulus_seed,

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from designs import fifty_ohm_network, scalar_bundle, simple_link
 from xtcancel.errors import ValidationError
-from xtcancel.fixtures import fifty_ohm_network, scalar_bundle, simple_link
 from xtcancel.mtlsim import build_link, load_link
 from xtcancel.stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
 
