@@ -13,6 +13,8 @@ of edge position.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
@@ -132,9 +134,11 @@ def write_folded_csv(waves, data_rate, path):
     """Folded samples as CSV: wire,phase_ui,volts (phase in a two-UI window)."""
     phases = fold_phases(waves, data_rate)
     n = waves.volts.shape[0]
+    # the wire column has a row per sample of every wire: store it in the
+    # smallest integer type that holds n, not int64
+    wire = np.repeat(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), phases.size)
     write_csv(path, ["wire", "phase_ui", "volts"],
-              [np.repeat(np.arange(1, n + 1), phases.size), np.tile(formatted(phases), n),
-               waves.volts.ravel()])
+              [wire, np.tile(formatted(phases), n), waves.volts.ravel()])
 
 
 def write_eye_json(report, path):
@@ -198,7 +202,8 @@ def render_eye_svg(waves, data_rate, path):
         # wire by wire: holding every polyline would hold most of the file
         for w in range(n):
             color = _PALETTE[w % len(_PALETTE)]
-            pts = [x + y for x, y in zip(xs, formatted(ypix(waves.volts[w]), "%.2f").tolist())]
+            ys = formatted(ypix(waves.volts[w]), "%.2f".__mod__).tolist()
+            pts = list(map(operator.add, xs, ys))
             fh.writelines('<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
                           'stroke-opacity="0.55"/>\n' % (" ".join(pts[a:b]), color)
                           for a, b in spans)

@@ -49,16 +49,20 @@ def prbs(order=7, seed=None):
     seed = int(seed)
     if not 1 <= seed <= mask:
         raise ValidationError("prbs seed must be in [1, %d], got %r" % (mask, seed))
-    tap_mask = 0
-    for t in _MAXIMAL_TAPS[order]:
-        tap_mask |= 1 << (t - 1)
-    period = mask
-    out = np.empty(period, dtype=np.uint8)
-    state = seed
-    for m in range(period):
-        out[m] = (state >> (order - 1)) & 1
-        fb = (state & tap_mask).bit_count() & 1
-        state = ((state << 1) & mask) | fb
+    # Bit k of the output is the XOR of bits k - t over the taps t, and, since
+    # p(x)^(2^j) = p(x^(2^j)) over GF(2), also of bits k - t*2^j.  So once
+    # order*2^j bits exist, the next min(taps)*2^j follow from them at once.
+    taps = _MAXIMAL_TAPS[order]
+    out = np.empty(mask, dtype=np.uint8)
+    out[:order] = [(seed >> (order - 1 - i)) & 1 for i in range(order)]
+    done = order
+    while done < mask:
+        scale = 1 << ((done // order).bit_length() - 1)  # largest 2^j with order*2^j <= done
+        block = out[done:done + min(taps) * scale]
+        np.copyto(block, out[done - taps[0] * scale:][:block.size])
+        for t in taps[1:]:
+            block ^= out[done - t * scale:][:block.size]
+        done += block.size
     return out
 
 

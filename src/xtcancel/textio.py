@@ -7,29 +7,40 @@ level exactly, so most receiver samples repeat the one before them, and
 formatting a float costs far more than comparing it.  Equal means equal bits
 (the float64 viewed as uint64), not float ==: -0.0 == 0.0 although they print
 differently, and nan != nan although one text serves every copy of the same
-NaN.
+NaN.  Integer columns go through the same run heads, so a column such as the
+folded CSV's wire number is formatted once per wire.
+
+Run heads are formatted by map, and the rows of each chunk are joined by
+map(",".join, zip(*cells)), so no Python bytecode runs per value or per row.
 """
 
 import json
 
 import numpy as np
 
-# Rows formatted per write.  Formatting a whole table at once would hold one
+# Cells formatted per write.  Formatting a whole table at once would hold one
 # Python object per value (tens of MB for a long waveform) at the same time.
-_CHUNK_ROWS = 4096
+_CHUNK_CELLS = 1 << 13
 
 
-def formatted(values, fmt="%r"):
-    """fmt % v for every float v of a 1-d array, as an object array of str.
+def formatted(values, fmt=repr):
+    """fmt(v) for every v of a 1-d array, as an object array of str.
 
-    Only the head of each run of bit-identical values is formatted; the rest
-    of the run shares its string.
+    fmt maps one Python scalar to its text (repr, str, "%.2f".__mod__).
+    Integer arrays keep their dtype, so fmt sees Python ints and str prints
+    uint64 2**64 - 1 exactly; anything else is taken as float64.  Only the
+    head of each run of bit-identical values is formatted; the rest of the
+    run shares its string.
     """
-    values = np.asarray(values, dtype=np.float64)
-    bits = values.view(np.uint64)
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        keys = values
+    else:
+        values = values.astype(np.float64, copy=False)
+        keys = values.view(np.uint64)
     head = np.ones(values.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    text = np.array([fmt % v for v in values[head].tolist()], dtype=object)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    text = np.array(list(map(fmt, values[head].tolist())), dtype=object)
     return text[np.cumsum(head) - 1]
 
 
@@ -37,9 +48,7 @@ def _cells(column):
     """The text of every value of one column chunk, as a list of str."""
     if column.dtype == object:  # already formatted
         return column.tolist()
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return formatted(column).tolist()
+    return formatted(column, str if column.dtype.kind in "iu" else repr).tolist()
 
 
 def write_csv(path, header, columns):
@@ -48,14 +57,19 @@ def write_csv(path, header, columns):
     header is a sequence of column names; columns are equal-length 1-d
     arrays (or sequences): integer-typed ones are printed as decimals,
     object-typed ones are taken as already-formatted strings, and the rest
-    are printed as floats with %r.
+    are printed as floats with %r.  Columns of unequal length raise
+    ValueError.
     """
     columns = [np.asarray(c) for c in columns]
+    if len({c.size for c in columns}) > 1:
+        raise ValueError("CSV columns differ in length: " + ", ".join(
+            "%s %d" % (name, c.size) for name, c in zip(header, columns)))
+    rows = max(1, _CHUNK_CELLS // len(columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, columns[0].size, _CHUNK_ROWS):
-            rows = zip(*[_cells(c[start:start + _CHUNK_ROWS]) for c in columns])
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
+        for start in range(0, columns[0].size, rows):
+            cells = [_cells(c[start:start + rows]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, doc):

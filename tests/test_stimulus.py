@@ -10,7 +10,8 @@ import pytest
 from designs import fifty_ohm_network, scalar_bundle, simple_link
 from xtcancel.errors import ValidationError
 from xtcancel.mtlsim import build_link, load_link
-from xtcancel.stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
+from xtcancel.stimulus import (_MAXIMAL_TAPS, StimulusSpec, drive_levels, pattern_assign,
+                               prbs)
 
 
 def lfsr_reference(order, taps, seed, count):
@@ -56,6 +57,24 @@ def test_prbs_maximal_length_small_orders():
             windows.add(w)
         assert len(windows) == period
         assert (0,) * order not in windows
+
+
+def test_prbs_matches_reference_lfsr_every_order():
+    for order in range(3, 17):
+        taps = _MAXIMAL_TAPS[order]
+        period = (1 << order) - 1
+        for seed in (period, 1, 0b1010101 & period or 1):
+            assert prbs(order, seed).tolist() == lfsr_reference(order, taps, seed, period), \
+                (order, seed)
+
+
+def test_prbs23_full_period_satisfies_tap_recurrence():
+    seq = prbs(23)
+    assert seq.size == (1 << 23) - 1
+    assert int(seq.sum()) == 1 << 22
+    # s[k] = s[k - 23] ^ s[k - 18], cyclically over the whole period
+    assert np.array_equal(seq, np.roll(seq, 23) ^ np.roll(seq, 18))
+    assert seq[:100_000].tolist() == lfsr_reference(23, (23, 18), (1 << 23) - 1, 100_000)
 
 
 def test_prbs_autocorrelation():

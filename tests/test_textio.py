@@ -19,7 +19,7 @@ from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
                              write_waveform_csv)
 from xtcancel.termination import (conductance_histogram, network_admittance,
                                   realize_network, write_histogram_csv)
-from xtcancel.textio import _CHUNK_ROWS, write_csv
+from xtcancel.textio import _CHUNK_CELLS, formatted, write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SWEEP_HEADER = ["value", "wire", "eye_v", "min_v", "avg_v", "max_v"]
@@ -219,8 +219,11 @@ def test_sweep_csv_matches_reference(tmp_path):
 
 def run_table():
     """Columns of runs: signed zeros side by side, a run of NaNs (two bit
-    patterns), a run across the row-chunk boundary, an all-equal column."""
-    rows = _CHUNK_ROWS + 10
+    patterns), a run across the row-chunk boundary, an all-equal column.
+    The code table CSV adds a code column, so a chunk holds
+    _CHUNK_CELLS // 5 rows."""
+    chunk = _CHUNK_CELLS // 5
+    rows = chunk + 10
     zeros = np.zeros(rows)
     zeros[1::2] = -0.0  # 0.0, -0.0, 0.0, ...
     zeros[100:110] = -0.0  # then -0.0 runs that meet 0.0 on both sides
@@ -228,7 +231,7 @@ def run_table():
     nans[3:40] = np.nan
     nans[20:30] = -np.nan
     across = np.full(rows, 1.0 / 3.0)
-    across[_CHUNK_ROWS - 5:_CHUNK_ROWS + 5] = 0.1
+    across[chunk - 5:chunk + 5] = 0.1
     return np.array([zeros, nans, across, np.full(rows, 2.5e-12)]).T
 
 
@@ -238,6 +241,54 @@ def test_runs_of_equal_values_match_reference(tmp_path):
     for rows in (table, table[:1], table[::-1]):
         same_bytes(tmp_path, lambda p: write_code_table_csv(rows, p),
                    lambda p: reference_code_table_csv(rows, p))
+
+
+def reference_csv(path, header, columns, fmts):
+    """Row by row, each value printed with its column's % format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f % v for f, v in zip(fmts, row)) + "\n")
+
+
+def test_integer_columns_match_percent_d(tmp_path):
+    i64 = np.iinfo(np.int64)
+    signed = np.array([i64.min, i64.min, i64.max, -1, -1, 0, 0, 0, 5, i64.max], dtype=np.int64)
+    unsigned = np.array([2**64 - 1] * 3 + [0, 1, 1, 2**63, 2**63, 7, 2**64 - 1],
+                        dtype=np.uint64)
+    small = np.array([-128, -128, 127, 0, 0, -1, 1, 1, 1, -128], dtype=np.int8)
+    columns = [signed, unsigned, small, np.repeat(np.arange(-2, 3, dtype=np.int32), 2)]
+    fmts = ["%d"] * len(columns)
+    same_bytes(tmp_path, lambda p: write_csv(p, ["a", "b", "c", "d"], columns),
+               lambda p: reference_csv(p, ["a", "b", "c", "d"],
+                                       [c.tolist() for c in columns], fmts))
+    assert formatted(unsigned, str)[0] == "18446744073709551615"
+    assert formatted(signed, str)[0] == "-9223372036854775808"
+
+
+@pytest.mark.parametrize("width", [3, 13])
+def test_runs_across_cell_sized_chunks(tmp_path, width):
+    """Integer and float runs that start before a chunk boundary and end
+    after it, in tables as wide as the folded CSV and the twelve-wire
+    waveform CSV."""
+    chunk = _CHUNK_CELLS // width
+    rows = 2 * chunk + 3
+    wire = np.repeat(np.arange(1, 4), [chunk - 2, chunk + 1, 4])
+    columns = [wire]
+    for k in range(1, width):
+        col = np.full(rows, 0.5 * k)
+        col[chunk - 7 + k:chunk + 5 + k] = -0.0
+        col[2 * chunk - 1:] = 1.0 / (k + 2)
+        columns.append(col)
+    header = ["c%d" % k for k in range(width)]
+    fmts = ["%d"] + ["%r"] * (width - 1)
+    same_bytes(tmp_path, lambda p: write_csv(p, header, columns),
+               lambda p: reference_csv(p, header, [c.tolist() for c in columns], fmts))
+
+
+def test_columns_of_unequal_length_rejected(tmp_path):
+    with pytest.raises(ValueError, match="a 3, b 2"):
+        write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.array([0.5, 0.25])])
 
 
 def test_object_column_is_written_as_given(tmp_path):
