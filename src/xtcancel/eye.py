@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import formatted, write_csv, write_json
+from .textio import formatted, write_csv_blocks, write_json
 
 EYE_SCHEMA_VERSION = 1
 
@@ -132,13 +132,14 @@ def fold_phases(waves, data_rate):
 
 def write_folded_csv(waves, data_rate, path):
     """Folded samples as CSV: wire,phase_ui,volts (phase in a two-UI window)."""
-    phases = fold_phases(waves, data_rate)
+    phases = formatted(fold_phases(waves, data_rate))
     n = waves.volts.shape[0]
-    # the wire column has a row per sample of every wire: store it in the
-    # smallest integer type that holds n, not int64
-    wire = np.repeat(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), phases.size)
-    write_csv(path, ["wire", "phase_ui", "volts"],
-              [wire, np.tile(formatted(phases), n), waves.volts.ravel()])
+    # Wire by wire, so no column repeats a value for every sample of every
+    # wire; the wire column is the smallest integer type that holds n.
+    wire_type = np.min_scalar_type(n)
+    write_csv_blocks(path, ["wire", "phase_ui", "volts"],
+                     ([np.full(phases.size, w + 1, dtype=wire_type), phases, waves.volts[w]]
+                      for w in range(n)))
 
 
 def write_eye_json(report, path):

@@ -39,14 +39,18 @@ y holds the new history row, then the receiver volts relative to vref, then
 the source currents; its constant (svec vref at the receiver, -vref in the
 volts) rides on a column of ones appended to the drive.
 
-run_transient keeps all three in one output array whose rows are the steps'
-y, so the gather indices step over 2n (S + 1) columns a row for S segments.
-The drive part [src, 1] @ step_s reads no history: it is computed for every
-step before the loop and written into those rows, and a block is then one
-gather, one product and one in-place add.  The receiver volts are checked for
-non-finite values once, after the loop; a check never changed what the loop
+run_transient keeps all three in one window of pad + W rows whose rows are
+the steps' y, so the gather indices step over 2n (S + 1) columns a row for S
+segments.  W is a whole number of blocks and at least pad.  The drive part
+[src, 1] @ step_s reads no history: for each window it is computed for the
+window's steps and written into their rows, and a block is then one gather,
+one product and one in-place add.  After the window's blocks its receiver
+volts are checked for non-finite values, its kept volts and source currents
+are copied into the returned arrays, and its last pad rows move to the top,
+the history the next window reads.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
-check after every block would report.
+check after every block would report.  The run holds the returned waveforms
+and one window, not a row for every step.
 """
 
 from __future__ import annotations
@@ -72,10 +76,15 @@ TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
 WARMUP_EXTRA_UI = 8    # ... plus 8 unit intervals
 
-# A link whose stepper would hold more than this (history, drive, outputs and
-# one block's temporaries) is rejected with exit 2 before anything of that
-# size is allocated or any PRBS is generated.
+# A link whose stepper would hold more than this (the returned waveforms and
+# one history window with its drive and block temporaries) is rejected with
+# exit 2 before anything of that size is allocated or any PRBS is generated.
 STEPPER_BUDGET_BYTES = 1 << 30
+
+# Steps per run_transient history window, before rounding up to whole blocks
+# and to at least pad.  Larger windows save little per-window overhead and
+# hold more rows.
+_WINDOW_STEPS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -268,9 +277,9 @@ class Engine:
         self.step_e = np.vstack([(1.0 - frac)[:, None] * step[:, :w].T,
                                  frac[:, None] * step[:, :w].T])
         self.step_s = step[:, w:].T
-        # Flat indices of one block's incident waves in run_transient's output
-        # array, whose rows are y (w + 2n wide): row pad + m - i0 then the row
-        # before it, each read from the other end of the mode.
+        # Flat indices of one block's incident waves in run_transient's
+        # window, whose rows are y (w + 2n wide): row pad + m - i0 then the
+        # row before it, each read from the other end of the mode.
         cols = np.arange(w)
         other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
         stride = w + 2 * n
@@ -309,20 +318,26 @@ class Engine:
                 % (steps, 1e-9 * need, 1e-9 * STEPPER_BUDGET_BYTES))
         return steps
 
+    def window_steps(self):
+        """Steps of one run_transient window: _WINDOW_STEPS rounded up to
+        whole blocks and to at least pad, so only the last window ends in a
+        short block and a window's last pad rows hold all the history the
+        next one reads."""
+        return -(-max(_WINDOW_STEPS, self.pad) // self.block) * self.block
+
     def stepper_bytes(self, steps):
-        """An upper bound on the memory of a run of steps: the gather indices
-        plus the largest of what run_transient holds at once, plus 64 KiB
-        for its small arrays."""
-        w, n, block = self.width, self.n, self.block
-        out = (self.pad + steps) * (w + 2 * n)
-        drive = steps * (n + 1)
-        words = block * 2 * w + max(
-            # the drive, drive_levels' result, its ramps (two arrays of at most
-            # every step's rows) and its times, bit indices, masks and phases
-            drive + steps * (3 * n + 6),
-            out + drive,  # the drive product
-            out + block * (3 * w + 2 * n) + steps * 2 * n)  # the loop's buffers, the copies
-        return 8 * words + (1 << 16)
+        """An upper bound on the memory of a run of steps: the returned volts
+        and currents (2n words a step), the gather indices and one window,
+        plus 64 KiB for small arrays.  A window is its history rows, its
+        drive, and the larger of drive_levels' temporaries and the block
+        buffers with the finiteness check."""
+        w, n, block, size = self.width, self.n, self.block, self.window_steps()
+        window = (self.pad + size) * (w + 2 * n) + size * (n + 1) + max(
+            # drive_levels' result, its ramps (two arrays of at most every
+            # step's rows) and its times, bit indices, masks and phases
+            size * (3 * n + 6),
+            block * (3 * w + 2 * n) + size * n)
+        return 8 * (2 * n * steps + block * 2 * w + window) + (1 << 16)
 
     def solve_dc(self, e):
         """DC operating point for drive levels e, with the lines as ideal
@@ -341,49 +356,65 @@ def build_link(spec):
 def run_transient(engine):
     """Step the link for its duration and return post-warmup receiver waveforms."""
     dt, steps, start_index = engine.dt, engine.steps, engine.start_index
-
     n, w, pad, block = engine.n, engine.width, engine.pad, engine.block
-    row = w + 2 * n  # one output row: history, receiver volts, source currents
-    d = engine.spec.drivers
-    drive = np.ones((steps, n + 1))  # the last column weights the map's constant
-    drive[:, :n] = drive_levels(engine.streams, dt * np.arange(steps),
-                                engine.spec.stimulus.data_rate, d.rise_s, d.v_low, d.v_high)
-
-    # The drive part of every step, written into the rows it belongs to; the
-    # loop adds the wave part.  Start every line at the DC state of the t=0
-    # drive so the startup transient is only the difference from that state
-    # (warmup still applies).
-    out = np.empty((pad + steps, row))
-    np.matmul(drive, engine.step_s, out=out[pad:])
-    v0, i0 = engine.solve_dc(drive[0, :n])
-    del drive
-    for k, s in enumerate(engine.segments):
-        out[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
-        out[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
-    flat = out.reshape(-1)
-
-    step_e, gather = engine.step_e, engine.gather[:block]
+    d, rate = engine.spec.drivers, engine.spec.stimulus.data_rate
+    size = engine.window_steps()
+    # One row per step of the window: history, receiver volts, source currents.
+    win = np.empty((pad + size, w + 2 * n))
+    drive = np.ones((size, n + 1))  # the last column weights the map's constant
+    volts = np.empty((steps - start_index, n))
+    currents = np.empty_like(volts)
+    gather = engine.gather[:block]
     waves = np.empty(gather.shape)
-    y = np.empty((block, row))
-    for m in range(0, steps, block):
-        if steps - m < block:  # the last block is short
-            gather, waves, y = gather[:steps - m], waves[:steps - m], y[:steps - m]
-        np.take(flat[m * row:], gather, out=waves)
-        np.matmul(waves, step_e, out=y)
-        rows = out[pad + m:pad + m + block]
-        np.add(rows, y, out=rows)
-
-    finite = np.isfinite(out[pad:, w:w + n]).all(axis=1)
-    if not finite.all():
-        raise SimulationDivergedError(int(finite.argmin()), "receiver node voltages")
-    # copies, so the waveforms do not hold the history
-    body = out[pad + start_index:]
+    y = np.empty((block, win.shape[1]))
+    for c0 in range(0, steps, size):
+        c = min(size, steps - c0)
+        drive[:c, :n] = drive_levels(engine.streams, dt * np.arange(c0, c0 + c), rate,
+                                     d.rise_s, d.v_low, d.v_high)
+        if c0 == 0:
+            # Start every line at the DC state of the t=0 drive so the
+            # startup transient is only the difference from that state
+            # (warmup still applies).
+            v0, i0 = engine.solve_dc(drive[0, :n])
+            for k, s in enumerate(engine.segments):
+                win[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
+                win[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
+        else:
+            win[:pad] = win[size:]  # the history the window's steps read
+        # The drive part of the window's steps, written into their rows; the
+        # blocks add the wave part.
+        np.matmul(drive[:c], engine.step_s, out=win[pad:pad + c])
+        full = c - c % block
+        _step_blocks(win, pad, 0, full, engine.step_e, gather, waves, y)
+        if full < c:  # the last window ends in a short block
+            tail = c - full
+            _step_blocks(win, pad, full, c, engine.step_e, gather[:tail], waves[:tail], y[:tail])
+        finite = np.isfinite(win[pad:pad + c, w:w + n]).all(axis=1)
+        if not finite.all():
+            raise SimulationDivergedError(c0 + int(finite.argmin()), "receiver node voltages")
+        if c0 + c > start_index:
+            lo = max(start_index - c0, 0)
+            at = c0 + lo - start_index
+            volts[at:at + c - lo] = win[pad + lo:pad + c, w:w + n]
+            currents[at:at + c - lo] = win[pad + lo:pad + c, w + n:]
     return Waveforms(dt=dt,
                      start_time=start_index * dt,
                      vref=engine.vref,
-                     volts=body[:, w:w + n].copy().T,
-                     source_currents=body[:, w + n:].copy().T,
+                     volts=volts.T,
+                     source_currents=currents.T,
                      nominal_delay_s=engine.nominal_delay_s)
+
+
+def _step_blocks(win, pad, start, stop, step_e, gather, waves, y):
+    """Add the wave part to window rows pad + start .. pad + stop - 1, a
+    block of len(gather) steps at a time; stop - start is whole blocks."""
+    flat, row, block = win.reshape(-1), win.shape[1], gather.shape[0]
+    matmul, add = np.matmul, np.add
+    for m in range(start, stop, block):
+        flat[m * row:].take(gather, out=waves)
+        matmul(waves, step_e, out=y)
+        rows = win[pad + m:pad + m + block]
+        add(rows, y, out=rows)
 
 
 def write_waveform_csv(waves, path):
@@ -420,7 +451,8 @@ def read_waveform_csv(path):
         row, col = np.argwhere(bad)[0]
         raise ValidationError("waveform CSV has a non-finite %s sample in data row %d"
                               % (cols[col], row + 1))
-    t = data[:, 0]
+    # copies, so neither result keeps the whole parse buffer alive
+    t = data[:, 0].copy()
     dts = np.diff(t)
     if float(np.abs(dts - dts[0]).max()) > 1e-6 * abs(float(dts[0])):
         raise ValidationError("waveform CSV is not uniformly sampled")

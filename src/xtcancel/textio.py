@@ -57,19 +57,30 @@ def write_csv(path, header, columns):
     header is a sequence of column names; columns are equal-length 1-d
     arrays (or sequences): integer-typed ones are printed as decimals,
     object-typed ones are taken as already-formatted strings, and the rest
-    are printed as floats with %r.  Columns of unequal length raise
-    ValueError.
+    are printed as floats with %r.  A header that names another number of
+    columns, or columns of unequal length, raise ValueError.
     """
-    columns = [np.asarray(c) for c in columns]
-    if len({c.size for c in columns}) > 1:
-        raise ValueError("CSV columns differ in length: " + ", ".join(
-            "%s %d" % (name, c.size) for name, c in zip(header, columns)))
-    rows = max(1, _CHUNK_CELLS // len(columns))
+    write_csv_blocks(path, header, [columns])
+
+
+def write_csv_blocks(path, header, blocks):
+    """write_csv for a table given as blocks of rows: each block is a list
+    of columns as write_csv takes them, and its rows follow the previous
+    block's.  A block is built only when the rows before it are written."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, columns[0].size, rows):
-            cells = [_cells(c[start:start + rows]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            if len(columns) != len(header):
+                raise ValueError("CSV header names %d columns (%s), got %d columns"
+                                 % (len(header), ", ".join(header), len(columns)))
+            if len({c.size for c in columns}) > 1:
+                raise ValueError("CSV columns differ in length: " + ", ".join(
+                    "%s %d" % (name, c.size) for name, c in zip(header, columns)))
+            rows = max(1, _CHUNK_CELLS // len(columns))
+            for start in range(0, columns[0].size, rows):
+                cells = [_cells(c[start:start + rows]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, doc):

@@ -1,7 +1,9 @@
 """Vertical eye measurement and rendering tests."""
 
 import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
 from xtcancel.errors import DegenerateStreamError, ValidationError
 from xtcancel.eye import (eye_measure, fold_phases, render_eye_svg,
                           write_eye_json, write_folded_csv)
-from xtcancel.mtlsim import Waveforms, build_link, run_transient
+from xtcancel.mtlsim import Waveforms, build_link, load_link, run_transient
+from xtcancel.textio import _CHUNK_CELLS, formatted
 
 UI = 62.5e-12
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def square_waves(unit, reps=4, data_rate=16e9, steps=64, amplitude=0.5,
@@ -186,6 +190,27 @@ def test_folded_csv(tmp_path):
     assert len(lines) == 1 + waves.volts.shape[1]
     phases = fold_phases(waves, 16e9)
     assert phases.min() >= 0.0 and phases.max() < 2.0
+
+
+def test_folded_csv_holds_the_phase_text_and_one_chunk(tmp_path):
+    """Wire by wire, the folded writer copies neither the waveforms nor the
+    phase column once per wire."""
+    twelve = load_link(FIXTURES / "link-twelve.json")
+    spec = replace(twelve, stimulus=replace(twelve.stimulus, prbs_order=9))
+    waves = run_transient(build_link(spec))
+    rate = spec.stimulus.data_rate
+    tracemalloc.start()
+    try:
+        text = formatted(fold_phases(waves, rate))
+        phase_text, _ = tracemalloc.get_traced_memory()
+        del text
+        tracemalloc.reset_peak()
+        write_folded_csv(waves, rate, tmp_path / "folded.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a chunk's cells: each one's str, list slot and share of the joined rows
+    assert peak <= phase_text + 256 * _CHUNK_CELLS
 
 
 def test_eye_json(tmp_path):

@@ -177,6 +177,30 @@ def test_stepper_peak_within_preflight_estimate(name):
     assert peak <= engine.stepper_bytes(engine.steps)
 
 
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
+def test_each_extra_step_adds_only_its_returned_samples(name):
+    """The pre-flight budgets one window plus the returned volts and source
+    currents, two float64s per wire a step."""
+    engine = build_link(load_link(FIXTURES / ("link-%s.json" % name)))
+    for steps in (0, 1, 4096, engine.steps, 10**7):
+        assert engine.stepper_bytes(steps + 1) - engine.stepper_bytes(steps) == 16 * engine.n
+
+
+def test_stepper_holds_one_window_not_every_step():
+    twelve = load_link(FIXTURES / "link-twelve.json")
+    engine = build_link(replace(twelve, stimulus=replace(twelve.stimulus, prbs_order=9)))
+    tracemalloc.start()
+    try:
+        waves = run_transient(engine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # stepper_bytes(0) is the pre-flight's figure for one window: all it
+    # budgets beyond the returned samples
+    assert peak <= waves.volts.nbytes + waves.source_currents.nbytes + engine.stepper_bytes(0)
+    assert engine.steps > 4 * engine.window_steps()
+
+
 def test_matched_line_delay_and_flatness():
     # R_s = 0, matched 50 ohm termination: received = source delayed by tau
     link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=0.0,
@@ -403,6 +427,10 @@ def test_waveform_csv_roundtrip(tmp_path):
     t, volts = read_waveform_csv(path)
     assert np.array_equal(volts, waves.volts)  # repr round-trips doubles
     assert np.array_equal(t, waves.times())
+    # each result owns its samples, so neither holds the parse buffer
+    for a in (t, volts):
+        assert a.base is None
+    assert not np.shares_memory(t, volts)
 
 
 def test_waveform_csv_validation(tmp_path):

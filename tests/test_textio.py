@@ -289,6 +289,16 @@ def test_runs_across_cell_sized_chunks(tmp_path, width):
 def test_columns_of_unequal_length_rejected(tmp_path):
     with pytest.raises(ValueError, match="a 3, b 2"):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.array([0.5, 0.25])])
+    # every column is named, not only the ones before the short one
+    with pytest.raises(ValueError, match="a 3, b 2, c 3$"):
+        write_csv(tmp_path / "x.csv", ["a", "b", "c"],
+                  [np.arange(3), np.array([0.5, 0.25]), np.arange(3)])
+
+
+@pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+def test_header_naming_another_column_count_rejected(tmp_path, header):
+    with pytest.raises(ValueError, match="CSV header names %d columns" % len(header)):
+        write_csv(tmp_path / "x.csv", header, [np.arange(2), np.array([0.5, 0.25])])
 
 
 def test_object_column_is_written_as_given(tmp_path):
