@@ -9,6 +9,11 @@ the offset that maximizes its eye (the earliest one, among offsets whose eyes
 agree within 1e-12 V).  No interpolation: a sample is the waveform point
 nearest the requested time, which is conservative by at most half a timestep
 of edge position.
+
+The offsets are scanned in one pass over (wire, offset, bit) arrays, a chunk
+of offsets at a time.  Each offset masks the bits outside its own range, so
+its eyes are the min and max over the same samples as a scan of that offset
+alone.
 """
 
 from __future__ import annotations
@@ -26,6 +31,19 @@ EYE_SCHEMA_VERSION = 1
 # offset: eyes are flat over most of a clean UI, so a strict argmax would let
 # last-digit roundoff move the reported phase by a large part of a UI.
 _PHASE_TIE_V = 1e-12
+
+# Wire-offset-bit cells the offset scan holds at once.  Every offset of a
+# PRBS7 or PRBS9 twelve-wire link fits in one chunk; a longer stream is
+# scanned a chunk of offsets at a time, so its temporaries (about 17 B a
+# cell) stay near 9 MB whatever its length.
+_SCAN_CELLS = 1 << 19
+
+# Bytes a sample costs each writer at its peak, traced at about 237 and 135
+# on link-twelve at PRBS7-11: the SVG holds every sample's x text and one
+# wire's y text and points, with the floats they are formatted from; the
+# folded CSV holds every sample's phase text and the floats behind it.
+_SVG_SAMPLE_BYTES = 256
+_FOLDED_SAMPLE_BYTES = 160
 
 _SVG_SIZE = (860, 460)  # width, height in px
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -97,21 +115,32 @@ def eye_measure(waves, streams, data_rate):
     t_last = t0 + span
     k_cand = max(int(round(ui / waves.dt)), 1)
     offsets = waves.nominal_delay_s - 0.5 * ui + waves.dt * np.arange(k_cand)
+    # Each offset's first and last bit; an offset without a full period keeps -inf.
+    b_lo = np.ceil((t0 - offsets) / ui - 0.5).astype(np.int64)
+    b_hi = np.floor((t_last - offsets) / ui - 0.5).astype(np.int64)
+    full = b_hi - b_lo + 1 >= period
 
     eyes = np.full((k_cand, n), -np.inf)  # eyes[k, w]: wire w's eye at offset k
-    for k, o in enumerate(offsets):
-        b_lo = int(np.ceil((t0 - o) / ui - 0.5))
-        b_hi = int(np.floor((t_last - o) / ui - 0.5))
-        if b_hi - b_lo + 1 < period:
-            continue
-        bits = np.arange(b_lo, b_hi + 1)
-        idx = np.round((o + (bits + 0.5) * ui - t0) / waves.dt).astype(np.int64)
-        keep = (idx >= 0) & (idx < samples)
-        vals = waves.volts[:, idx[keep]]
-        labels = streams[:, bits[keep] % period]
-        # A wire with no ones (or no zeros) reads +inf and fails the check below.
-        eyes[k] = (np.where(labels == 1, vals, np.inf).min(axis=1)
-                   - np.where(labels == 0, vals, -np.inf).max(axis=1))
+    if full.any():
+        # Every bit of some full offset; each offset masks the bits outside
+        # its own range and the samples off the waveform.
+        bits = np.arange(b_lo[full].min(), b_hi[full].max() + 1)
+        labels = streams[:, bits % period][:, None]  # (wire, 1, bit)
+        ones, zeros = labels == 1, labels == 0
+        centers = (bits + 0.5) * ui
+        chunk = max(1, _SCAN_CELLS // (n * bits.size))
+        for k in range(0, k_cand, chunk):
+            ks = slice(k, k + chunk)
+            idx = np.round((offsets[ks, None] + centers - t0) / waves.dt).astype(np.int64)
+            keep = ((bits >= b_lo[ks, None]) & (bits <= b_hi[ks, None])
+                    & (idx >= 0) & (idx < samples))
+            # (wire, offset, bit); take copies a strided volts, but
+            # run_transient and read_waveform_csv return one C row a wire
+            vals = waves.volts.take(idx, axis=1, mode="clip")
+            # A wire with no ones (or no zeros) reads +inf and fails the check below.
+            eye = (np.where(keep & ones, vals, np.inf).min(axis=2)
+                   - np.where(keep & zeros, vals, -np.inf).max(axis=2))
+            eyes[ks] = np.where(full[ks], eye, -np.inf).T
     best = eyes.max(axis=0)
     if not np.isfinite(best).all():
         w = int(np.argmin(np.isfinite(best)))
@@ -121,6 +150,22 @@ def eye_measure(waves, streams, data_rate):
                         phase_ui=float((float(best_off[w]) % ui) / ui))
                 for w in range(n)]
     return EyeReport(per_wire, data_rate=float(data_rate))
+
+
+def eye_bytes(n, samples, dt, data_rate, svg=False, folded=False):
+    """An upper bound on the traced memory that eye_measure and the requested
+    writers hold besides the waveforms, one after another, plus 64 KiB for
+    small arrays.  The scan holds its per-bit labels and masks, its
+    per-offset eyes, and one chunk of offsets: per offset-bit pair the sample
+    indices, their mask and up to three float temporaries, and per wire a
+    gathered sample, one masked copy of it and its mask."""
+    ui = 1.0 / float(data_rate)
+    k_cand = max(int(round(ui / dt)), 1)
+    bits = int((samples - 1) * dt / ui) + 3
+    pairs = min(k_cand, max(1, _SCAN_CELLS // (n * bits))) * bits
+    scan = pairs * (17 * n + 33) + bits * (10 * n + 32) + k_cand * (24 * n + 40)
+    writer = max(svg * _SVG_SAMPLE_BYTES, folded * _FOLDED_SAMPLE_BYTES) * samples
+    return max(scan, writer) + (1 << 16)
 
 
 def fold_phases(waves, data_rate):

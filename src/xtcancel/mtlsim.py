@@ -43,11 +43,12 @@ run_transient keeps all three in one window of pad + W rows whose rows are
 the steps' y, so the gather indices step over 2n (S + 1) columns a row for S
 segments.  W is a whole number of blocks and at least pad.  The drive part
 [src, 1] @ step_s reads no history: for each window it is computed for the
-window's steps and written into their rows, and a block is then one gather,
-one product and one in-place add.  After the window's blocks its receiver
-volts are checked for non-finite values, its kept volts and source currents
-are copied into the returned arrays, and its last pad rows move to the top,
-the history the next window reads.  A check never changed what the loop
+window's steps and written into their rows, and a block is then one
+unbuffered gather (its indices are checked once, at build), one product and
+one in-place add.  After the window's blocks its receiver volts are checked
+for non-finite values, its kept volts and source currents are copied into
+the returned (n, kept) arrays, and its last pad rows move to the top, the
+history the next window reads.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
 check after every block would report.  The run holds the returned waveforms
 and one window, not a row for every step.
@@ -277,15 +278,7 @@ class Engine:
         self.step_e = np.vstack([(1.0 - frac)[:, None] * step[:, :w].T,
                                  frac[:, None] * step[:, :w].T])
         self.step_s = step[:, w:].T
-        # Flat indices of one block's incident waves in run_transient's
-        # window, whose rows are y (w + 2n wide): row pad + m - i0 then the
-        # row before it, each read from the other end of the mode.
-        cols = np.arange(w)
-        other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
-        stride = w + 2 * n
-        rows = self.pad + np.arange(self.block)[:, None] - i0
-        at = rows * stride + other_end
-        self.gather = np.concatenate([at, at - stride], axis=1)
+        self.gather = _block_gather(i0, n, self.pad, self.block)
 
     def _step_columns(self, e, src, one):
         """One step for column blocks of incident waves e (width, k), drives
@@ -362,7 +355,7 @@ def run_transient(engine):
     # One row per step of the window: history, receiver volts, source currents.
     win = np.empty((pad + size, w + 2 * n))
     drive = np.ones((size, n + 1))  # the last column weights the map's constant
-    volts = np.empty((steps - start_index, n))
+    volts = np.empty((n, steps - start_index))  # C-ordered: one wire a row
     currents = np.empty_like(volts)
     gather = engine.gather[:block]
     waves = np.empty(gather.shape)
@@ -395,25 +388,46 @@ def run_transient(engine):
         if c0 + c > start_index:
             lo = max(start_index - c0, 0)
             at = c0 + lo - start_index
-            volts[at:at + c - lo] = win[pad + lo:pad + c, w:w + n]
-            currents[at:at + c - lo] = win[pad + lo:pad + c, w + n:]
+            volts[:, at:at + c - lo] = win[pad + lo:pad + c, w:w + n].T
+            currents[:, at:at + c - lo] = win[pad + lo:pad + c, w + n:].T
     return Waveforms(dt=dt,
                      start_time=start_index * dt,
                      vref=engine.vref,
-                     volts=volts.T,
-                     source_currents=currents.T,
+                     volts=volts,
+                     source_currents=currents,
                      nominal_delay_s=engine.nominal_delay_s)
+
+
+def _block_gather(i0, n, pad, block):
+    """Flat indices of one block's incident waves in run_transient's window,
+    whose rows are y (len(i0) + 2n wide): row pad + m - i0 then the row before
+    it, each read from the other end of the mode.
+
+    The blocks gather with mode="clip", which does not check, so an index
+    outside the pad + block rows a block may read is refused here, once."""
+    w = i0.size
+    cols = np.arange(w)
+    other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
+    stride = w + 2 * n
+    at = (pad + np.arange(block)[:, None] - i0) * stride + other_end
+    gather = np.concatenate([at, at - stride], axis=1)
+    if gather.min() < 0 or gather.max() >= (pad + block) * stride:
+        raise RuntimeError("a block of %d steps would gather outside the %d window rows "
+                           "it may read" % (block, pad + block))
+    return gather
 
 
 def _step_blocks(win, pad, start, stop, step_e, gather, waves, y):
     """Add the wave part to window rows pad + start .. pad + stop - 1, a
     block of len(gather) steps at a time; stop - start is whole blocks."""
     flat, row, block = win.reshape(-1), win.shape[1], gather.shape[0]
-    matmul, add = np.matmul, np.add
-    for m in range(start, stop, block):
-        flat[m * row:].take(gather, out=waves)
-        matmul(waves, step_e, out=y)
-        rows = win[pad + m:pad + m + block]
+    blocks = win[pad + start:pad + stop].reshape(-1, block, row)
+    dot, add = np.dot, np.add
+    for m, rows in zip(range(start * row, stop * row, block * row), blocks):
+        # "clip" fills waves in place; "raise" would buffer it on every block.
+        # Every index was checked at build (_block_gather).
+        flat[m:].take(gather, out=waves, mode="clip")
+        dot(waves, step_e, out=y)
         add(rows, y, out=rows)
 
 
@@ -457,6 +471,15 @@ def read_waveform_csv(path):
     if float(np.abs(dts - dts[0]).max()) > 1e-6 * abs(float(dts[0])):
         raise ValidationError("waveform CSV is not uniformly sampled")
     return t, data[:, 1:].T.copy()
+
+
+def waveform_read_bytes(n, samples):
+    """An upper bound on read_waveform_csv's traced memory for samples rows
+    of n wires.  Per row: the parse buffer (n + 1 doubles, plus the quarter
+    loadtxt grows it by) and its two finiteness masks, 12 B a column; the
+    time column, its differences and their two temporaries; the volts it
+    returns."""
+    return samples * (12 * (n + 1) + 32 + 8 * n)
 
 
 def _parse_rows(fh, width):

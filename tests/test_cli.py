@@ -1,6 +1,7 @@
 """End-to-end command-line tests: flows, file outputs, and exit codes."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli
 from xtcancel.bundle import save_bundle, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError
-from xtcancel.mtlsim import build_link, load_link, read_waveform_csv
+from xtcancel.mtlsim import STEPPER_BUDGET_BYTES, build_link, load_link, read_waveform_csv
 from xtcancel.termination import load_network, save_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -330,6 +331,50 @@ def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
     assert cli.main(["eye", "--waves", str(waves), "--link", str(link), "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _twelve_at(tmp_path, prbs_order):
+    """link-twelve.json at another PRBS order, written to tmp_path."""
+    raw = json.loads(Path(fx("link-twelve.json")).read_text())
+    raw["segments"][0]["bundle"] = fx("twelve.json")
+    raw["termination"] = fx("twelve-network.json")
+    raw["stimulus"]["prbs_order"] = prbs_order
+    link = tmp_path / ("link-prbs%d.json" % prbs_order)
+    link.write_text(json.dumps(raw))
+    return str(link)
+
+
+def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
+    """sim admits link-twelve at PRBS16, whose 4.2M-row waveform file eye
+    would parse and copy whole: eye refuses it before opening the file."""
+    link = _twelve_at(tmp_path, 16)
+    engine = build_link(load_link(link))
+    assert engine.stepper_bytes(engine.steps) <= STEPPER_BUDGET_BYTES
+    out = tmp_path / "e.json"
+    assert cli.main(["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link,
+                     "-o", str(out)]) == 2
+    assert ("error: eye needs about 1.19 GB of memory for 4194969 samples of 12 wires, "
+            "over the 1.07 GB budget") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eye_peak_within_estimate(tmp_path, monkeypatch):
+    """The pre-flight's figure bounds the traced peak of eye --svg on the
+    PRBS9 link, from the built link on.  (The folded CSV's share is held to
+    its bound in test_eye.py; tracing both writers here takes seconds.)"""
+    link = _twelve_at(tmp_path, 9)
+    waves = tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
+    engine = build_link(load_link(link))
+    monkeypatch.setattr(cli, "build_link", lambda spec: engine)
+    tracemalloc.start()
+    try:
+        assert cli.main(["eye", "--waves", str(waves), "--link", link,
+                         "-o", str(tmp_path / "e.json"), "--svg", str(tmp_path / "e.svg")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._eye_bytes(engine, 16e9, svg=True, folded=False)
 
 
 def test_eye_non_finite_sample_exit_2(tmp_path, capsys):

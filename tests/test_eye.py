@@ -10,7 +10,7 @@ import pytest
 
 from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
 from xtcancel.errors import DegenerateStreamError, ValidationError
-from xtcancel.eye import (eye_measure, fold_phases, render_eye_svg,
+from xtcancel.eye import (_SCAN_CELLS, eye_bytes, eye_measure, fold_phases, render_eye_svg,
                           write_eye_json, write_folded_csv)
 from xtcancel.mtlsim import Waveforms, build_link, load_link, run_transient
 from xtcancel.textio import _CHUNK_CELLS, formatted
@@ -82,12 +82,42 @@ def test_eye_measure_matches_per_wire_reference():
                        volts=np.concatenate([square_waves(u, reps=3)[0].volts
                                              for u in units])
                        + 0.05 * np.sin(0.37 * np.arange(square.volts.shape[1])))
-    # the last case moves the offset grid by a nonzero nominal delay
+    # Bits centered on the UI marks, sampled from a quarter step before them,
+    # and a first sample that would shrink the eye: bit 0's sampling time
+    # falls before the first sample, so no offset samples it there.
+    edge, unit = square_waves([1, 0, 1, 1, 0, 0, 1, 0])
+    volts = np.roll(edge.volts, -32, axis=1)
+    volts[0, 0] = 0.1
+    edge = replace(edge, volts=volts, nominal_delay_s=-0.25 * edge.dt)
+    # the third case moves the offset grid by a nonzero nominal delay
     for wv, streams in ((waves, engine.streams), (square, units),
-                        (replace(square, nominal_delay_s=0.3 * UI), units)):
+                        (replace(square, nominal_delay_s=0.3 * UI), units), (edge, unit)):
         got = eye_measure(wv, streams, 16e9).per_wire
         assert [(w.eye_v, w.phase_ui) for w in got] \
             == reference_eye_measure(wv, np.asarray(streams), 16e9)
+
+
+def test_offset_scan_in_chunks_matches_reference_and_holds_one_chunk():
+    """A stream long enough that the offsets span several chunks: the eyes of
+    the one-offset-at-a-time scan, and a traced peak that grows with one
+    chunk, not with every wire's samples."""
+    rng = np.random.default_rng(29)
+    units = rng.integers(0, 2, (4, 2101))
+    units[:, 0], units[:, 1] = 0, 1
+    volts = np.concatenate([square_waves(u, reps=4)[0].volts for u in units])
+    waves = Waveforms(dt=UI / 64, start_time=0.0, vref=0.5, nominal_delay_s=0.2 * UI,
+                      volts=volts + 0.05 * np.sin(0.37 * np.arange(volts.shape[1])))
+    n, samples = waves.volts.shape
+    assert n * samples > 3 * _SCAN_CELLS  # at least four chunks of offsets
+    tracemalloc.start()
+    try:
+        got = eye_measure(waves, units, 16e9).per_wire
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(w.eye_v, w.phase_ui) for w in got] == reference_eye_measure(waves, units, 16e9)
+    assert peak <= eye_bytes(n, samples, waves.dt, 16e9)
+    assert peak <= 3 * waves.volts[0].nbytes
 
 
 def test_square_wave_eye_is_full_swing():
@@ -211,6 +241,8 @@ def test_folded_csv_holds_the_phase_text_and_one_chunk(tmp_path):
         tracemalloc.stop()
     # a chunk's cells: each one's str, list slot and share of the joined rows
     assert peak <= phase_text + 256 * _CHUNK_CELLS
+    # and the share of eye's memory pre-flight it is held to
+    assert peak <= eye_bytes(*waves.volts.shape, waves.dt, rate, folded=True)
 
 
 def test_eye_json(tmp_path):

@@ -12,8 +12,9 @@ import pytest
 from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
 from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
-from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _NodeSolve, build_link,
-                             link_from_dict, load_link, run_transient,
+from xtcancel import mtlsim
+from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _block_gather, _NodeSolve,
+                             build_link, link_from_dict, load_link, run_transient,
                              read_waveform_csv, with_stimulus_seed,
                              write_waveform_csv)
 from xtcancel.stimulus import StimulusSpec, drive_levels
@@ -120,6 +121,46 @@ def test_blocked_stepper_matches_per_step_reference(name):
     assert waves.volts.shape == volts.shape
     assert np.max(np.abs(waves.volts - volts)) <= 1e-12
     assert np.max(np.abs(waves.source_currents - src_cur)) <= 1e-12
+
+
+def buffered_step_blocks(win, pad, start, stop, step_e, gather, waves, y):
+    """The block loop before its gathers were unbuffered: take's default
+    mode="raise" and np.matmul."""
+    flat, row, block = win.reshape(-1), win.shape[1], gather.shape[0]
+    for m in range(start, stop, block):
+        flat[m * row:].take(gather, out=waves)
+        np.matmul(waves, step_e, out=y)
+        rows = win[pad + m:pad + m + block]
+        np.add(rows, y, out=rows)
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_links()))
+def test_blocked_stepper_bit_identical_to_buffered_loop(name, monkeypatch):
+    """np.dot and the unbuffered gather change no bit: blocks of 1, 2 and
+    601 steps, and a short last block (twelve)."""
+    engine = build_link(_equivalence_links()[name][0])
+    waves = run_transient(engine)
+    monkeypatch.setattr(mtlsim, "_step_blocks", buffered_step_blocks)
+    ref = run_transient(engine)
+    assert np.array_equal(waves.volts, ref.volts)
+    assert np.array_equal(waves.source_currents, ref.source_currents)
+
+
+def test_gather_outside_a_blocks_rows_is_refused():
+    """The blocks gather with mode="clip", which would silently read the
+    window's first cell for an index before it and its last cell for one
+    past it; the indices are checked at build instead."""
+    engine = build_link(breakout_link(load_link(FIXTURES / "link-twelve.json"), 0.0005))
+    i0 = np.concatenate([np.tile(s.i0, 2) for s in engine.segments])
+    n, pad, block = engine.n, engine.pad, engine.block
+    assert np.array_equal(_block_gather(i0, n, pad, block), engine.gather)
+    with pytest.raises(RuntimeError, match=r"a block of 2 steps would gather outside the "
+                                           r"\d+ window rows it may read"):
+        _block_gather(i0, n, pad - 1, block)  # one history row short: reads row -1
+    ahead = i0.copy()
+    ahead[0] = -1  # a delay that reads one row past the block
+    with pytest.raises(RuntimeError, match="would gather outside"):
+        _block_gather(ahead, n, pad, block)
 
 
 def test_divergence_reports_first_bad_step_inside_a_block():
