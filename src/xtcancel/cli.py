@@ -150,31 +150,11 @@ def cmd_sim(args):
     return 0
 
 
-def _check_grid(engine, t, volts):
-    """Reject waveforms that are not on the grid this link's sim writes: its
-    wire count, timestep, start time and sample count.  Another seed or
-    network with the same timing passes."""
-    if volts.shape[0] != engine.n:
-        raise ValidationError("waveform file has %d wires, link has %d"
-                              % (volts.shape[0], engine.n))
-    dt = engine.dt
-    step = float(t[1] - t[0])
-    if abs(step - dt) > 1e-9 * dt:
-        raise ValidationError("waveform file has a %r s timestep, link has %r s" % (step, dt))
-    start = engine.start_index * dt
-    if abs(float(t[0]) - start) > 1e-9 * dt:
-        raise ValidationError("waveform file starts at %r s, link's waveforms start at %r s"
-                              % (float(t[0]), start))
-    samples = engine.steps - engine.start_index
-    if t.size != samples:
-        raise ValidationError("waveform file has %d samples, link's waveforms have %d"
-                              % (t.size, samples))
-
-
 def _eye_bytes(engine, rate, svg, folded):
     """An upper bound on eye's memory beyond the built link: the read's peak
-    holds its parse buffer and its results, and the scan and the writers
-    then run on the time column and volts it returned."""
+    holds its parse buffer (the grid's rows and one more, at most) and its
+    results, and the scan and the writers then run on the time column and
+    volts it returned."""
     n, samples = engine.n, engine.steps - engine.start_index
     return max(waveform_read_bytes(n, samples),
                8 * samples * (n + 1) + eye_bytes(n, samples, engine.dt, rate, svg, folded))
@@ -192,8 +172,7 @@ def cmd_eye(args):
             "budget; lower prbs_order, lengthen timestep_s or drop --svg/--folded"
             % (1e-9 * need, engine.steps - engine.start_index, engine.n,
                1e-9 * STEPPER_BUDGET_BYTES))
-    t, volts = read_waveform_csv(args.waves)
-    _check_grid(engine, t, volts)
+    t, volts = read_waveform_csv(args.waves, engine)
     waves = Waveforms(dt=float(t[1] - t[0]), start_time=float(t[0]),
                       vref=engine.vref, volts=volts,
                       nominal_delay_s=engine.nominal_delay_s)
@@ -353,7 +332,7 @@ def main(argv=None):
     except SimulationDivergedError as exc:
         _info("error: %s" % exc)
         return 5
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _info("error: %s" % exc)
         return 2
 

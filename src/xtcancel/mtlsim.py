@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,7 +232,7 @@ class Engine:
         self.nominal_delay_s = float(sum(s.tau.mean() for s in self.segments))
         self.warmup_s = WARMUP_FLIGHTS * self.total_delay_s + WARMUP_EXTRA_UI * self.ui
         # The first step kept in the waveforms: the grid run_transient returns
-        # and cmd_eye checks a waveform file against.
+        # and read_waveform_csv checks a waveform file against.
         self.start_index = int(math.ceil(self.warmup_s / self.dt - 1e-9))
         i0 = np.concatenate([np.tile(s.i0, 2) for s in self.segments])  # near, far ends
         frac = np.concatenate([np.tile(s.frac, 2) for s in self.segments])
@@ -437,72 +436,71 @@ def write_waveform_csv(waves, path):
               [waves.times(), *waves.volts])
 
 
-def read_waveform_csv(path):
-    """Parse a waveform CSV back into (times, volts[n, samples])."""
+def read_waveform_csv(path, engine):
+    """Read a waveform CSV into (times, volts[n, samples]), refusing a file
+    that is not on the grid engine's sim writes: its wire count, timestep,
+    start time and sample count.  Another seed or network with the same
+    timing passes.  No more than one row past the grid is parsed."""
+    samples = engine.steps - engine.start_index
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if not cols or cols[0] != "time_s" or len(cols) < 2:
+        cols = fh.readline().strip().split(",")
+        if cols[0] != "time_s" or len(cols) < 2:
             raise ValidationError("waveform CSV must start with time_s,w1,... header")
-        start = fh.tell()
+        if len(cols) - 1 != engine.n:
+            raise ValidationError("waveform file has %d wires, link has %d"
+                                  % (len(cols) - 1, engine.n))
         try:
-            # A header-only file makes loadtxt warn "input contained no data";
-            # its (0, 1) result then goes to the row parser, which says why.
+            # loadtxt warns about each blank line, which max_rows does not
+            # count, and about a file with no data rows.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != len(cols):
-            # loadtxt parses a subset of what float() takes; the row parser
-            # decides what it refused and gives the reason.
-            fh.seek(start)
-            data = _parse_rows(fh, len(cols))
-    if data.shape[0] < 2:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  max_rows=samples + 1)
+        except ValueError as exc:
+            raise ValidationError("waveform CSV: %s" % exc) from None
+    _check_waveform(data, cols, engine, samples)
+    # copies, so neither result keeps the whole parse buffer alive
+    return data[:, 0].copy(), data[:, 1:].T.copy()
+
+
+def _check_waveform(data, cols, engine, samples):
+    """Refuse parsed rows that are malformed or off engine's grid; the
+    checks' temporaries are freed on return, before the caller's copies."""
+    if len(data) and data.shape[1] != len(cols):
+        raise ValidationError("waveform CSV row has %d fields, expected %d"
+                              % (data.shape[1], len(cols)))
+    if len(data) < 2:
         raise ValidationError("waveform CSV needs at least two samples")
     bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValidationError("waveform CSV has a non-finite %s sample in data row %d"
                               % (cols[col], row + 1))
-    # copies, so neither result keeps the whole parse buffer alive
-    t = data[:, 0].copy()
-    dts = np.diff(t)
+    dts = np.diff(data[:, 0])
     if float(np.abs(dts - dts[0]).max()) > 1e-6 * abs(float(dts[0])):
         raise ValidationError("waveform CSV is not uniformly sampled")
-    return t, data[:, 1:].T.copy()
+    dt, step = engine.dt, float(dts[0])
+    if abs(step - dt) > 1e-9 * dt:
+        raise ValidationError("waveform file has a %r s timestep, link has %r s" % (step, dt))
+    start = engine.start_index * dt
+    if abs(float(data[0, 0]) - start) > 1e-9 * dt:
+        raise ValidationError("waveform file starts at %r s, link's waveforms start at %r s"
+                              % (float(data[0, 0]), start))
+    if len(data) > samples:
+        raise ValidationError("waveform file has more than %d samples, link's waveforms have %d"
+                              % (samples, samples))
+    if len(data) < samples:
+        raise ValidationError("waveform file has %d samples, link's waveforms have %d"
+                              % (len(data), samples))
 
 
 def waveform_read_bytes(n, samples):
     """An upper bound on read_waveform_csv's traced memory for samples rows
-    of n wires.  Per row: the parse buffer (n + 1 doubles, plus the quarter
-    loadtxt grows it by) and its two finiteness masks, 12 B a column; the
-    time column, its differences and their two temporaries; the volts it
-    returns."""
-    return samples * (12 * (n + 1) + 32 + 8 * n)
-
-
-def _parse_rows(fh, width):
-    """The data rows after the header, float() field by field, as (rows, width)."""
-    # One flat buffer of doubles: a list of per-row float objects would
-    # take about four times the memory of the samples themselves.
-    values = array("d")
-    rows = 0
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValidationError("waveform CSV row has %d fields, expected %d"
-                                  % (len(parts), width))
-        rows += 1
-        try:
-            values.extend(map(float, parts))
-        except ValueError:
-            raise ValidationError("waveform CSV data row %d has a non-numeric field"
-                                  % rows) from None
-    return np.frombuffer(values).reshape(rows, width)
+    of n wires: the parse buffer (one row past the grid, at most), then the
+    time column and volts copied out of it, plus 64 KiB for loadtxt's read
+    buffers and small arrays.  The checks' masks and time differences are
+    freed before the copies and are smaller than them."""
+    return 8 * (n + 1) * (2 * samples + 1) + (1 << 16)
 
 
 def _ints(values, field):

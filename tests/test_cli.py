@@ -14,6 +14,7 @@ from xtcancel.bundle import save_bundle, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError
 from xtcancel.mtlsim import STEPPER_BUDGET_BYTES, build_link, load_link, read_waveform_csv
 from xtcancel.termination import load_network, save_network
+from xtcancel.textio import write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -319,7 +320,7 @@ def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
     assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
     # sim writes the grid its link's engine names, start time bit for bit
     engine = build_link(load_link(fx("link-pair.json")))
-    t, _ = read_waveform_csv(str(waves))
+    t, _ = read_waveform_csv(str(waves), engine)
     assert t[0] == engine.start_index * engine.dt
     assert t.size == engine.steps - engine.start_index
     raw = json.loads(Path(fx("link-pair.json")).read_text())
@@ -345,16 +346,44 @@ def _twelve_at(tmp_path, prbs_order):
 
 
 def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
-    """sim admits link-twelve at PRBS16, whose 4.2M-row waveform file eye
-    would parse and copy whole: eye refuses it before opening the file."""
+    """sim admits link-twelve at PRBS16, a 4.2M-row waveform file.  eye
+    reads and copies it within the budget, but with --svg it needs more:
+    then it refuses before opening the file."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
     assert engine.stepper_bytes(engine.steps) <= STEPPER_BUDGET_BYTES
     out = tmp_path / "e.json"
-    assert cli.main(["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link,
-                     "-o", str(out)]) == 2
-    assert ("error: eye needs about 1.19 GB of memory for 4194969 samples of 12 wires, "
+    argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert "No such file" in capsys.readouterr().err  # past the pre-flight
+    assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
+    assert ("error: eye needs about 1.51 GB of memory for 4194969 samples of 12 wires, "
             "over the 1.07 GB budget") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eye_refuses_a_longer_file_within_estimate(tmp_path, capsys, monkeypatch):
+    """A file on link-twelve's grid with four times its samples is refused
+    on its sample count, after parsing one row past the grid: within the
+    pre-flight's figure, from the built link on."""
+    link = fx("link-twelve.json")
+    engine = build_link(load_link(link))
+    samples = engine.steps - engine.start_index
+    t = (engine.start_index + np.arange(4 * samples)) * engine.dt
+    waves = tmp_path / "long.csv"
+    write_csv(waves, ["time_s"] + ["w%d" % (k + 1) for k in range(engine.n)],
+              [t] + [np.zeros(t.size)] * engine.n)
+    monkeypatch.setattr(cli, "build_link", lambda spec: engine)
+    out = tmp_path / "e.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["eye", "--waves", str(waves), "--link", link, "-o", str(out)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._eye_bytes(engine, 16e9, svg=False, folded=False)
+    assert ("error: waveform file has more than %d samples, link's waveforms have %d"
+            % (samples, samples)) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -389,6 +418,26 @@ def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
                      "-o", str(tmp_path / "e.json")]) == 2
     assert "error: waveform CSV has a non-finite w2 sample in data row 5" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["waves", "link"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, name):
+    """A 0xff byte in a waveform data row or in a link file is bad input,
+    not a crash."""
+    paths = {"waves": tmp_path / "waves.csv", "link": tmp_path / "link.json"}
+    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(paths["waves"])]) == 0
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    raw["segments"][0]["bundle"] = fx("pair.json")
+    raw["termination"] = fx("pair-network.json")
+    paths["link"].write_text(json.dumps(raw, indent=1))
+    data = paths[name].read_bytes()
+    at = data.index(b"\n", len(data) // 2) + 1  # the start of a row or line
+    paths[name].write_bytes(data[:at] + b"\xff" + data[at:])
+    out = tmp_path / "e.json"
+    assert cli.main(["eye", "--waves", str(paths["waves"]), "--link", str(paths["link"]),
+                     "-o", str(out)]) == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_timestep_longer_than_rise_exit_2(tmp_path, capsys):

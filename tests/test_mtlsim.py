@@ -460,12 +460,13 @@ def test_waveform_csv_roundtrip(tmp_path):
     link = simple_link(pair_bundle(), full_pair_network(), rs_ohms=1.67,
                        streams=((1, 0, 1, 1, 0, 0, 1, 0),
                                 (0, 1, 0, 0, 1, 1, 0, 1)))
-    waves = run_transient(build_link(link))
+    engine = build_link(link)
+    waves = run_transient(engine)
     path = tmp_path / "waves.csv"
     write_waveform_csv(waves, path)
     header = path.read_text().splitlines()[0]
     assert header == "time_s,w1,w2"
-    t, volts = read_waveform_csv(path)
+    t, volts = read_waveform_csv(path, engine)
     assert np.array_equal(volts, waves.volts)  # repr round-trips doubles
     assert np.array_equal(t, waves.times())
     # each result owns its samples, so neither holds the parse buffer
@@ -474,72 +475,94 @@ def test_waveform_csv_roundtrip(tmp_path):
     assert not np.shares_memory(t, volts)
 
 
+def scalar_engine():
+    return build_link(load_link(FIXTURES / "link-scalar.json"))
+
+
 def test_waveform_csv_validation(tmp_path):
+    engine = scalar_engine()  # one wire; these files are refused before the grid checks
     bad = tmp_path / "bad.csv"
     bad.write_text("volt,w1\n0.0,0.1\n1.0,0.2\n")
     with pytest.raises(ValidationError):
-        read_waveform_csv(bad)
+        read_waveform_csv(bad, engine)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("time_s,w1\n0.0,0.1\n1.0\n")
     with pytest.raises(ValidationError):
-        read_waveform_csv(ragged)
+        read_waveform_csv(ragged, engine)
     uneven = tmp_path / "uneven.csv"
     uneven.write_text("time_s,w1\n0.0,0.1\n1.0,0.2\n3.0,0.3\n")
     with pytest.raises(ValidationError):
-        read_waveform_csv(uneven)
+        read_waveform_csv(uneven, engine)
     for cell, reason in (("inf", "non-finite w1 sample in data row 2"),
-                         ("abc", "data row 2 has a non-numeric field")):
+                         ("abc", "waveform CSV: could not convert string 'abc' to float64")):
         odd = tmp_path / "odd.csv"
         odd.write_text("time_s,w1\n0.0,0.1\n1.0,%s\n2.0,0.3\n" % cell)
         with pytest.raises(ValidationError, match=reason):
-            read_waveform_csv(odd)
+            read_waveform_csv(odd, engine)
 
 
-# Waveform CSV texts whose rows loadtxt reads (True) or leaves to the row
-# parser (False).
-READER_CASES = {
-    "hash-field": ("time_s,w1\n0.0,0.1\n#1.0,0.2\n2.0,0.3\n", False),
-    "hash-line": ("time_s,w1\n0.0,0.1\n# note\n2.0,0.3\n", False),
-    "underscore": ("time_s,w1\n0.0,1_0\n1.0,2.0\n", False),  # float() reads 10.0
-    "trailing-comma": ("time_s,w1\n0.0,0.1,\n1.0,0.2,\n", False),
-    "blank-lines": ("time_s,w1\n\n0.0,0.1\n\n1.0,0.2\n\n2.0,0.3\n\n", True),
-    "space-line": ("time_s,w1\n0.0,0.1\n   \n1.0,0.2\n", False),
-    "padded": ("time_s,w1\n 0.0 , 0.1\n1.0,\t0.2 \n", True),
-    "header-only": ("time_s,w1\n", False),
+def _second(rows, text):
+    return rows[:1] + [text] + rows[1:]
+
+
+# Edits of the data rows sim writes for a one-wire link, and the start of
+# the refusal (None: read as written).  numpy's row numbers are left out of
+# the match: it counts a conversion's row from 0 and a width change's from 1.
+FORMAT_CASES = {
+    "blank-lines": (lambda rows: ["\n" + r for r in rows], None),
+    "padded": (lambda rows: [" %s ,\t%s " % tuple(r.split(",")) for r in rows], None),
+    "hash-field": (lambda rows: _second(rows, "#" + rows[1]), "could not convert string '#"),
+    "hash-line": (lambda rows: _second(rows, "# note"),
+                  "the number of columns changed from 2 to 1 at row "),
+    "underscore": (lambda rows: _second(rows, rows[1].split(",")[0] + ",1_0"),
+                   "could not convert string '1_0' to float64 at row "),
+    "trailing-comma": (lambda rows: [r + "," for r in rows],
+                       "could not convert string '' to float64 at row "),
+    "space-line": (lambda rows: _second(rows, "   "),
+                   "the number of columns changed from 2 to 1 at row "),
+    "non-ascii-digit": (lambda rows: _second(rows, rows[1].split(",")[0] + ",\u0661"),
+                        "could not convert string '\u0661' to float64 at row "),
+    "extra-column": (lambda rows: [r + ",0.5" for r in rows], "row has 3 fields, expected 2"),
+    "header-only": (lambda rows: [], "needs at least two samples"),
 }
 
 
-@pytest.mark.parametrize("text,fast", READER_CASES.values(), ids=READER_CASES.keys())
-def test_waveform_csv_parsers_agree(tmp_path, monkeypatch, text, fast):
-    """read_waveform_csv gives the same result (or error) whether loadtxt
-    parses the rows or the row parser does, and never warns."""
+@pytest.mark.parametrize("edit,refusal", FORMAT_CASES.values(), ids=FORMAT_CASES.keys())
+def test_waveform_csv_format(tmp_path, edit, refusal):
+    """read_waveform_csv reads numpy's decimal floats, padded or between
+    blank lines, and refuses anything else with the reason, never warning."""
+    engine = scalar_engine()
     path = tmp_path / "w.csv"
-    path.write_text(text)
-    loadtxt = np.loadtxt
-    parsed = []
-
-    def read(*args, **kwargs):
-        data = loadtxt(*args, **kwargs)
-        parsed.append(data.shape[1] == 2)
-        return data
-
-    def refuse(*args, **kwargs):
-        raise ValueError("refused")
-
-    def result():
-        try:
-            t, volts = read_waveform_csv(path)
-            return t.tolist(), volts.tolist()
-        except ValidationError as exc:
-            return str(exc)
-
-    monkeypatch.setattr(np, "loadtxt", read)
+    write_waveform_csv(run_transient(engine), path)
+    header, *rows = path.read_text().splitlines()
+    expected = read_waveform_csv(path, engine)
+    path.write_text("\n".join([header] + edit(rows)) + "\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = result()
-    assert any(parsed) == fast
-    monkeypatch.setattr(np, "loadtxt", refuse)
-    assert result() == got
+        if refusal is None:
+            t, volts = read_waveform_csv(path, engine)
+            assert np.array_equal(t, expected[0]) and np.array_equal(volts, expected[1])
+        else:
+            with pytest.raises(ValidationError) as err:
+                read_waveform_csv(path, engine)
+            assert str(err.value).startswith("waveform CSV")
+            assert refusal in str(err.value)
+
+
+def test_waveform_read_peak_within_estimate(tmp_path):
+    """read_waveform_csv's traced peak on the twelve-wire link stays within
+    waveform_read_bytes: the parse buffer, then the time column and volts."""
+    engine = build_link(load_link(FIXTURES / "link-twelve.json"))
+    path = tmp_path / "waves.csv"
+    write_waveform_csv(run_transient(engine), path)
+    tracemalloc.start()
+    try:
+        t, volts = read_waveform_csv(path, engine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert volts.shape == (engine.n, engine.steps - engine.start_index)
+    assert peak <= mtlsim.waveform_read_bytes(*volts.shape)
 
 
 def test_link_json_loading(tmp_path):
