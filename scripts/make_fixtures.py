@@ -11,7 +11,6 @@ a stated tolerance.  Write into a copy of the repository and compare before
 replacing a committed file.
 """
 
-import json
 import os
 import sys
 
@@ -22,14 +21,9 @@ sys.path.insert(0, os.path.join(HERE, "..", "tests"))
 from designs import fixture_bundles, fixture_networks  # noqa: E402
 from xtcancel.bundle import save_bundle  # noqa: E402
 from xtcancel.termination import save_network  # noqa: E402
+from xtcancel.textio import write_json  # noqa: E402
 
 OUT = os.path.join(HERE, "..", "fixtures")
-
-
-def write_link(name, payload):
-    with open(os.path.join(OUT, name), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def main():
@@ -41,21 +35,21 @@ def main():
     for fname, net in fixture_networks(bundles).items():
         save_network(net, os.path.join(OUT, fname))
 
-    write_link("link-scalar.json", {
+    write_json(os.path.join(OUT, "link-scalar.json"), {
         "segments": [{"bundle": "scalar.json", "length_m": 0.1016}],
         "drivers": {"rs_ohms": 0.0, "v_low": 0.0, "v_high": 1.0, "rise_s": 10e-12},
         "termination": "50ohm-scalar.json",
         "stimulus": {"data_rate": 16e9, "prbs_order": 7, "mode": "worst"},
     })
 
-    write_link("link-pair.json", {
+    write_json(os.path.join(OUT, "link-pair.json"), {
         "segments": [{"bundle": "pair.json", "length_m": 0.1016}],
         "drivers": {"rs_ohms": 0.0, "v_low": 0.0, "v_high": 1.0, "rise_s": 10e-12},
         "termination": "pair-network.json",
         "stimulus": {"data_rate": 16e9, "prbs_order": 7, "mode": "worst"},
     })
 
-    write_link("link-twelve.json", {
+    write_json(os.path.join(OUT, "link-twelve.json"), {
         "segments": [{"bundle": "twelve.json", "length_m": 0.1016}],
         "drivers": {"rs_ohms": 1.67, "v_low": 0.0, "v_high": 1.0, "rise_s": 10e-12},
         "termination": "twelve-network.json",

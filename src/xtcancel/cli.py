@@ -25,14 +25,14 @@ from . import __version__
 from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_impedance,
                      load_bundle, uncoupled_bundle)
 from .errors import (EnumerationCapError, NonRealizableCouplingError,
-                     SimulationDivergedError, ValidationError)
+                     SimulationDivergedError, ValidationError, check_memory)
 from .eye import (EYE_SCHEMA_VERSION, eye_bytes, eye_measure, render_eye_svg,
                   write_eye_json, write_folded_csv)
 from .fom import (REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
                   code_table, write_code_table_csv, write_report_json)
-from .mtlsim import (LINK_SCHEMA_VERSION, STEPPER_BUDGET_BYTES, Segment, Waveforms,
-                     build_link, load_link, read_waveform_csv, run_transient,
-                     waveform_read_bytes, with_stimulus_seed, write_waveform_csv)
+from .mtlsim import (LINK_SCHEMA_VERSION, Segment, build_link, load_link, read_waveform_csv,
+                     run_transient, waveform_read_bytes, with_stimulus_seed,
+                     write_waveform_csv)
 from .termination import (NETWORK_SCHEMA_VERSION, ReductionPolicy,
                           load_network, network_admittance, realize_network,
                           reduce_network, save_network, write_histogram_csv)
@@ -153,29 +153,21 @@ def cmd_sim(args):
 def _eye_bytes(engine, rate, svg, folded):
     """An upper bound on eye's memory beyond the built link: the read's peak
     holds its parse buffer (the grid's rows and one more, at most) and its
-    results, and the scan and the writers then run on the time column and
-    volts it returned."""
-    n, samples = engine.n, engine.steps - engine.start_index
+    volts, and the scan and the writers then run on the volts it returned."""
+    n, samples = engine.n, engine.samples
     return max(waveform_read_bytes(n, samples),
-               8 * samples * (n + 1) + eye_bytes(n, samples, engine.dt, rate, svg, folded))
+               8 * samples * n + eye_bytes(n, samples, engine.dt, rate, svg, folded))
 
 
 def cmd_eye(args):
     spec = _load_link_seeded(args)
     engine = build_link(spec)
     rate = spec.stimulus.data_rate
-    # Checked before the file is read, against the stepper's budget.
-    need = _eye_bytes(engine, rate, svg=bool(args.svg), folded=bool(args.folded))
-    if need > STEPPER_BUDGET_BYTES:
-        raise ValidationError(
-            "eye needs about %.3g GB of memory for %d samples of %d wires, over the %.3g GB "
-            "budget; lower prbs_order, lengthen timestep_s or drop --svg/--folded"
-            % (1e-9 * need, engine.steps - engine.start_index, engine.n,
-               1e-9 * STEPPER_BUDGET_BYTES))
-    t, volts = read_waveform_csv(args.waves, engine)
-    waves = Waveforms(dt=float(t[1] - t[0]), start_time=float(t[0]),
-                      vref=engine.vref, volts=volts,
-                      nominal_delay_s=engine.nominal_delay_s)
+    # Checked before the file is read.
+    check_memory(_eye_bytes(engine, rate, svg=bool(args.svg), folded=bool(args.folded)),
+                 "eye on %d samples of %d wires" % (engine.samples, engine.n),
+                 "lower prbs_order, lengthen timestep_s or drop --svg/--folded")
+    waves = read_waveform_csv(args.waves, engine)
     report = eye_measure(waves, engine.streams, rate)
     write_eye_json(report, args.output)
     if args.svg:

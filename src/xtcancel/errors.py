@@ -5,9 +5,13 @@ the most specific type that applies rather than bare ValueError.
 document(), number() and integer() read an input document: a field must hold
 a JSON number, so a bool or a quoted number is rejected (RFC 8259), and
 converted() turns any other malformed value into a ValidationError.
+check_memory() refuses, before allocating, any run (the stepper, eye, sampled
+figures of merit) that would hold more than MEMORY_BUDGET_BYTES.
 """
 
 import numbers
+
+MEMORY_BUDGET_BYTES = 1 << 30
 
 
 class XtcancelError(Exception):
@@ -71,6 +75,13 @@ class SimulationDivergedError(XtcancelError):
         if detail:
             msg += " (%s)" % detail
         super().__init__(msg)
+
+
+def check_memory(need, what, remedy):
+    """ValidationError naming what and remedy when need bytes are over budget."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValidationError("%s needs about %.3g GB of memory, over the %.3g GB budget; %s"
+                              % (what, 1e-9 * need, 1e-9 * MEMORY_BUDGET_BYTES, remedy))
 
 
 def converted(convert, value, field):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import checked_symmetric
-from .errors import EnumerationCapError, ValidationError
-from .mtlsim import STEPPER_BUDGET_BYTES
+from .errors import EnumerationCapError, ValidationError, check_memory
 from .textio import write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
@@ -162,13 +161,12 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     n = y.shape[0]
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    samples = int(samples)
-    need = sampled_fom_bytes(n, samples)
-    if need > STEPPER_BUDGET_BYTES:
-        raise ValidationError(
-            "%d samples need about %.3g GB of memory, over the %.3g GB budget; "
-            "draw fewer samples" % (samples, 1e-9 * need, 1e-9 * STEPPER_BUDGET_BYTES))
-    words = np.random.default_rng(int(seed)).bit_generator
+    samples, seed = int(samples), int(seed)
+    if seed < 0:
+        raise ValidationError("sample seed must be >= 0, got %d" % seed)
+    check_memory(sampled_fom_bytes(n, samples), "drawing %d samples" % samples,
+                 "draw fewer samples")
+    words = np.random.default_rng(seed).bit_generator
     volts = np.arange(2.0) * (v_high - v_low) + v_low - vref  # bit 0 or 1 -> x
     # Only the per-sample totals are kept whole, so the statistics below see
     # the same vectors whatever the chunk; each chunk reuses the codes and
@@ -199,7 +197,7 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
         avg_power_stderr=float(power.std(ddof=1) / math.sqrt(k)),
         n_codes=1 << n,
         samples=samples,
-        seed=int(seed),
+        seed=seed,
     )
 
 

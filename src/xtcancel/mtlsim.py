@@ -51,7 +51,8 @@ the returned (n, kept) arrays, and its last pad rows move to the top, the
 history the next window reads.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
 check after every block would report.  The run holds the returned waveforms
-and one window, not a row for every step.
+and one window, not a row for every step, and Engine refuses a link whose
+stepper_bytes is over errors.MEMORY_BUDGET_BYTES before any PRBS exists.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import CouplingMatrices, bundle_from_dict, characteristic_impedance, load_bundle
-from .errors import SimulationDivergedError, ValidationError, converted, document, integer, number
+from .errors import (SimulationDivergedError, ValidationError, check_memory, converted, document,
+                     integer, number)
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
@@ -75,11 +77,6 @@ LINK_SCHEMA_VERSION = 1
 TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
 WARMUP_EXTRA_UI = 8    # ... plus 8 unit intervals
-
-# A link whose stepper would hold more than this (the returned waveforms and
-# one history window with its drive and block temporaries) is rejected with
-# exit 2 before anything of that size is allocated or any PRBS is generated.
-STEPPER_BUDGET_BYTES = 1 << 30
 
 # Steps per run_transient history window, before rounding up to whole blocks
 # and to at least pad.  Larger windows save little per-window overhead and
@@ -159,6 +156,12 @@ class _SegmentState:
         self.mvt = basis.mv.T
         self.yc = basis.mi.T @ basis.mi  # = Zc^-1
         self.tau = segment.length_m * np.sqrt(basis.mode_vals)
+        # The warmup steps twice the longest delay, at 2n words a step: refused
+        # over the budget before the delay in steps is cast to int64.
+        longest = float(self.tau.max())
+        check_memory(32.0 * self.n * longest / dt,  # a Python float: inf, not a warning
+                     "the warmup of a %g s modal delay at a %g s timestep" % (longest, dt),
+                     "lengthen timestep_s or shorten the %g m segment" % segment.length_m)
         d = self.tau / dt
         self.i0 = np.floor(d).astype(np.int64)
         self.frac = d - self.i0
@@ -249,7 +252,11 @@ class Engine:
                 raise ValidationError(
                     "duration %g s is shorter than warmup + latency + one stream period (%g s)"
                     % (self.duration_s, window))
-        self.steps = self.step_count(self.duration_s)  # pre-flight, before any stream exists
+        self.steps = int(round(self.duration_s / self.dt)) + 1
+        self.samples = self.steps - self.start_index
+        # The pre-flight, before any stream exists.
+        check_memory(self.stepper_bytes(self.steps), "a link of %d timesteps" % self.steps,
+                     "lower prbs_order, lengthen timestep_s or shorten duration_s")
 
         self.streams = pattern_assign(spec.stimulus, n)
 
@@ -299,17 +306,6 @@ class Engine:
         rows += [nodes[-1] - self.vref * one, segs[0].yc @ nodes[0] - inj[0]]
         return np.vstack(rows)
 
-    def step_count(self, duration):
-        """Timesteps covering duration; rejects links over the memory budget."""
-        steps = int(round(duration / self.dt)) + 1
-        need = self.stepper_bytes(steps)
-        if need > STEPPER_BUDGET_BYTES:
-            raise ValidationError(
-                "link needs %d timesteps and about %.3g GB of stepper memory, over the "
-                "%.3g GB budget; lower prbs_order, lengthen timestep_s or shorten duration_s"
-                % (steps, 1e-9 * need, 1e-9 * STEPPER_BUDGET_BYTES))
-        return steps
-
     def window_steps(self):
         """Steps of one run_transient window: _WINDOW_STEPS rounded up to
         whole blocks and to at least pad, so only the last window ends in a
@@ -330,6 +326,12 @@ class Engine:
             size * (3 * n + 6),
             block * (3 * w + 2 * n) + size * n)
         return 8 * (2 * n * steps + block * 2 * w + window) + (1 << 16)
+
+    def waveforms(self, volts, source_currents=None):
+        """volts (n, samples), relative to vref, on run_transient's grid."""
+        return Waveforms(dt=self.dt, start_time=self.start_index * self.dt, vref=self.vref,
+                         volts=volts, source_currents=source_currents,
+                         nominal_delay_s=self.nominal_delay_s)
 
     def solve_dc(self, e):
         """DC operating point for drive levels e, with the lines as ideal
@@ -354,7 +356,7 @@ def run_transient(engine):
     # One row per step of the window: history, receiver volts, source currents.
     win = np.empty((pad + size, w + 2 * n))
     drive = np.ones((size, n + 1))  # the last column weights the map's constant
-    volts = np.empty((n, steps - start_index))  # C-ordered: one wire a row
+    volts = np.empty((n, engine.samples))  # C-ordered: one wire a row
     currents = np.empty_like(volts)
     gather = engine.gather[:block]
     waves = np.empty(gather.shape)
@@ -389,12 +391,7 @@ def run_transient(engine):
             at = c0 + lo - start_index
             volts[:, at:at + c - lo] = win[pad + lo:pad + c, w:w + n].T
             currents[:, at:at + c - lo] = win[pad + lo:pad + c, w + n:].T
-    return Waveforms(dt=dt,
-                     start_time=start_index * dt,
-                     vref=engine.vref,
-                     volts=volts,
-                     source_currents=currents,
-                     nominal_delay_s=engine.nominal_delay_s)
+    return engine.waveforms(volts, currents)
 
 
 def _block_gather(i0, n, pad, block):
@@ -437,11 +434,11 @@ def write_waveform_csv(waves, path):
 
 
 def read_waveform_csv(path, engine):
-    """Read a waveform CSV into (times, volts[n, samples]), refusing a file
-    that is not on the grid engine's sim writes: its wire count, timestep,
-    start time and sample count.  Another seed or network with the same
-    timing passes.  No more than one row past the grid is parsed."""
-    samples = engine.steps - engine.start_index
+    """Read a waveform CSV into engine's Waveforms, refusing a file that is
+    not on the grid engine's sim writes: its wire count, timestep, start time
+    and sample count.  Another seed or network with the same timing passes.
+    No more than one row past the grid is parsed; the checked times are dropped."""
+    samples = engine.samples
     with open(path, "r", encoding="utf-8") as fh:
         cols = fh.readline().strip().split(",")
         if cols[0] != "time_s" or len(cols) < 2:
@@ -459,13 +456,13 @@ def read_waveform_csv(path, engine):
         except ValueError as exc:
             raise ValidationError("waveform CSV: %s" % exc) from None
     _check_waveform(data, cols, engine, samples)
-    # copies, so neither result keeps the whole parse buffer alive
-    return data[:, 0].copy(), data[:, 1:].T.copy()
+    # a copy, so the result does not keep the whole parse buffer alive
+    return engine.waveforms(data[:, 1:].T.copy())
 
 
 def _check_waveform(data, cols, engine, samples):
     """Refuse parsed rows that are malformed or off engine's grid; the
-    checks' temporaries are freed on return, before the caller's copies."""
+    checks' temporaries are freed on return, before the caller's copy."""
     if len(data) and data.shape[1] != len(cols):
         raise ValidationError("waveform CSV row has %d fields, expected %d"
                               % (data.shape[1], len(cols)))
@@ -497,10 +494,10 @@ def _check_waveform(data, cols, engine, samples):
 def waveform_read_bytes(n, samples):
     """An upper bound on read_waveform_csv's traced memory for samples rows
     of n wires: the parse buffer (one row past the grid, at most), then the
-    time column and volts copied out of it, plus 64 KiB for loadtxt's read
-    buffers and small arrays.  The checks' masks and time differences are
-    freed before the copies and are smaller than them."""
-    return 8 * (n + 1) * (2 * samples + 1) + (1 << 16)
+    volts copied out of it, plus 64 KiB for loadtxt's read buffers and small
+    arrays.  The checks' masks and time differences are freed before the
+    copy and are smaller than it."""
+    return 8 * ((n + 1) * (samples + 1) + n * samples) + (1 << 16)
 
 
 def _ints(values, field):

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import pytest
 from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli
 from xtcancel.bundle import save_bundle, uncoupled_bundle
-from xtcancel.errors import SimulationDivergedError
-from xtcancel.mtlsim import STEPPER_BUDGET_BYTES, build_link, load_link, read_waveform_csv
+from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
+from xtcancel.eye import eye_measure, fold_phases, write_eye_json
+from xtcancel.mtlsim import build_link, load_link, run_transient
 from xtcancel.termination import load_network, save_network
 from xtcancel.textio import write_csv
 
@@ -151,7 +153,15 @@ def test_fom_samples_over_budget_exit_2(tmp_path, capsys):
     assert cli.main(["fom", "--lc", fx("pair.json"), "--samples", "1000000000000000",
                      "-o", str(rep)]) == 2
     err = capsys.readouterr().err
-    assert "error: 1000000000000000 samples need about" in err and "GB budget" in err
+    assert "error: drawing 1000000000000000 samples needs about" in err and "GB budget" in err
+    assert not rep.exists()
+
+
+def test_fom_negative_seed_exit_2(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    assert cli.main(["fom", "--lc", fx("pair.json"), "--samples", "100", "--seed", "-1",
+                     "-o", str(rep)]) == 2
+    assert "error: sample seed must be >= 0, got -1" in capsys.readouterr().err
     assert not rep.exists()
 
 
@@ -170,6 +180,41 @@ def test_sim_eye_flow(tmp_path):
     assert data["min_v"] == pytest.approx(1.0, abs=1e-9)
     assert svg.read_text().startswith("<svg")
     assert folded.read_text().splitlines()[0] == "wire,phase_ui,volts"
+
+
+def _sim_then_eye(tmp_path, link, *flags):
+    """Run sim on link, then eye on the file it wrote; returns the file."""
+    waves = tmp_path / "waves.csv"
+    assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
+    assert cli.main(["eye", "--waves", str(waves), "--link", link,
+                     "-o", str(tmp_path / "eye.json"), *flags]) == 0
+    return waves
+
+
+@pytest.mark.parametrize("name", ["twelve", "scalar"])
+def test_eye_of_sim_file_is_the_in_process_eye(tmp_path, name):
+    """eye reads back the Waveforms sim stepped, on the engine's grid, so
+    its report is the one measured in-process, byte for byte."""
+    link = fx("link-%s.json" % name)
+    _sim_then_eye(tmp_path, link)
+    engine = build_link(load_link(link))
+    in_process = tmp_path / "in-process.json"
+    write_eye_json(eye_measure(run_transient(engine), engine.streams,
+                               engine.spec.stimulus.data_rate), in_process)
+    assert (tmp_path / "eye.json").read_bytes() == in_process.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["twelve", "scalar"])
+def test_folded_phases_fold_the_file_time_column(tmp_path, name):
+    link = fx("link-%s.json" % name)
+    folded = tmp_path / "folded.csv"
+    waves = _sim_then_eye(tmp_path, link, "--folded", str(folded))
+    engine = build_link(load_link(link))
+    t = np.loadtxt(waves, delimiter=",", skiprows=1, usecols=0)
+    column = SimpleNamespace(times=lambda: t, nominal_delay_s=engine.nominal_delay_s)
+    want = fold_phases(column, engine.spec.stimulus.data_rate)
+    phases = np.loadtxt(folded, delimiter=",", skiprows=1, usecols=1)
+    assert np.array_equal(phases, np.tile(want, engine.n))
 
 
 def test_sim_deterministic_and_seeded(tmp_path):
@@ -320,9 +365,9 @@ def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
     assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
     # sim writes the grid its link's engine names, start time bit for bit
     engine = build_link(load_link(fx("link-pair.json")))
-    t, _ = read_waveform_csv(str(waves), engine)
+    t = np.loadtxt(waves, delimiter=",", skiprows=1, usecols=0)
     assert t[0] == engine.start_index * engine.dt
-    assert t.size == engine.steps - engine.start_index
+    assert t.size == engine.samples
     raw = json.loads(Path(fx("link-pair.json")).read_text())
     raw["segments"][0]["bundle"] = fx("pair.json")
     raw["termination"] = fx("pair-network.json")
@@ -351,14 +396,15 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
     then it refuses before opening the file."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
-    assert engine.stepper_bytes(engine.steps) <= STEPPER_BUDGET_BYTES
+    assert engine.stepper_bytes(engine.steps) <= MEMORY_BUDGET_BYTES
     out = tmp_path / "e.json"
     argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
     assert cli.main(argv) == 2
     assert "No such file" in capsys.readouterr().err  # past the pre-flight
     assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
-    assert ("error: eye needs about 1.51 GB of memory for 4194969 samples of 12 wires, "
-            "over the 1.07 GB budget") in capsys.readouterr().err
+    assert ("error: eye on 4194969 samples of 12 wires needs about 1.48 GB of memory, "
+            "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
+            "--svg/--folded") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -368,7 +414,7 @@ def test_eye_refuses_a_longer_file_within_estimate(tmp_path, capsys, monkeypatch
     pre-flight's figure, from the built link on."""
     link = fx("link-twelve.json")
     engine = build_link(load_link(link))
-    samples = engine.steps - engine.start_index
+    samples = engine.samples
     t = (engine.start_index + np.arange(4 * samples)) * engine.dt
     waves = tmp_path / "long.csv"
     write_csv(waves, ["time_s"] + ["w%d" % (k + 1) for k in range(engine.n)],

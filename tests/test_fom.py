@@ -8,11 +8,10 @@ import pytest
 
 from conftest import random_bundle
 from xtcancel.bundle import characteristic_impedance, uncoupled_bundle
-from xtcancel.errors import EnumerationCapError, ValidationError
+from xtcancel.errors import MEMORY_BUDGET_BYTES, EnumerationCapError, ValidationError
 from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, bundle_fom,
                           bundle_fom_sampled, code_table, sampled_fom_bytes,
                           write_code_table_csv, write_report_json)
-from xtcancel.mtlsim import STEPPER_BUDGET_BYTES
 from xtcancel.termination import network_admittance, realize_network
 
 PAIR_Y = np.array([[0.0185, -0.0065], [-0.0065, 0.0185]])
@@ -269,11 +268,11 @@ def test_sampled_fom_peak_within_estimate():
 
 def test_sampled_fom_over_budget_fails_before_allocating():
     samples = 10 ** 15
-    assert sampled_fom_bytes(2, samples) > STEPPER_BUDGET_BYTES
+    assert sampled_fom_bytes(2, samples) > MEMORY_BUDGET_BYTES
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match=r"10+ samples need about 2\.4e\+07 GB of "
-                                                  r"memory, over the 1\.07 GB budget"):
+        with pytest.raises(ValidationError, match=r"drawing 10+ samples needs about 2\.4e\+07 "
+                                                  r"GB of memory, over the 1\.07 GB budget"):
             bundle_fom_sampled(PAIR_Y, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:

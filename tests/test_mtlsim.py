@@ -1,6 +1,7 @@
 """Time-domain link simulator tests: oracles, invariants, and file formats."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -180,18 +181,36 @@ def test_divergence_reports_first_bad_step_inside_a_block():
     assert per_step.value.step == delay
 
 
-@pytest.mark.parametrize("change", [{"prbs_order": 23}, {"timestep_s": 1e-16}],
-                         ids=["prbs23", "timestep-1e-16"])
-def test_oversized_link_rejected_before_allocation(change):
+def _warmup_refusal(delay, dt, gb, length):
+    return re.escape("the warmup of a %s s modal delay at a %s s timestep needs about %s GB of "
+                     "memory, over the 1.07 GB budget; lengthen timestep_s or shorten the %s m "
+                     "segment" % (delay, dt, gb, length))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"prbs_order": 23}, r"a link of \d+ timesteps needs about [\d.]+ GB of memory, over the "
+                         r"1\.07 GB budget; lower prbs_order, lengthen timestep_s or shorten "
+                         r"duration_s"),
+    ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.25", "0.1016")),
+    # tau / dt overflows a float (a denormal timestep) or int64 (a huge
+    # length): refused before the cast, without a warning
+    ({"timestep_s": 1e-320}, _warmup_refusal("5.86994e-10", "9.99989e-321", "inf", "0.1016")),
+    ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.27e+297", "1e+300")),
+], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300"])
+def test_oversized_link_rejected_before_allocation(change, message):
     spec = load_link(FIXTURES / "link-twelve.json")
     if "prbs_order" in change:
         spec = replace(spec, stimulus=replace(spec.stimulus, **change))
+    elif "length_m" in change:
+        spec = replace(spec, segments=(replace(spec.segments[0], **change),))
     else:
         spec = replace(spec, **change)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match=r"link needs \d+ timesteps and about"):
-            build_link(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                build_link(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -466,13 +485,16 @@ def test_waveform_csv_roundtrip(tmp_path):
     write_waveform_csv(waves, path)
     header = path.read_text().splitlines()[0]
     assert header == "time_s,w1,w2"
-    t, volts = read_waveform_csv(path, engine)
-    assert np.array_equal(volts, waves.volts)  # repr round-trips doubles
-    assert np.array_equal(t, waves.times())
-    # each result owns its samples, so neither holds the parse buffer
-    for a in (t, volts):
-        assert a.base is None
-    assert not np.shares_memory(t, volts)
+    back = read_waveform_csv(path, engine)
+    assert np.array_equal(back.volts, waves.volts)  # repr round-trips doubles
+    # the engine's grid, which the checked time column holds bit for bit
+    assert (back.dt, back.start_time, back.vref, back.nominal_delay_s) \
+        == (waves.dt, waves.start_time, waves.vref, waves.nominal_delay_s)
+    t = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+    assert np.array_equal(t, back.times())
+    # the volts own their samples, so they do not hold the parse buffer
+    assert back.volts.base is None
+    assert back.source_currents is None
 
 
 def scalar_engine():
@@ -540,8 +562,7 @@ def test_waveform_csv_format(tmp_path, edit, refusal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if refusal is None:
-            t, volts = read_waveform_csv(path, engine)
-            assert np.array_equal(t, expected[0]) and np.array_equal(volts, expected[1])
+            assert np.array_equal(read_waveform_csv(path, engine).volts, expected.volts)
         else:
             with pytest.raises(ValidationError) as err:
                 read_waveform_csv(path, engine)
@@ -551,17 +572,17 @@ def test_waveform_csv_format(tmp_path, edit, refusal):
 
 def test_waveform_read_peak_within_estimate(tmp_path):
     """read_waveform_csv's traced peak on the twelve-wire link stays within
-    waveform_read_bytes: the parse buffer, then the time column and volts."""
+    waveform_read_bytes: the parse buffer, then the volts."""
     engine = build_link(load_link(FIXTURES / "link-twelve.json"))
     path = tmp_path / "waves.csv"
     write_waveform_csv(run_transient(engine), path)
     tracemalloc.start()
     try:
-        t, volts = read_waveform_csv(path, engine)
+        volts = read_waveform_csv(path, engine).volts
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert volts.shape == (engine.n, engine.steps - engine.start_index)
+    assert volts.shape == (engine.n, engine.samples)
     assert peak <= mtlsim.waveform_read_bytes(*volts.shape)
 
 
