@@ -41,14 +41,15 @@ volts) rides on a column of ones appended to the drive.
 
 run_transient keeps all three in one window of pad + W rows whose rows are
 the steps' y, so the gather indices step over 2n (S + 1) columns a row for S
-segments.  W is a whole number of blocks and at least pad.  The drive part
-[src, 1] @ step_s reads no history: for each window it is computed for the
-window's steps and written into their rows, and a block is then one
-unbuffered gather (its indices are checked once, at build), one product and
-one in-place add.  After the window's blocks its receiver volts are checked
-for non-finite values, its kept volts and source currents are copied into
-the returned (n, kept) arrays, and its last pad rows move to the top, the
-history the next window reads.  A check never changed what the loop
+segments.  W is a whole number of blocks and at least pad.  Every window is
+alike: its first pad rows are the last pad rows of the one before (before
+the first, Engine.start_waves: the DC state of the t=0 drive), and it steps
+whole blocks.  The drive part [src, 1] @ step_s reads no history, so it is
+written into the window's rows first; a block is then one unbuffered gather
+(its indices are checked once, at build), one product and one in-place add.
+The run's steps are then checked for non-finite receiver volts and their
+kept volts and source currents copied out; the last window's at most B - 1
+steps past the run are discarded.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
 check after every block would report.  The run holds the returned waveforms
 and one window, not a row for every step, and Engine refuses a link whose
@@ -248,6 +249,8 @@ class Engine:
             self.duration_s = window + 2.0 * self.ui
         else:
             self.duration_s = float(spec.duration_s)
+            if not math.isfinite(self.duration_s):
+                raise ValidationError("duration_s must be finite, got %r" % (self.duration_s,))
             if self.duration_s < window:
                 raise ValidationError(
                     "duration %g s is shorter than warmup + latency + one stream period (%g s)"
@@ -285,6 +288,13 @@ class Engine:
                                  frac[:, None] * step[:, :w].T])
         self.step_s = step[:, w:].T
         self.gather = _block_gather(i0, n, self.pad, self.block)
+        # The history row before t=0: every line starts at the DC state of the
+        # t=0 drive, so the startup transient is only the difference from it.
+        d = spec.drivers
+        v_dc, i_dc = self.solve_dc(drive_levels(self.streams, np.zeros(1), spec.stimulus.data_rate,
+                                                d.rise_s, d.v_low, d.v_high)[0])
+        self.start_waves = np.concatenate([s.mi @ v_dc + end * (s.mvt @ i_dc)
+                                           for s in segs for end in (1.0, -1.0)])  # near, far
 
     def _step_columns(self, e, src, one):
         """One step for column blocks of incident waves e (width, k), drives
@@ -308,8 +318,8 @@ class Engine:
 
     def window_steps(self):
         """Steps of one run_transient window: _WINDOW_STEPS rounded up to
-        whole blocks and to at least pad, so only the last window ends in a
-        short block and a window's last pad rows hold all the history the
+        whole blocks and to at least pad, so every window, the last too,
+        steps whole blocks and its last pad rows hold all the history the
         next one reads."""
         return -(-max(_WINDOW_STEPS, self.pad) // self.block) * self.block
 
@@ -361,28 +371,17 @@ def run_transient(engine):
     gather = engine.gather[:block]
     waves = np.empty(gather.shape)
     y = np.empty((block, win.shape[1]))
+    win[size:, :w] = engine.start_waves  # the history before t=0
     for c0 in range(0, steps, size):
         c = min(size, steps - c0)
-        drive[:c, :n] = drive_levels(engine.streams, dt * np.arange(c0, c0 + c), rate,
-                                     d.rise_s, d.v_low, d.v_high)
-        if c0 == 0:
-            # Start every line at the DC state of the t=0 drive so the
-            # startup transient is only the difference from that state
-            # (warmup still applies).
-            v0, i0 = engine.solve_dc(drive[0, :n])
-            for k, s in enumerate(engine.segments):
-                win[:pad, 2 * n * k:2 * n * k + n] = s.mi @ v0 + s.mvt @ i0
-                win[:pad, 2 * n * k + n:2 * n * (k + 1)] = s.mi @ v0 - s.mvt @ i0
-        else:
-            win[:pad] = win[size:]  # the history the window's steps read
+        whole = -(-c // block) * block  # whole blocks; steps past the run are discarded
+        win[:pad] = win[size:]  # the history the window's steps read
+        drive[:whole, :n] = drive_levels(engine.streams, dt * np.arange(c0, c0 + whole), rate,
+                                         d.rise_s, d.v_low, d.v_high)
         # The drive part of the window's steps, written into their rows; the
         # blocks add the wave part.
-        np.matmul(drive[:c], engine.step_s, out=win[pad:pad + c])
-        full = c - c % block
-        _step_blocks(win, pad, 0, full, engine.step_e, gather, waves, y)
-        if full < c:  # the last window ends in a short block
-            tail = c - full
-            _step_blocks(win, pad, full, c, engine.step_e, gather[:tail], waves[:tail], y[:tail])
+        np.matmul(drive[:whole], engine.step_s, out=win[pad:pad + whole])
+        _step_blocks(win, pad, whole, engine.step_e, gather, waves, y)
         finite = np.isfinite(win[pad:pad + c, w:w + n]).all(axis=1)
         if not finite.all():
             raise SimulationDivergedError(c0 + int(finite.argmin()), "receiver node voltages")
@@ -413,13 +412,13 @@ def _block_gather(i0, n, pad, block):
     return gather
 
 
-def _step_blocks(win, pad, start, stop, step_e, gather, waves, y):
-    """Add the wave part to window rows pad + start .. pad + stop - 1, a
-    block of len(gather) steps at a time; stop - start is whole blocks."""
+def _step_blocks(win, pad, stop, step_e, gather, waves, y):
+    """Add the wave part to window rows pad .. pad + stop - 1, a block of
+    len(gather) steps at a time; stop is whole blocks."""
     flat, row, block = win.reshape(-1), win.shape[1], gather.shape[0]
-    blocks = win[pad + start:pad + stop].reshape(-1, block, row)
+    blocks = win[pad:pad + stop].reshape(-1, block, row)
     dot, add = np.dot, np.add
-    for m, rows in zip(range(start * row, stop * row, block * row), blocks):
+    for m, rows in zip(range(0, stop * row, block * row), blocks):
         # "clip" fills waves in place; "raise" would buffer it on every block.
         # Every index was checked at build (_block_gather).
         flat[m:].take(gather, out=waves, mode="clip")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,9 @@ class StimulusSpec:
     streams: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.data_rate > 0.0:
-            raise ValidationError("data rate must be positive, got %r" % (self.data_rate,))
+        if not (self.data_rate > 0.0 and math.isfinite(self.data_rate)):
+            raise ValidationError("data rate must be finite and positive, got %r"
+                                  % (self.data_rate,))
         if self.mode not in PATTERN_MODES:
             raise ValidationError("unknown stimulus mode %r (expected one of %s)"
                                   % (self.mode, "/".join(PATTERN_MODES)))

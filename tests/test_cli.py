@@ -1,6 +1,7 @@
 """End-to-end command-line tests: flows, file outputs, and exit codes."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -328,15 +329,22 @@ def test_non_finite_voltage_flag_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_non_finite_network_vref_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("field, value, message", [
+    ("vref", math.nan, "network vref must be finite, got nan"),
+    ("duration_s", math.nan, "duration_s must be finite, got nan"),
+    ("duration_s", math.inf, "duration_s must be finite, got inf"),
+    ("data_rate", math.inf, "data rate must be finite and positive, got inf"),
+], ids=["vref", "duration-nan", "duration-inf", "data-rate-inf"])
+def test_non_finite_link_number_exit_2(tmp_path, capsys, field, value, message):
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
     raw["segments"][0]["bundle"] = fx("scalar.json")
     raw["termination"] = json.loads(Path(fx("50ohm-scalar.json")).read_text())
-    raw["termination"]["vref"] = float("nan")
+    owner = {"vref": raw["termination"], "duration_s": raw, "data_rate": raw["stimulus"]}[field]
+    owner[field] = value
     link = tmp_path / "link.json"
-    link.write_text(json.dumps(raw))  # json writes the value as NaN
+    link.write_text(json.dumps(raw))  # json writes the value as NaN or Infinity
     assert cli.main(["sim", "--link", str(link), "-o", str(tmp_path / "w.csv")]) == 2
-    assert "error: network vref must be finite, got nan" in capsys.readouterr().err
+    assert "error: " + message in capsys.readouterr().err
 
 
 def test_eye_wire_mismatch_exit_2(tmp_path):

@@ -112,7 +112,7 @@ def test_blocked_stepper_matches_per_step_reference(name):
     assert engine.block == block
     if name == "twelve":
         steps = int(round(engine.duration_s / engine.dt)) + 1
-        assert steps % block != 0  # the last block is a short one
+        assert steps % block != 0  # the last block steps past the run
     if name == "pair-breakout-1-step":
         assert engine.segments[0].frac.max() == 0.0
     if name == "pair-two-halves":
@@ -124,11 +124,11 @@ def test_blocked_stepper_matches_per_step_reference(name):
     assert np.max(np.abs(waves.source_currents - src_cur)) <= 1e-12
 
 
-def buffered_step_blocks(win, pad, start, stop, step_e, gather, waves, y):
+def buffered_step_blocks(win, pad, stop, step_e, gather, waves, y):
     """The block loop before its gathers were unbuffered: take's default
     mode="raise" and np.matmul."""
     flat, row, block = win.reshape(-1), win.shape[1], gather.shape[0]
-    for m in range(start, stop, block):
+    for m in range(0, stop, block):
         flat[m * row:].take(gather, out=waves)
         np.matmul(waves, step_e, out=y)
         rows = win[pad + m:pad + m + block]
@@ -138,13 +138,46 @@ def buffered_step_blocks(win, pad, start, stop, step_e, gather, waves, y):
 @pytest.mark.parametrize("name", sorted(_equivalence_links()))
 def test_blocked_stepper_bit_identical_to_buffered_loop(name, monkeypatch):
     """np.dot and the unbuffered gather change no bit: blocks of 1, 2 and
-    601 steps, and a short last block (twelve)."""
+    601 steps, and a last block past the run (twelve)."""
     engine = build_link(_equivalence_links()[name][0])
     waves = run_transient(engine)
     monkeypatch.setattr(mtlsim, "_step_blocks", buffered_step_blocks)
     ref = run_transient(engine)
     assert np.array_equal(waves.volts, ref.volts)
     assert np.array_equal(waves.source_currents, ref.source_currents)
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_links()))
+def test_window_size_changes_no_bit(name, monkeypatch):
+    """Windows of one pad (_WINDOW_STEPS 1), a few blocks and the whole run
+    step the same rows: a window only moves where history is copied."""
+    engine = build_link(_equivalence_links()[name][0])
+    waves = run_transient(engine)
+    for steps in (1, 7, 65536):
+        monkeypatch.setattr(mtlsim, "_WINDOW_STEPS", steps)
+        if steps == 65536:
+            assert engine.window_steps() >= engine.steps  # one window
+        ref = run_transient(engine)
+        assert np.array_equal(waves.volts, ref.volts)
+        assert np.array_equal(waves.source_currents, ref.source_currents)
+
+
+@pytest.mark.parametrize("rs", [0.0, 1.67])
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
+def test_matched_link_is_a_resistor_to_its_driver(name, rs):
+    """A termination of Zc^-1 absorbs every mode, so the line's input is Yc at
+    every frequency and the source current at every sample is
+    (I + Yc Rs)^-1 Yc (e - vref), with no delay and no interpolation."""
+    spec = load_link(FIXTURES / ("link-%s.json" % name))
+    spec = replace(spec, drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
+    engine = build_link(spec)
+    waves = run_transient(engine)
+    d = spec.drivers
+    e = drive_levels(engine.streams, waves.times(), spec.stimulus.data_rate, d.rise_s,
+                     d.v_low, d.v_high).T
+    yc = engine.segments[0].yc
+    pred = np.linalg.solve(np.eye(engine.n) + yc * rs, yc @ (e - engine.vref))
+    assert np.max(np.abs(waves.source_currents - pred)) <= 1e-11 * np.max(np.abs(pred))
 
 
 def test_gather_outside_a_blocks_rows_is_refused():
@@ -459,6 +492,11 @@ def test_timestep_and_duration_validation():
     with pytest.raises(ValidationError):
         build_link(simple_link(scalar_bundle(), fifty_ohm_network(1),
                                duration_s=1e-12))
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="duration_s must be finite, got %s"
+                                                  % duration):
+            build_link(simple_link(scalar_bundle(), fifty_ohm_network(1),
+                                   duration_s=duration))
     with pytest.raises(ValidationError):
         Segment(bundle=scalar_bundle(), length_m=0.0)
     with pytest.raises(ValidationError):

@@ -156,6 +156,8 @@ def test_pattern_explicit_streams():
 def test_stimulus_spec_validation():
     with pytest.raises(ValidationError):
         StimulusSpec(data_rate=0.0)
+    with pytest.raises(ValidationError, match="data rate must be finite and positive, got inf"):
+        StimulusSpec(data_rate=float("inf"))
     with pytest.raises(ValidationError):
         StimulusSpec(data_rate=16e9, mode="typical")
     assert StimulusSpec(data_rate=16e9).unit_interval == pytest.approx(62.5e-12)
