@@ -1,10 +1,10 @@
 """Print the SHA-256 of every file the CLI writes for the shipped fixtures.
 
-Runs each command (synth with --zc/--histogram, synth reduction, fom with
---codes and sampled with --samples, sim, eye with --svg/--folded, and sweep
-in all three modes) on
-fixtures/ into a temporary directory and prints one "sha256  name" line per
-output file.  Two checkouts whose outputs are byte-identical print the same
+Runs each command (synth with --zc/--histogram, synth reduction of a network
+and of a bundle, fom with --codes, from a network and sampled with --samples,
+sim, eye with --svg/--folded, and sweep in all three modes) on fixtures/ into
+a temporary directory and prints one "sha256  name" line per output file.
+Two checkouts whose outputs are byte-identical print the same
 lines, so a refactor of the output layer can be checked with diff:
 
     python3 scripts/output_digests.py > after.txt
@@ -33,10 +33,14 @@ def commands():
                      ["synth-%s.json" % name, "zc-%s.json" % name, "hist-%s.csv" % name]))
     runs.append((["synth", "--net", "@twelve-network.json", "--cutoff-self", "500",
                   "-o", "reduced-twelve.json"], ["reduced-twelve.json"]))
+    runs.append((["synth", "--lc", "@twelve.json", "--cutoff-self", "300", "--cutoff-cross", "600",
+                  "-o", "reduced-lc-twelve.json"], ["reduced-lc-twelve.json"]))
     for name in ("pair", "twelve"):
         runs.append((["fom", "--lc", "@%s.json" % name, "-o", "fom-%s.json" % name,
                       "--codes", "codes-%s.csv" % name],
                      ["fom-%s.json" % name, "codes-%s.csv" % name]))
+    runs.append((["fom", "--network", "@twelve-network.json", "-o", "fom-net-twelve.json"],
+                 ["fom-net-twelve.json"]))
     runs.append((["fom", "--lc", "@twelve.json", "--samples", "5000", "--seed", "3",
                   "-o", "fom-sampled-twelve.json"], ["fom-sampled-twelve.json"]))
     for name in ("scalar", "pair", "twelve"):

@@ -16,15 +16,13 @@ from .errors import (DegenerateStreamError, EnumerationCapError,
                      NonRealizableCouplingError, SimulationDivergedError,
                      ValidationError, XtcancelError)
 from .eye import EyeReport, WireEye, eye_measure, render_eye_svg, write_eye_json
-from .fom import (ENUMERATION_CAP, FomReport, SampledFomReport, bundle_fom,
-                  bundle_fom_sampled, code_table)
+from .fom import ENUMERATION_CAP, FomReport, bundle_fom, bundle_fom_sampled, code_table
 from .mtlsim import (DriverBank, LinkSpec, Segment, Waveforms, build_link,
                      link_from_dict, load_link, run_transient)
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, prbs
-from .termination import (ReductionPolicy, Resistor, TerminationNetwork,
-                          conductance_histogram, floating_wires, load_network,
-                          network_admittance, realize_network, reduce_network,
-                          save_network)
+from .termination import (Resistor, TerminationNetwork, conductance_histogram,
+                          floating_wires, load_network, network_admittance,
+                          realize_network, reduce_network, save_network)
 
 __version__ = "0.1.0"
 
@@ -36,13 +34,12 @@ __all__ = [
     "NonPhysicalBundleError", "NonRealizableCouplingError",
     "SimulationDivergedError", "ValidationError", "XtcancelError",
     "EyeReport", "WireEye", "eye_measure", "render_eye_svg", "write_eye_json",
-    "ENUMERATION_CAP", "FomReport", "SampledFomReport",
-    "bundle_fom", "bundle_fom_sampled", "code_table",
+    "ENUMERATION_CAP", "FomReport", "bundle_fom", "bundle_fom_sampled", "code_table",
     "DriverBank", "LinkSpec", "Segment", "Waveforms", "build_link",
     "link_from_dict", "load_link", "run_transient",
     "StimulusSpec", "drive_levels", "pattern_assign", "prbs",
-    "ReductionPolicy", "Resistor", "TerminationNetwork", "conductance_histogram",
-    "floating_wires", "load_network", "network_admittance", "realize_network",
-    "reduce_network", "save_network",
+    "Resistor", "TerminationNetwork", "conductance_histogram", "floating_wires",
+    "load_network", "network_admittance", "realize_network", "reduce_network",
+    "save_network",
     "__version__",
 ]

@@ -246,7 +246,7 @@ def _number_rows(rows, what):
 
 
 def bundle_from_dict(raw):
-    raw = document(raw, "bundle document", ("n", "L", "C"))
+    raw = document(raw, "bundle document", ("n", "L", "C"), ("name",))
     _number_rows(raw["L"], "inductance matrix")
     _number_rows(raw["C"], "capacitance matrix")
     bundle = CouplingMatrices.from_arrays(raw["L"], raw["C"], name=raw.get("name", ""))

@@ -33,9 +33,9 @@ from .fom import (REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
 from .mtlsim import (LINK_SCHEMA_VERSION, Segment, build_link, load_link, read_waveform_csv,
                      run_transient, waveform_read_bytes, with_stimulus_seed,
                      write_waveform_csv)
-from .termination import (NETWORK_SCHEMA_VERSION, ReductionPolicy,
-                          load_network, network_admittance, realize_network,
-                          reduce_network, save_network, write_histogram_csv)
+from .termination import (NETWORK_SCHEMA_VERSION, load_network, network_admittance,
+                          realize_network, reduce_network, save_network,
+                          write_histogram_csv)
 from .textio import write_csv, write_json
 
 _VERSION_TEXT = ("xtcancel %s (schemas: bundle %d, network %d, report %d, link %d, eye %d)"
@@ -47,19 +47,9 @@ def _info(msg):
     print(msg, file=sys.stderr)
 
 
-def _reduction_policy(args):
-    """Resolve --cutoff-self/--cutoff-cross into a policy, or None."""
-    if args.cutoff_self is None and args.cutoff_cross is None:
-        return None
-    if args.cutoff_self is None:
-        raise ValidationError("--cutoff-cross requires --cutoff-self")
-    if args.cutoff_cross is None:
-        return ReductionPolicy.recommended(args.cutoff_self)
-    return ReductionPolicy(self_cutoff=args.cutoff_self, cross_cutoff=args.cutoff_cross)
-
-
 def cmd_synth(args):
-    policy = _reduction_policy(args)
+    if args.cutoff_cross is not None and args.cutoff_self is None:  # before any file is read
+        raise ValidationError("--cutoff-cross requires --cutoff-self")
     if args.net is not None:
         if args.lc is not None:
             raise ValidationError("pass either --lc or --net, not both")
@@ -76,8 +66,8 @@ def cmd_synth(args):
         net = realize_network(basis.zc, vref=0.5 if args.vref is None else args.vref)
         if args.zc:
             write_json(args.zc, {"n": basis.zc.shape[0], "zc": basis.zc.tolist()})
-    if policy is not None:
-        net = reduce_network(net, policy)
+    if args.cutoff_self is not None:
+        net = reduce_network(net, args.cutoff_self, args.cutoff_cross)
     save_network(net, args.output)
     if args.histogram:
         write_histogram_csv(net, args.histogram)
@@ -219,8 +209,7 @@ def _sweep_point(spec, mode, value):
         net = realize_network(basis.zc, vref=spec.termination.vref)
         if value is None:
             return float("inf"), replace(spec, termination=net)
-        policy = ReductionPolicy(self_cutoff=value[0], cross_cutoff=value[1])
-        return float(value[0]), replace(spec, termination=reduce_network(net, policy))
+        return float(value[0]), replace(spec, termination=reduce_network(net, *value))
     # uncoupled: plain 50 ohm breakout segments of the given length, both ends
     length = float(value)
     if length == 0.0:

@@ -2,9 +2,10 @@
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError.
-document(), number() and integer() read an input document: a field must hold
-a JSON number, so a bool or a quoted number is rejected (RFC 8259), and
-converted() turns any other malformed value into a ValidationError.
+document(), number() and integer() read an input document: a document holds
+only the fields its reader knows, a field must hold a JSON number, so a bool
+or a quoted number is rejected (RFC 8259), and converted() turns any other
+malformed value into a ValidationError.
 check_memory() refuses, before allocating, any run (the stepper, eye, sampled
 figures of merit) that would hold more than MEMORY_BUDGET_BYTES.
 """
@@ -93,14 +94,18 @@ def converted(convert, value, field):
         raise ValidationError("bad %s: %s" % (field, exc)) from None
 
 
-def document(raw, what, required=()):
-    """raw when it is a JSON object holding every key in required; otherwise
-    ValidationError naming what and the missing keys."""
+def document(raw, what, required=(), optional=()):
+    """raw when it is a JSON object holding every key in required and no key
+    outside required and optional; otherwise ValidationError naming what and
+    the missing or unknown keys (a misspelt key would otherwise be ignored)."""
     if not isinstance(raw, dict):
         raise ValidationError("%s must be a JSON object" % what)
     missing = [k for k in required if k not in raw]
     if missing:
         raise ValidationError("%s missing field(s): %s" % (what, ", ".join(missing)))
+    unknown = [k for k in raw if k not in required and k not in optional]
+    if unknown:
+        raise ValidationError("%s has unknown field(s): %s" % (what, ", ".join(unknown)))
     return raw
 
 

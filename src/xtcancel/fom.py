@@ -35,37 +35,22 @@ _SAMPLE_ROWS = 1 << 10
 
 @dataclass(frozen=True)
 class FomReport:
+    """The figures of merit, exact or sampled.  A sampled report (samples is
+    not None) adds the standard errors of the two averages and the seed, and
+    its maxima are sample maxima, lower bounds on the true ones."""
+
     avg_bundle_current: float  # A, mean over codes of |sum of wire currents|
     max_bundle_current: float  # A
     max_wire_current: float    # A, worst single wire over all codes
     avg_power: float           # W, mean over codes of (v-vref)^T Y (v-vref)
     n_codes: int
+    avg_bundle_current_stderr: float | None = None
+    avg_power_stderr: float | None = None
+    samples: int | None = None
+    seed: int | None = None
 
     def to_dict(self):
-        return {
-            "avg_bundle_current_a": self.avg_bundle_current,
-            "max_bundle_current_a": self.max_bundle_current,
-            "max_wire_current_a": self.max_wire_current,
-            "avg_power_w": self.avg_power,
-            "n_codes": self.n_codes,
-            "sampled": False,
-        }
-
-
-@dataclass(frozen=True)
-class SampledFomReport:
-    avg_bundle_current: float
-    avg_bundle_current_stderr: float
-    max_bundle_current: float  # sample maximum (lower bound on the true max)
-    max_wire_current: float
-    avg_power: float
-    avg_power_stderr: float
-    n_codes: int
-    samples: int
-    seed: int
-
-    def to_dict(self):
-        return {
+        out = {
             "avg_bundle_current_a": self.avg_bundle_current,
             "avg_bundle_current_stderr_a": self.avg_bundle_current_stderr,
             "max_bundle_current_a": self.max_bundle_current,
@@ -75,8 +60,10 @@ class SampledFomReport:
             "n_codes": self.n_codes,
             "samples": self.samples,
             "seed": self.seed,
-            "sampled": True,
         }
+        out = {k: v for k, v in out.items() if v is not None}
+        out["sampled"] = self.samples is not None
+        return out
 
 
 def _code_sums(c, a, b):
@@ -188,14 +175,14 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
         x.sum(axis=1, out=power[start:start + count])
         max_wire = max(max_wire, float(cur.max()), -float(cur.min()))
     k = float(samples)
-    return SampledFomReport(
+    return FomReport(
         avg_bundle_current=float(bundle.mean()),
-        avg_bundle_current_stderr=float(bundle.std(ddof=1) / math.sqrt(k)),
         max_bundle_current=float(bundle.max()),
         max_wire_current=max_wire,
         avg_power=float(power.mean()),
-        avg_power_stderr=float(power.std(ddof=1) / math.sqrt(k)),
         n_codes=1 << n,
+        avg_bundle_current_stderr=float(bundle.std(ddof=1) / math.sqrt(k)),
+        avg_power_stderr=float(power.std(ddof=1) / math.sqrt(k)),
         samples=samples,
         seed=seed,
     )

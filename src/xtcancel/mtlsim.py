@@ -518,7 +518,8 @@ def link_from_dict(raw, base_dir="."):
     "bundle" and "termination" entries may be inline objects or paths
     relative to the link file's directory.
     """
-    raw = document(raw, "link document", ("segments", "drivers", "termination", "stimulus"))
+    raw = document(raw, "link document", ("segments", "drivers", "termination", "stimulus"),
+                   ("timestep_s", "duration_s"))
     if not isinstance(raw["segments"], list) or not raw["segments"]:
         raise ValidationError("link needs a non-empty segments list")
     segments = []
@@ -529,7 +530,7 @@ def link_from_dict(raw, base_dir="."):
                   else bundle_from_dict(ref))
         segments.append(Segment(bundle=bundle, length_m=number(entry["length_m"], "length_m")))
 
-    drv = document(raw["drivers"], "drivers")
+    drv = document(raw["drivers"], "drivers", (), ("rs_ohms", "v_low", "v_high", "rise_s"))
     rs = drv.get("rs_ohms", 0.0)
     rs_ohms = (tuple(number(r, "rs_ohms") for r in rs) if isinstance(rs, (list, tuple))
                else (number(rs, "rs_ohms"),) * segments[0].bundle.n)
@@ -542,7 +543,8 @@ def link_from_dict(raw, base_dir="."):
     termination = (load_network(os.path.join(base_dir, ref)) if isinstance(ref, str)
                    else network_from_dict(ref))
 
-    stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",))
+    stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",),
+                        ("prbs_order", "seed", "mode", "invert_mask", "offsets", "streams"))
     stimulus = StimulusSpec(
         data_rate=number(stim_raw["data_rate"], "data_rate"),
         prbs_order=integer(stim_raw.get("prbs_order", 7), "prbs_order"),

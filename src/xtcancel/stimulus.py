@@ -77,7 +77,8 @@ class StimulusSpec:
                 (pseudo-odd excitation)
       random -- wire k starts 17*k bits into the period (decorrelated)
     invert_mask / offsets override the mode defaults wire-by-wire, and
-    streams replaces PRBS generation entirely with explicit bit rows.
+    streams replaces PRBS generation entirely with explicit bit rows, so it
+    refuses a seed, offsets or invert_mask.
     """
 
     data_rate: float               # bit/s
@@ -95,6 +96,11 @@ class StimulusSpec:
         if self.mode not in PATTERN_MODES:
             raise ValidationError("unknown stimulus mode %r (expected one of %s)"
                                   % (self.mode, "/".join(PATTERN_MODES)))
+        if self.streams is not None:
+            ignored = [k for k in ("seed", "offsets", "invert_mask") if getattr(self, k) is not None]
+            if ignored:
+                raise ValidationError("explicit streams replace the PRBS; drop %s"
+                                      % ", ".join(ignored))
 
     @property
     def unit_interval(self):

@@ -41,20 +41,6 @@ class Resistor:
 
 
 @dataclass(frozen=True)
-class ReductionPolicy:
-    """Keep self elements <= self_cutoff and cross elements <= cross_cutoff (ohms)."""
-
-    self_cutoff: float
-    cross_cutoff: float
-
-    @classmethod
-    def recommended(cls, self_cutoff):
-        # A cross resistor carries roughly half the current of a self resistor
-        # of equal value, so the customary pairing doubles the cross cutoff.
-        return cls(self_cutoff=self_cutoff, cross_cutoff=2.0 * self_cutoff)
-
-
-@dataclass(frozen=True)
 class TerminationNetwork:
     """A bag of resistors tying an n-wire bus to a reference supply."""
 
@@ -156,17 +142,21 @@ def self_conductances(net):
     return s
 
 
-def reduce_network(net, policy):
-    """Drop elements above the policy cutoffs (inclusive keeps <= cutoff).
+def reduce_network(net, self_cutoff, cross_cutoff=None):
+    """Drop self elements above self_cutoff and cross elements above
+    cross_cutoff, in ohms (inclusive: an element at its cutoff is kept), and
+    warn about the wires this leaves floating.
 
-    Raises IsolatedWireError if any wire would lose every element.
+    A cross resistor carries roughly half the current of a self resistor of
+    equal value, so cross_cutoff defaults to twice self_cutoff.  Raises
+    IsolatedWireError if any wire would lose every element.
     """
-    if not (policy.self_cutoff > 0.0 and policy.cross_cutoff > 0.0):
+    if cross_cutoff is None:
+        cross_cutoff = 2.0 * self_cutoff
+    if not (self_cutoff > 0.0 and cross_cutoff > 0.0):
         raise ValidationError("cutoffs must be positive")
-    kept = tuple(
-        el for el in net.elements
-        if el.ohms <= (policy.self_cutoff if el.kind == "self" else policy.cross_cutoff)
-    )
+    kept = tuple(el for el in net.elements
+                 if el.ohms <= (self_cutoff if el.kind == "self" else cross_cutoff))
     touched = set()
     for el in kept:
         touched.add(el.i)
@@ -175,7 +165,7 @@ def reduce_network(net, policy):
     isolated = [w for w in range(1, net.n + 1) if w not in touched]
     if isolated:
         raise IsolatedWireError(isolated)
-    return TerminationNetwork(n=net.n, vref=net.vref, elements=kept)
+    return _warn_floating(TerminationNetwork(n=net.n, vref=net.vref, elements=kept))
 
 
 def _warn_floating(net):
@@ -246,7 +236,7 @@ def network_from_dict(raw):
         raise ValidationError("network elements must be a list")
     elements = []
     for e in raw["elements"]:
-        e = document(e, "network element", ("kind", "i", "ohms"))
+        e = document(e, "network element", ("kind", "i", "ohms"), ("j",))
         elements.append(Resistor(kind=e["kind"], i=integer(e["i"], "i"),
                                  j=None if e.get("j") is None else integer(e["j"], "j"),
                                  ohms=number(e["ohms"], "ohms")))

@@ -123,6 +123,23 @@ def non_realizable_bundle(name="inductive-chain"):
     return CouplingMatrices.from_arrays(ell, cap, name=name)
 
 
+def graded_bundles(trials=27, seed=29):
+    """(Y, bundle) pairs whose wire scales span six decades.  Y is a seeded
+    Maxwellian M-matrix admittance and the bundle's impedance is Y^-1,
+    homogeneous at 1.5e8 m/s; trial k has 4 + k % 9 wires."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        n = 4 + trial % 9
+        d = np.logspace(0.0, 6.0, n)
+        g = np.sqrt(np.outer(d, d)) * (0.1 + rng.random((n, n)))
+        g = 0.5 * (g + g.T)
+        np.fill_diagonal(g, 0.0)
+        y = (np.diag(g.sum(axis=1) + d * (0.5 + rng.random(n))) - g) * 1e-6
+        out.append((y, lc_from_impedance(np.linalg.inv(y), 1.5e8)))
+    return out
+
+
 def fifty_ohm_network(n, vref=0.5, ohms=50.0):
     """Conventional termination: one resistor to the reference per wire."""
     elements = tuple(Resistor(kind="self", i=k + 1, j=None, ohms=float(ohms))

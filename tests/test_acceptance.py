@@ -21,8 +21,7 @@ from xtcancel.eye import eye_measure
 from xtcancel.fom import bundle_fom, code_table
 from xtcancel.mtlsim import LinkSpec, Segment, build_link, run_transient
 from xtcancel.stimulus import prbs
-from xtcancel.termination import (ReductionPolicy, network_admittance,
-                                  realize_network, reduce_network)
+from xtcancel.termination import network_admittance, realize_network, reduce_network
 
 UI = 62.5e-12  # 16 Gb/s
 
@@ -56,8 +55,8 @@ def _twelve_network(key):
         _TWELVE_NETS.update({
             "50ohm": fifty_ohm_network(12),
             "full": full,
-            "red1": reduce_network(full, ReductionPolicy(500.0, 1000.0)),
-            "red2": reduce_network(full, ReductionPolicy(300.0, 600.0)),
+            "red1": reduce_network(full, 500.0, 1000.0),
+            "red2": reduce_network(full, 300.0, 600.0),
         })
     return _TWELVE_NETS[key]
 
@@ -134,9 +133,9 @@ def test_accept_02_pair_network_and_cancellation(capsys):
 
 def test_accept_03_reference_network_reduction(capsys):
     table = reference_termination()
-    keep_all = reduce_network(table, ReductionPolicy(60000.0, 120000.0))
-    red1 = reduce_network(table, ReductionPolicy(500.0, 1000.0))
-    red2 = reduce_network(table, ReductionPolicy(300.0, 600.0))
+    keep_all = reduce_network(table, 60000.0, 120000.0)
+    red1 = reduce_network(table, 500.0, 1000.0)
+    red2 = reduce_network(table, 300.0, 600.0)
     selfs = sorted((el for el in table.elements if el.kind == "self"),
                    key=lambda el: el.ohms)
     lowest = selfs[:4]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_bundle, realizable_admittance
-from designs import (fixture_bundles, pair_bundle, scalar_bundle, six_wire_bundle,
-                     twelve_wire_bundle)
+from designs import (fixture_bundles, graded_bundles, pair_bundle, scalar_bundle,
+                     six_wire_bundle, twelve_wire_bundle)
 from xtcancel.bundle import (DEFAULT_VELOCITY, CouplingMatrices, SPEED_OF_LIGHT,
                              bundle_from_dict, characteristic_impedance, lc_from_impedance,
                              load_bundle, save_bundle, spd_inverse, symmetric_eig)
@@ -79,15 +79,7 @@ def test_graded_bundle_accuracy():
     # relative accuracy (Demmel & Veselic 1992) would matter.  The admittance
     # is a Maxwellian M-matrix, so its impedance must round-trip through the
     # decomposition and the realized network entry by entry.
-    rng = np.random.default_rng(29)
-    for trial in range(27):
-        n = 4 + trial % 9
-        d = np.logspace(0.0, 6.0, n)
-        g = np.sqrt(np.outer(d, d)) * (0.1 + rng.random((n, n)))
-        g = 0.5 * (g + g.T)
-        np.fill_diagonal(g, 0.0)
-        y = (np.diag(g.sum(axis=1) + d * (0.5 + rng.random(n))) - g) * 1e-6
-        b = lc_from_impedance(np.linalg.inv(y), 1.5e8)
+    for y, b in graded_bundles():
         zc = characteristic_impedance(b)[0].zc
         assert np.abs(zc @ b.C @ zc - b.L).max() <= 1e-12 * np.abs(b.L).max()
         back = network_admittance(realize_network(zc))
@@ -260,6 +252,8 @@ def test_bundle_from_dict_errors():
                           "C": [[True, -1e-11], [-1e-11, 1e-10]]})
     with pytest.raises(ValidationError, match="bad inductance matrix: '2.5e-7' is not a number"):
         bundle_from_dict({"n": 1, "L": [["2.5e-7"]], "C": [[1e-10]]})
+    with pytest.raises(ValidationError, match=r"bundle document has unknown field\(s\): nmae$"):
+        bundle_from_dict({"n": 1, "L": [[2.5e-7]], "C": [[1e-10]], "nmae": "s"})
 
 
 def test_pipeline_determinism():

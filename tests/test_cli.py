@@ -57,7 +57,7 @@ def test_synth_reduce_existing_network(tmp_path):
     assert cli.main(["synth", "--net", str(src), "--cutoff-self", "500",
                      "--cutoff-cross", "1000", "-o", str(explicit)]) == 0
     assert len(load_network(explicit).elements) == 33
-    # omitting --cutoff-cross applies the recommended doubled value
+    # omitting --cutoff-cross doubles the self cutoff
     assert cli.main(["synth", "--net", str(src), "--cutoff-self", "500",
                      "-o", str(implied)]) == 0
     assert implied.read_bytes() == explicit.read_bytes()
@@ -345,6 +345,36 @@ def test_non_finite_link_number_exit_2(tmp_path, capsys, field, value, message):
     link.write_text(json.dumps(raw))  # json writes the value as NaN or Infinity
     assert cli.main(["sim", "--link", str(link), "-o", str(tmp_path / "w.csv")]) == 2
     assert "error: " + message in capsys.readouterr().err
+
+
+def _scalar_link(tmp_path, raw):
+    raw["segments"][0]["bundle"] = fx("scalar.json")
+    raw["termination"] = fx("50ohm-scalar.json")
+    link = tmp_path / "link.json"
+    link.write_text(json.dumps(raw))
+    return str(link)
+
+
+def test_misspelt_link_field_exit_2(tmp_path, capsys):
+    """A link whose misspelt keys were ignored ran PRBS7 through 0 ohm drivers."""
+    raw = json.loads(Path(fx("link-scalar.json")).read_text())
+    del raw["drivers"]["rs_ohms"]
+    raw["drivers"]["rs_ohm"] = 50
+    raw["stimulus"]["prbs_ordr"] = 9
+    waves = tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", _scalar_link(tmp_path, raw), "-o", str(waves)]) == 2
+    assert "error: drivers has unknown field(s): rs_ohm" in capsys.readouterr().err
+    assert not waves.exists()
+
+
+def test_seed_on_explicit_streams_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(fx("link-scalar.json")).read_text())
+    raw["stimulus"]["streams"] = [[0, 1, 1, 0, 1]]
+    link = _scalar_link(tmp_path, raw)
+    waves = tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
+    assert cli.main(["sim", "--link", link, "--seed", "9", "-o", str(waves)]) == 2
+    assert "error: explicit streams replace the PRBS; drop seed" in capsys.readouterr().err
 
 
 def test_eye_wire_mismatch_exit_2(tmp_path):

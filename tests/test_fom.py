@@ -340,3 +340,20 @@ def test_csv_and_json_outputs(tmp_path):
     assert data["max_wire_current_a"] == pytest.approx(12.5e-3, rel=1e-12)
     assert set(data) >= {"avg_bundle_current_a", "max_bundle_current_a",
                          "avg_power_w", "n_codes", "sampled"}
+
+
+def test_report_documents_key_order(tmp_path):
+    """One report type writes both documents; the exact one leaves out the
+    fields only sampling has, and neither document's keys move."""
+    path = tmp_path / "rep.json"
+    write_report_json(bundle_fom(PAIR_Y), path)
+    assert list(json.loads(path.read_text())) == [
+        "avg_bundle_current_a", "max_bundle_current_a", "max_wire_current_a", "avg_power_w",
+        "n_codes", "sampled"]
+    write_report_json(bundle_fom_sampled(PAIR_Y, samples=100, seed=5), path)
+    data = json.loads(path.read_text())
+    assert list(data) == [
+        "avg_bundle_current_a", "avg_bundle_current_stderr_a", "max_bundle_current_a",
+        "max_wire_current_a", "avg_power_w", "avg_power_stderr_w", "n_codes", "samples",
+        "seed", "sampled"]
+    assert (data["samples"], data["seed"], data["sampled"]) == (100, 5, True)

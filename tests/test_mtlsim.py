@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from designs import fifty_ohm_network, pair_bundle, scalar_bundle, simple_link
+from designs import (FOUR_INCHES_M, fifty_ohm_network, graded_bundles, pair_bundle,
+                     scalar_bundle, simple_link)
 from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel import mtlsim
@@ -162,13 +163,29 @@ def test_window_size_changes_no_bit(name, monkeypatch):
         assert np.array_equal(waves.source_currents, ref.source_currents)
 
 
+def graded_link(name):
+    """The link "graded<k>": trial k of graded_bundles() through
+    realize_network, at PRBS5 on one segment.  "graded<k>-split" splits the
+    segment at 37 %/63 %, a junction of equal segments that reflects nothing."""
+    trial, _, split = name[len("graded"):].partition("-")
+    bundle = graded_bundles()[int(trial)][1]
+    spec = simple_link(bundle, realize_network(characteristic_impedance(bundle)[0].zc),
+                       mode="random", prbs_order=5)
+    if split:
+        spec = replace(spec, segments=tuple(Segment(bundle=bundle, length_m=f * FOUR_INCHES_M)
+                                            for f in (0.37, 0.63)))
+    return spec
+
+
 @pytest.mark.parametrize("rs", [0.0, 1.67])
-@pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar"] + [
+    "graded%d%s" % (k, split) for k in range(0, 27, 3) for split in ("", "-split")])
 def test_matched_link_is_a_resistor_to_its_driver(name, rs):
     """A termination of Zc^-1 absorbs every mode, so the line's input is Yc at
     every frequency and the source current at every sample is
     (I + Yc Rs)^-1 Yc (e - vref), with no delay and no interpolation."""
-    spec = load_link(FIXTURES / ("link-%s.json" % name))
+    spec = (graded_link(name) if name.startswith("graded")
+            else load_link(FIXTURES / ("link-%s.json" % name)))
     spec = replace(spec, drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
     engine = build_link(spec)
     waves = run_transient(engine)
@@ -665,6 +682,17 @@ def test_link_json_loading(tmp_path):
                "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}
         (doc["segments"][0] if part == "segment" else doc[part])[key] = value
         with pytest.raises(ValidationError, match="bad %s" % key):
+            link_from_dict(doc)
+    # a misspelt key is refused, not ignored
+    for part, key in (("link document", "duraton_s"), ("segment", "lenght_m"),
+                      ("drivers", "rs_ohm"), ("stimulus", "prbs_ordr")):
+        doc = {"segments": [{"bundle": {"n": 1, "L": [[2.5e-7]], "C": [[1e-10]]},
+                             "length_m": 0.1}],
+               "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}
+        owner = (doc if part == "link document" else doc["segments"][0] if part == "segment"
+                 else doc[part])
+        owner[key] = 9
+        with pytest.raises(ValidationError, match=r"%s has unknown field\(s\): %s$" % (part, key)):
             link_from_dict(doc)
 
 

@@ -160,6 +160,14 @@ def test_stimulus_spec_validation():
         StimulusSpec(data_rate=float("inf"))
     with pytest.raises(ValidationError):
         StimulusSpec(data_rate=16e9, mode="typical")
+    # explicit streams replace the PRBS, so what would shape it is refused
+    streams = ((0, 1, 1),)
+    for field, value in (("seed", 5), ("offsets", (3,)), ("invert_mask", (1,))):
+        with pytest.raises(ValidationError,
+                           match="explicit streams replace the PRBS; drop %s$" % field):
+            StimulusSpec(data_rate=16e9, streams=streams, **{field: value})
+    with pytest.raises(ValidationError, match="drop seed, offsets, invert_mask$"):
+        StimulusSpec(data_rate=16e9, streams=streams, seed=5, offsets=(3,), invert_mask=(1,))
     assert StimulusSpec(data_rate=16e9).unit_interval == pytest.approx(62.5e-12)
 
 

@@ -13,7 +13,7 @@ from designs import (fixture_bundles, fixture_networks, non_realizable_bundle, p
 from xtcancel.bundle import characteristic_impedance, spd_inverse
 from xtcancel.errors import (IsolatedWireError, NonRealizableCouplingError,
                              ValidationError)
-from xtcancel.termination import (ReductionPolicy, Resistor, TerminationNetwork,
+from xtcancel.termination import (Resistor, TerminationNetwork,
                                   conductance_histogram, floating_wires,
                                   load_network, network_admittance,
                                   network_from_dict, realize_network,
@@ -118,9 +118,9 @@ def test_reference_table_counts():
 
 def test_reference_reduction_counts():
     net = reference_termination()
-    assert len(reduce_network(net, ReductionPolicy(60e3, 120e3)).elements) == 66
-    assert len(reduce_network(net, ReductionPolicy(500.0, 1000.0)).elements) == 33
-    assert len(reduce_network(net, ReductionPolicy(300.0, 600.0)).elements) == 26
+    assert len(reduce_network(net, 60e3, 120e3).elements) == 66
+    assert len(reduce_network(net, 500.0, 1000.0).elements) == 33
+    assert len(reduce_network(net, 300.0, 600.0).elements) == 26
 
 
 def test_reference_smallest_selfs_on_edge_wires():
@@ -139,9 +139,9 @@ def test_reduce_inclusive_and_monotone():
                 Resistor(kind="cross", i=1, j=2, ohms=200.0))
     net = TerminationNetwork(n=2, vref=0.5, elements=elements)
     # cutoffs exactly at the values keep the elements (inclusive comparison)
-    kept = reduce_network(net, ReductionPolicy(self_cutoff=300.0, cross_cutoff=200.0))
+    kept = reduce_network(net, 300.0, 200.0)
     assert len(kept.elements) == 3
-    tighter = reduce_network(net, ReductionPolicy(self_cutoff=100.0, cross_cutoff=200.0))
+    tighter = reduce_network(net, 100.0, 200.0)
     assert len(tighter.elements) == 2
     kept_keys = {(el.kind, el.i, el.j) for el in tighter.elements}
     assert kept_keys <= {(el.kind, el.i, el.j) for el in kept.elements}
@@ -151,12 +151,28 @@ def test_reduce_isolation_error():
     basis, _ = characteristic_impedance(pair_bundle())
     net = realize_network(basis.zc)
     with pytest.raises(IsolatedWireError):
-        reduce_network(net, ReductionPolicy(self_cutoff=1.0, cross_cutoff=2.0))
+        reduce_network(net, 1.0, 2.0)
 
 
-def test_recommended_policy():
-    p = ReductionPolicy.recommended(500.0)
-    assert p.self_cutoff == 500.0 and p.cross_cutoff == 1000.0
+def test_cross_cutoff_defaults_to_twice_self():
+    table = reference_termination()
+    assert reduce_network(table, 500.0) == reduce_network(table, 500.0, 1000.0)
+    net = TerminationNetwork(n=2, vref=0.5, elements=(
+        Resistor(kind="self", i=1, j=None, ohms=100.0),
+        Resistor(kind="self", i=2, j=None, ohms=100.0),
+        Resistor(kind="cross", i=1, j=2, ohms=1000.0)))
+    assert reduce_network(net, 500.0) == net
+    assert reduce_network(net, 499.0).elements == net.elements[:2]
+
+
+def test_reduce_warns_about_floating_wires():
+    net = TerminationNetwork(n=3, vref=0.5, elements=(
+        Resistor(kind="self", i=1, j=None, ohms=50.0),
+        Resistor(kind="self", i=2, j=None, ohms=900.0),
+        Resistor(kind="cross", i=2, j=3, ohms=100.0)))
+    with pytest.warns(UserWarning, match=r"wire\(s\) 2, 3 float relative to the reference supply"):
+        kept = reduce_network(net, 500.0, 1000.0)
+    assert floating_wires(kept) == (2, 3)
 
 
 def test_network_validation():
@@ -257,7 +273,13 @@ def test_network_from_dict_errors():
                        ({"n": 1, "vref": 0.5, "elements": [5]},
                         "network element must be a JSON object"),
                        ({"n": 1, "vref": 0.5, "elements": [{"i": 1, "ohms": 50.0}]},
-                        r"network element missing field\(s\): kind")):
+                        r"network element missing field\(s\): kind"),
+                       # a misspelt key is refused, not ignored
+                       ({"n": 1, "vref": 0.5, "elements": [], "verf": 0.4},
+                        r"network document has unknown field\(s\): verf$"),
+                       ({"n": 1, "vref": 0.5, "elements": [
+                           {"kind": "self", "i": 1, "ohms": 50.0, "ohm": 60.0}]},
+                        r"network element has unknown field\(s\): ohm$")):
         with pytest.raises(ValidationError, match=field):
             network_from_dict(bad)
 
