@@ -1,9 +1,10 @@
 """Print the SHA-256 of every file the CLI writes for the shipped fixtures.
 
 Runs each command (synth with --zc/--histogram, synth reduction of a network
-and of a bundle, fom with --codes, from a network and sampled with --samples,
-sim, eye with --svg/--folded, and sweep in all three modes) on fixtures/ into
-a temporary directory and prints one "sha256  name" line per output file.
+and of a bundle, fom with --codes, also at levels off-centre about --vref,
+fom from a network and sampled with --samples, sim, eye with --svg/--folded,
+and sweep in all three modes) on fixtures/ into a temporary directory and
+prints one "sha256  name" line per output file.
 Two checkouts whose outputs are byte-identical print the same
 lines, so a refactor of the output layer can be checked with diff:
 
@@ -39,6 +40,10 @@ def commands():
         runs.append((["fom", "--lc", "@%s.json" % name, "-o", "fom-%s.json" % name,
                       "--codes", "codes-%s.csv" % name],
                      ["fom-%s.json" % name, "codes-%s.csv" % name]))
+    # Levels off-centre about vref, so a change of the level map shows here.
+    runs.append((["fom", "--lc", "@twelve.json", "--vref", "0.4", "--levels=-0.2,1.1",
+                  "-o", "fom-odd-twelve.json", "--codes", "codes-odd-twelve.csv"],
+                 ["fom-odd-twelve.json", "codes-odd-twelve.csv"]))
     runs.append((["fom", "--network", "@twelve-network.json", "-o", "fom-net-twelve.json"],
                  ["fom-net-twelve.json"]))
     runs.append((["fom", "--lc", "@twelve.json", "--samples", "5000", "--seed", "3",

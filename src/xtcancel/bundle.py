@@ -159,8 +159,8 @@ class ModalBasis:
 
     mv maps modal voltages to wire voltages; mi = mv^-1.  mode_vals[k] is the
     squared slowness of mode k, so velocities[k] = 1/sqrt(mode_vals[k]).
-    In this normalization every modal line has unit characteristic impedance
-    and zc = mv mv^T.
+    In this normalization every modal line has unit characteristic impedance,
+    zc = mv mv^T and the line admittance yc = zc^-1 = mi^T mi.
     """
 
     mv: np.ndarray
@@ -168,6 +168,7 @@ class ModalBasis:
     mode_vals: np.ndarray
     velocities: np.ndarray
     zc: np.ndarray
+    yc: np.ndarray
 
 
 def characteristic_impedance(bundle):
@@ -200,7 +201,7 @@ def characteristic_impedance(bundle):
     mi = mw[:, None] ** 0.25 * (mvec.T @ s_inv)
     zc = mv @ mv.T
     zc = 0.5 * (zc + zc.T)
-    basis = ModalBasis(mv=mv, mi=mi, mode_vals=mw, velocities=mw ** -0.5, zc=zc)
+    basis = ModalBasis(mv=mv, mi=mi, mode_vals=mw, velocities=mw ** -0.5, zc=zc, yc=mi.T @ mi)
     trace = DecompositionTrace(linv_vals=linv_vals, linv_vecs=linv_vecs,
                                s_matrix=s_matrix, m_matrix=m_matrix,
                                m_vals=mw, m_vecs=mvec)

@@ -87,7 +87,7 @@ def cmd_fom(args):
             raise ValidationError("fom needs --lc (bundle file) or --network (network file)")
         bundle = load_bundle(args.lc)
         basis, _ = characteristic_impedance(bundle)
-        y = basis.mi.T @ basis.mi
+        y = basis.yc
     if vref is None:
         vref = 0.5
     if not math.isfinite(vref):

@@ -6,7 +6,7 @@ into the lines) or a realized network's admittance (steady-state supply
 currents).  The exact report covers all 2^n codes in closed form, up to
 n=40 (EXACT_FOM_CAP: its meet-in-the-middle arrays hold 2^(n/2) code sums);
 beyond that use the seeded sampling variant.  The per-code table lists every
-code and stops at n=20 (ENUMERATION_CAP).
+code by the exact report's in-place doubling, up to n=20 (ENUMERATION_CAP).
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
 EXACT_FOM_CAP = 40
-# Fixed chunk of codes for the code table: partition boundaries are a function
-# of n only, so the table is bit-for-bit reproducible.
-_CHUNK = 1 << 14
 # Rows of sampled codes per chunk: even, so every chunk but the last draws a
 # whole number of 64-bit words, and small, so one chunk's codes and currents
 # (512 KiB each at n=64) stay in cache from the draw to the reductions.
@@ -66,12 +63,17 @@ class FomReport:
         return out
 
 
-def _code_sums(c, a, b):
-    """c . x for every x whose entries are each a or b, in no fixed order."""
-    sums = np.zeros(1)
-    for ck in c:
-        sums = np.concatenate([sums + a * ck, sums + b * ck])
-    return sums
+def _code_sums(rows, a, b):
+    """sum_k x_k rows[k] for every x of entries a or b, doubled in place
+    lowest bit first: row c of the result is code c, x_k = b where bit k of
+    c is set.  Nothing but the (2^len(rows),) + rows.shape[1:] result is held."""
+    out = np.empty((1 << len(rows),) + rows.shape[1:])
+    out[0] = 0.0
+    for k, row in enumerate(rows):
+        h = 1 << k
+        np.add(out[:h], b * row, out=out[h:2 * h])
+        out[:h] += a * row
+    return out
 
 
 def _max_abs_linear(rows, a, b):
@@ -82,12 +84,12 @@ def _max_abs_linear(rows, a, b):
 
 
 def _checked_inputs(y, vref, levels):
-    """y checked symmetric, then vref, v_low and v_high as finite floats."""
+    """y checked symmetric, then a and b, the two levels less vref, finite."""
     y = checked_symmetric(y, "admittance matrix")
     volts = float(vref), float(levels[0]), float(levels[1])
     if not all(map(math.isfinite, volts)):
         raise ValidationError("vref %r and levels %r must be finite" % (vref, tuple(levels)))
-    return (y,) + volts
+    return y, volts[1] - volts[0], volts[2] - volts[0]
 
 
 def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
@@ -101,13 +103,12 @@ def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
     other half splits them at -s by searchsorted, with prefix sums giving
     both sides' totals.
     """
-    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
+    y, a, b = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if n > EXACT_FOM_CAP:
         raise EnumerationCapError(
             "exact figures of merit capped at %d wires (got %d); use the sampled variant"
             % (EXACT_FOM_CAP, n))
-    a, b = v_low - vref, v_high - vref
     mu, h = 0.5 * (a + b), 0.5 * (b - a)
     c = y.sum(axis=1)
     first = _code_sums(c[:n // 2], a, b)
@@ -144,7 +145,7 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     which codes are drawn.  Standard errors cover the two averages; the max
     fields are sample maxima.
     """
-    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
+    y, a, b = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if samples < 2:
         raise ValidationError("need at least 2 samples")
@@ -154,7 +155,7 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     check_memory(sampled_fom_bytes(n, samples), "drawing %d samples" % samples,
                  "draw fewer samples")
     words = np.random.default_rng(seed).bit_generator
-    volts = np.arange(2.0) * (v_high - v_low) + v_low - vref  # bit 0 or 1 -> x
+    volts = np.array([a, b])  # bit 0 or 1 -> x
     # Only the per-sample totals are kept whole, so the statistics below see
     # the same vectors whatever the chunk; each chunk reuses the codes and
     # currents buffers in place.
@@ -189,24 +190,16 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
 
 
 def code_table(y, vref=0.5, levels=(0.0, 1.0)):
-    """Per-code current table, shape (2^n, n); row index is the code integer.
-
-    Bit k (LSB) of the code integer is wire k+1, so row c and row
-    2^n-1-c are exact negations of each other.
-    """
-    y, vref, v_low, v_high = _checked_inputs(y, vref, levels)
+    """Per-code current table, shape (2^n, n): row c is code c, built lowest
+    bit first, and bit k of c set puts wire k+1 at levels[1].  Rows c and
+    2^n-1-c are exact negations only when the levels sit symmetrically
+    about vref."""
+    y, a, b = _checked_inputs(y, vref, levels)
     n = y.shape[0]
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             "code table capped at %d wires (got %d)" % (ENUMERATION_CAP, n))
-    total = 1 << n
-    out = np.empty((total, n))
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        x = v_low + bits.astype(float) * (v_high - v_low) - vref
-        out[start:start + codes.size] = x @ y
-    return out
+    return _code_sums(y, a, b)
 
 
 def write_code_table_csv(table, path):

@@ -155,7 +155,7 @@ class _SegmentState:
         self.mi = basis.mi
         self.mit = basis.mi.T           # = Zc^-1 Mv, the Norton injection map
         self.mvt = basis.mv.T
-        self.yc = basis.mi.T @ basis.mi  # = Zc^-1
+        self.yc = basis.yc              # = Zc^-1
         self.tau = segment.length_m * np.sqrt(basis.mode_vals)
         # The warmup steps twice the longest delay, at 2n words a step: refused
         # over the budget before the delay in steps is cast to int64.
@@ -545,6 +545,10 @@ def link_from_dict(raw, base_dir="."):
 
     stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",),
                         ("prbs_order", "seed", "mode", "invert_mask", "offsets", "streams"))
+    # StimulusSpec's defaults hide whether these were given; the document shows it.
+    ignored = [k for k in ("prbs_order", "mode") if k in stim_raw]
+    if stim_raw.get("streams") is not None and ignored:
+        raise ValidationError("explicit streams replace the PRBS; drop %s" % ", ".join(ignored))
     stimulus = StimulusSpec(
         data_rate=number(stim_raw["data_rate"], "data_rate"),
         prbs_order=integer(stim_raw.get("prbs_order", 7), "prbs_order"),

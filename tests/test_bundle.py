@@ -122,6 +122,7 @@ def test_pipeline_identities_random():
         zcc = basis.zc @ b.C
         assert np.max(np.abs(zcc @ zcc - b.L @ b.C)) <= 1e-9 * np.max(np.abs(b.L @ b.C))
         assert np.max(np.abs(basis.mv @ basis.mi - np.eye(n))) <= 1e-9
+        assert np.max(np.abs(basis.yc @ basis.zc - np.eye(n))) <= 1e-9
         d = basis.mi @ b.L @ b.C @ basis.mv
         assert np.max(np.abs(d - np.diag(basis.mode_vals))) <= 1e-9 * basis.mode_vals.max()
         assert np.array_equal(basis.velocities, basis.mode_vals ** -0.5)

@@ -367,14 +367,25 @@ def test_misspelt_link_field_exit_2(tmp_path, capsys):
     assert not waves.exists()
 
 
-def test_seed_on_explicit_streams_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("field, value, flags", [
+    ("prbs_order", 9, []),
+    ("mode", "best", []),
+    ("seed", None, ["--seed", "9"]),
+], ids=["prbs_order", "mode", "seed"])
+def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, field, value, flags):
+    """Explicit streams replace the PRBS: a PRBS field next to them in the
+    document, or --seed on the command line, is refused, not ignored."""
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
+    del raw["stimulus"]["prbs_order"], raw["stimulus"]["mode"]
     raw["stimulus"]["streams"] = [[0, 1, 1, 0, 1]]
-    link = _scalar_link(tmp_path, raw)
     waves = tmp_path / "w.csv"
-    assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
-    assert cli.main(["sim", "--link", link, "--seed", "9", "-o", str(waves)]) == 2
-    assert "error: explicit streams replace the PRBS; drop seed" in capsys.readouterr().err
+    assert cli.main(["sim", "--link", _scalar_link(tmp_path, raw), "-o", str(waves)]) == 0
+    if value is not None:
+        raw["stimulus"][field] = value
+    link = _scalar_link(tmp_path, raw)
+    assert cli.main(["sim", "--link", link, *flags, "-o", str(waves)]) == 2
+    assert "error: explicit streams replace the PRBS; drop %s" % field \
+        in capsys.readouterr().err
 
 
 def test_eye_wire_mismatch_exit_2(tmp_path):

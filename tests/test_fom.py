@@ -144,8 +144,9 @@ def test_per_code_sum_identity():
     assert np.max(np.abs(table.sum(axis=1) - supply)) <= 1e-15
 
 
-def test_chunked_enumeration_matches_single_pass():
-    # n=15 spans two 2^14 chunks; the stats must not depend on partitioning
+def test_exact_fom_and_code_table_match_full_enumeration():
+    # n=15: the report in closed form and the table by doubling, against
+    # every code's currents from one matrix product
     rng = np.random.default_rng(23)
     g = np.abs(rng.normal(size=(15, 15))) * 1e-3
     g = 0.5 * (g + g.T)
@@ -157,6 +158,7 @@ def test_chunked_enumeration_matches_single_pass():
     cur = volts @ y
     bundle = cur.sum(axis=1)
     power = np.einsum("ij,ij->i", volts @ y, volts)
+    assert np.max(np.abs(code_table(y) - cur)) <= 1e-15 * np.abs(cur).max()
     assert rep.avg_bundle_current == pytest.approx(np.abs(bundle).mean(), rel=1e-12)
     assert rep.max_bundle_current == pytest.approx(np.abs(bundle).max(), rel=1e-12)
     assert rep.max_wire_current == pytest.approx(np.abs(cur).max(), rel=1e-12)
@@ -296,9 +298,32 @@ def test_code_table_shapes_and_symmetry():
     assert t6.shape == (64, 6)
     t12 = code_table(np.eye(12) * 0.02, vref=0.5)
     assert t12.shape == (4096, 12)
-    # complement code rows are exact negations
+    # complement code rows are exact negations when the levels sit
+    # symmetrically about vref, on a diagonal and on a dense random Y
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(6, 6))
+    dense = code_table(m + m.T, vref=0.5)
     for c in (0, 5, 31):
         assert np.array_equal(t6[c], -t6[63 - c])
+        assert np.array_equal(dense[c], -dense[63 - c])
+    # with vref off-centre they are not: all low reads -8 mA, all high +12 mA
+    t3 = code_table(np.eye(3) * 0.02, vref=0.4, levels=(0.0, 1.0))
+    assert np.allclose(t3[0], -0.008, rtol=1e-15, atol=0)
+    assert np.allclose(t3[7], 0.012, rtol=1e-15, atol=0)
+
+
+def test_code_table_holds_only_the_table():
+    """The table is built in place: its peak is the table and 128 KiB."""
+    n = 16
+    m = np.random.default_rng(8).normal(size=(n, n))
+    y = m + m.T
+    tracemalloc.start()
+    try:
+        code_table(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (1 << n) * n + (1 << 17)
 
 
 def test_logic_code_validation():
