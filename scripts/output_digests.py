@@ -41,7 +41,7 @@ def commands():
                       "--codes", "codes-%s.csv" % name],
                      ["fom-%s.json" % name, "codes-%s.csv" % name]))
     # Levels off-centre about vref, so a change of the level map shows here.
-    runs.append((["fom", "--lc", "@twelve.json", "--vref", "0.4", "--levels=-0.2,1.1",
+    runs.append((["fom", "--lc", "@twelve.json", "--vref", "0.4", "--levels", "-0.2", "1.1",
                   "-o", "fom-odd-twelve.json", "--codes", "codes-odd-twelve.csv"],
                  ["fom-odd-twelve.json", "codes-odd-twelve.csv"]))
     runs.append((["fom", "--network", "@twelve-network.json", "-o", "fom-net-twelve.json"],

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_impedance,
@@ -51,18 +48,13 @@ def cmd_synth(args):
     if args.cutoff_cross is not None and args.cutoff_self is None:  # before any file is read
         raise ValidationError("--cutoff-cross requires --cutoff-self")
     if args.net is not None:
-        if args.lc is not None:
-            raise ValidationError("pass either --lc or --net, not both")
-        net = load_network(args.net)
         if args.zc:
             raise ValidationError("--zc needs --lc (no impedance in a network file)")
+        net = load_network(args.net)
         if args.vref is not None:
             net = replace(net, vref=args.vref)
     else:
-        if args.lc is None:
-            raise ValidationError("synth needs --lc (bundle file) or --net (network file)")
-        bundle = load_bundle(args.lc)
-        basis, _ = characteristic_impedance(bundle)
+        basis, _ = characteristic_impedance(load_bundle(args.lc))
         net = realize_network(basis.zc, vref=0.5 if args.vref is None else args.vref)
         if args.zc:
             write_json(args.zc, {"n": basis.zc.shape[0], "zc": basis.zc.tolist()})
@@ -76,52 +68,28 @@ def cmd_synth(args):
 
 
 def cmd_fom(args):
-    vref = args.vref
+    if args.seed is not None and args.samples is None:
+        raise ValidationError("--seed seeds --samples; drop it or pass --samples")
     if args.network is not None:
         net = load_network(args.network)
-        y = network_admittance(net)
-        if vref is None:
-            vref = net.vref
+        y, vref = network_admittance(net), net.vref
     else:
-        if args.lc is None:
-            raise ValidationError("fom needs --lc (bundle file) or --network (network file)")
-        bundle = load_bundle(args.lc)
-        basis, _ = characteristic_impedance(bundle)
-        y = basis.yc
-    if vref is None:
-        vref = 0.5
-    if not math.isfinite(vref):
-        raise ValidationError("--vref must be finite, got %r" % vref)
-    levels = _parse_levels(args.levels)
+        basis, _ = characteristic_impedance(load_bundle(args.lc))
+        y, vref = basis.yc, 0.5
+    if args.vref is not None:
+        vref = args.vref
     if args.samples is not None:
-        if args.codes:
-            raise ValidationError("--codes enumerates every code; drop it or drop --samples")
-        report = bundle_fom_sampled(y, vref=vref, levels=levels,
+        report = bundle_fom_sampled(y, vref=vref, levels=args.levels,
                                     samples=args.samples, seed=args.seed or 0)
-    elif args.seed is not None:
-        raise ValidationError("--seed seeds --samples; drop it or pass --samples")
     else:
-        report = bundle_fom(y, vref=vref, levels=levels)
+        report = bundle_fom(y, vref=vref, levels=args.levels)
     # The table's cap is lower than the report's: fail before writing either.
-    table = code_table(y, vref=vref, levels=levels) if args.codes else None
+    table = code_table(y, vref=vref, levels=args.levels) if args.codes else None
     write_report_json(report, args.output)
     if table is not None:
         write_code_table_csv(table, args.codes)
     _info("wrote %s (%d codes)" % (args.output, report.n_codes))
     return 0
-
-
-def _parse_levels(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("--levels wants two comma-separated voltages, got %r" % text)
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError("--levels values must be numbers, got %r" % text) from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("--levels values must be finite, got %r" % text)
-    return (lo, hi)
 
 
 def _load_link_seeded(args):
@@ -169,63 +137,51 @@ def cmd_eye(args):
 
 
 def _parse_sweep_values(mode, text):
+    """--values as numbers, or in cutoff mode as (self, cross) pairs with
+    None for inf, the full network.  The points check the values."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValidationError("--values is empty")
-    if mode == "cutoff":
-        pairs = []
-        for tok in tokens:
-            if tok.lower() in ("inf", "none", "full"):
-                pairs.append(None)
-                continue
-            halves = tok.split("/")
-            if len(halves) != 2:
-                raise ValidationError(
-                    "cutoff values look like SELF/CROSS ohms (or 'inf'), got %r" % tok)
-            try:
-                pairs.append((float(halves[0]), float(halves[1])))
-            except ValueError:
-                raise ValidationError("cutoff values must be numbers, got %r" % tok) from None
-        return pairs
     try:
-        vals = [float(t) for t in tokens]
+        if mode != "cutoff":
+            return [float(t) for t in tokens]
+        pairs = [None if t == "inf" else tuple(map(float, t.split("/"))) for t in tokens]
     except ValueError:
         raise ValidationError("--values must be numbers, got %r" % text) from None
-    for v in vals:
-        if v < 0 or not np.isfinite(v):
-            raise ValidationError("sweep values must be finite and >= 0, got %r" % v)
-    return vals
+    if any(p is not None and len(p) != 2 for p in pairs):
+        raise ValidationError("cutoff values look like SELF/CROSS ohms or inf, got %r" % text)
+    return pairs
 
 
-def _sweep_point(spec, mode, value):
-    """Return (column value, modified LinkSpec) for one sweep point."""
-    if mode == "rs":
-        n = spec.termination.n
-        drv = replace(spec.drivers, rs_ohms=(float(value),) * n)
-        return float(value), replace(spec, drivers=drv)
-    if mode == "cutoff":
-        bundle = spec.segments[-1].bundle
-        basis, _ = characteristic_impedance(bundle)
-        net = realize_network(basis.zc, vref=spec.termination.vref)
-        if value is None:
-            return float("inf"), replace(spec, termination=net)
-        return float(value[0]), replace(spec, termination=reduce_network(net, *value))
-    # uncoupled: plain 50 ohm breakout segments of the given length, both ends
-    length = float(value)
-    if length == 0.0:
-        return 0.0, spec
+def _sweep_points(spec, mode, values):
+    """(column value, LinkSpec) of every sweep point, built before any point
+    runs, so the specs refuse a bad value before the first simulation."""
     n = spec.termination.n
+    if mode == "rs":
+        return [(v, replace(spec, drivers=replace(spec.drivers, rs_ohms=(v,) * n)))
+                for v in values]
+    if mode == "cutoff":
+        basis, _ = characteristic_impedance(spec.segments[-1].bundle)
+        net = realize_network(basis.zc, vref=spec.termination.vref)
+        return [(float("inf"), replace(spec, termination=net)) if v is None
+                else (v[0], replace(spec, termination=reduce_network(net, *v))) for v in values]
+    # uncoupled: plain 50 ohm breakout segments of the given length, both ends
     breakout = uncoupled_bundle(n=n, z0=50.0, velocity=DEFAULT_VELOCITY, name="breakout")
-    seg = Segment(bundle=breakout, length_m=length)
-    return length, replace(spec, segments=(seg,) + spec.segments + (seg,))
+    points = []
+    for length in values:
+        if length == 0.0:
+            points.append((0.0, spec))
+            continue
+        seg = Segment(bundle=breakout, length_m=length)
+        points.append((length, replace(spec, segments=(seg,) + spec.segments + (seg,))))
+    return points
 
 
 def cmd_sweep(args):
     spec = _load_link_seeded(args)
-    values = _parse_sweep_values(args.mode, args.values)
+    points = _sweep_points(spec, args.mode, _parse_sweep_values(args.mode, args.values))
     rows = []
-    for value in values:
-        col, point = _sweep_point(spec, args.mode, value)
+    for col, point in points:
         engine = build_link(point)
         waves = run_transient(engine)
         report = eye_measure(waves, engine.streams, point.stimulus.data_rate)
@@ -246,8 +202,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="synthesize or reduce a termination network")
-    sp.add_argument("--lc", help="bundle (L/C matrices) JSON file")
-    sp.add_argument("--net", help="existing network JSON file (reduce only)")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lc", help="bundle (L/C matrices) JSON file")
+    source.add_argument("--net", help="existing network JSON file (reduce only)")
     sp.add_argument("--vref", type=float, help="termination rail voltage (default 0.5 or --net's)")
     sp.add_argument("--cutoff-self", type=float, help="drop self resistors above this (ohm)")
     sp.add_argument("--cutoff-cross", type=float, help="drop bridges above this (ohm)")
@@ -257,13 +214,17 @@ def build_parser():
     sp.set_defaults(func=cmd_synth)
 
     fp = sub.add_parser("fom", help="switching-current and power figures of merit")
-    fp.add_argument("--lc", help="bundle JSON file")
-    fp.add_argument("--network", help="termination network JSON (admittance source)")
-    fp.add_argument("--vref", type=float, default=None, help="termination rail voltage")
-    fp.add_argument("--levels", default="0,1", help="logic low,high voltages")
+    source = fp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lc", help="bundle JSON file")
+    source.add_argument("--network", help="termination network JSON (admittance source)")
+    fp.add_argument("--vref", type=float,
+                    help="termination rail voltage (default 0.5 or --network's)")
+    fp.add_argument("--levels", nargs=2, type=float, metavar=("LOW", "HIGH"),
+                    default=(0.0, 1.0), help="logic low and high voltages (default 0 1)")
     fp.add_argument("-o", "--output", required=True, help="report JSON output")
-    fp.add_argument("--codes", help="write the per-code current table CSV")
-    fp.add_argument("--samples", type=int, help="Monte Carlo sample count (skips the cap)")
+    codes = fp.add_mutually_exclusive_group()
+    codes.add_argument("--codes", help="write the per-code current table CSV")
+    codes.add_argument("--samples", type=int, help="Monte Carlo sample count (skips the cap)")
     fp.add_argument("--seed", type=int, help="sample seed")
     fp.set_defaults(func=cmd_fom)
 
@@ -286,8 +247,8 @@ def build_parser():
     wp.add_argument("--mode", required=True, choices=("rs", "cutoff", "uncoupled"))
     wp.add_argument("--link", required=True, help="base link JSON file")
     wp.add_argument("--values", required=True,
-                    help="comma list: ohms (rs), SELF/CROSS ohms or inf (cutoff), "
-                         "meters (uncoupled)")
+                    help="comma list: ohms (rs), SELF/CROSS ohms or inf, the full network "
+                         "(cutoff), meters (uncoupled)")
     wp.add_argument("--seed", type=int, help="override the stimulus seed")
     wp.add_argument("-o", "--output", required=True, help="sweep CSV output")
     wp.set_defaults(func=cmd_sweep)

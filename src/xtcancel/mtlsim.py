@@ -534,10 +534,8 @@ def link_from_dict(raw, base_dir="."):
     rs = drv.get("rs_ohms", 0.0)
     rs_ohms = (tuple(number(r, "rs_ohms") for r in rs) if isinstance(rs, (list, tuple))
                else (number(rs, "rs_ohms"),) * segments[0].bundle.n)
-    drivers = DriverBank(rs_ohms=rs_ohms,
-                         v_low=number(drv.get("v_low", 0.0), "v_low"),
-                         v_high=number(drv.get("v_high", 1.0), "v_high"),
-                         rise_s=number(drv.get("rise_s", 10e-12), "rise_s"))
+    drivers = DriverBank(rs_ohms=rs_ohms, **{k: number(drv[k], k)
+                                             for k in ("v_low", "v_high", "rise_s") if k in drv})
 
     ref = raw["termination"]
     termination = (load_network(os.path.join(base_dir, ref)) if isinstance(ref, str)
@@ -545,18 +543,20 @@ def link_from_dict(raw, base_dir="."):
 
     stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",),
                         ("prbs_order", "seed", "mode", "invert_mask", "offsets", "streams"))
-    # StimulusSpec's defaults hide whether these were given; the document shows it.
-    ignored = [k for k in ("prbs_order", "mode") if k in stim_raw]
-    if stim_raw.get("streams") is not None and ignored:
-        raise ValidationError("explicit streams replace the PRBS; drop %s" % ", ".join(ignored))
+    # Only the PRBS fields the document gives, so StimulusSpec owns their
+    # defaults; next to explicit streams, which replace the PRBS, none is taken.
+    prbs = {k: stim_raw[k] for k in ("prbs_order", "mode") if k in stim_raw}
+    if stim_raw.get("streams") is not None and prbs:
+        raise ValidationError("explicit streams replace the PRBS; drop %s" % ", ".join(prbs))
+    if "prbs_order" in prbs:
+        prbs["prbs_order"] = integer(prbs["prbs_order"], "prbs_order")
     stimulus = StimulusSpec(
         data_rate=number(stim_raw["data_rate"], "data_rate"),
-        prbs_order=integer(stim_raw.get("prbs_order", 7), "prbs_order"),
         seed=_optional(stim_raw, "seed", integer),
-        mode=stim_raw.get("mode", "random"),
         invert_mask=_optional(stim_raw, "invert_mask", _ints),
         offsets=_optional(stim_raw, "offsets", _ints),
         streams=_optional(stim_raw, "streams", _bit_rows),
+        **prbs,
     )
 
     return LinkSpec(segments=tuple(segments),

@@ -107,6 +107,27 @@ def twelve_wire_bundle(velocity=DEFAULT_VELOCITY, name="twelve"):
     return lc_from_impedance(zc, velocity, name=name)
 
 
+SPEED_OF_LIGHT = 299792458.0
+
+
+def microstrip_bundle(es, em, n=12, name="microstrip"):
+    """An n-wire microstrip-like bundle whose modes travel at different
+    speeds unless es == em.
+
+    In air each wire has 1/(50 c) F/m to ground and mutual capacitances of
+    0.15 and 0.03 times that to its first and second neighbours, an M-matrix
+    Cair, and L = Cair^-1 / c^2.  The dielectric scales the ground part of
+    Cair by es and the mutual part by em.  Twelve wires at es/em 3.4/2.6 and
+    3.8/2.2 spread their modal delays over a 0.1016 m line by 28 and 54 ps.
+    """
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    mutual = 0.15 * (gap == 1) + 0.03 * (gap == 2)
+    mutual = (np.diag(mutual.sum(axis=1)) - mutual) / (50.0 * SPEED_OF_LIGHT)
+    ground = np.eye(n) / (50.0 * SPEED_OF_LIGHT)
+    ell = spd_inverse(ground + mutual, what="air capacitance") / SPEED_OF_LIGHT ** 2
+    return CouplingMatrices.from_arrays(ell, es * ground + em * mutual, name=name)
+
+
 def non_realizable_bundle(name="inductive-chain"):
     """Valid L/C whose impedance inverse has a positive off-diagonal entry.
 

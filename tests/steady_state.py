@@ -1,0 +1,56 @@
+"""The periodic steady state of the stepper's own discretization, solved one
+DFT bin at a time with no warmup: an oracle for what run_transient settles to.
+
+The stepper is a linear time-invariant discrete system.  With y[m] the row of
+outgoing waves written at step m, the incident wave of history column c reads
+the other end of its mode through d_c(z) = (1 - f_c) z^-i0_c + f_c z^-(i0_c+1),
+and one step is y = M_e[:w] e + M_s[:w] s, with M_e and M_s the step map of
+Engine._step_columns on identity columns and s the drive with a constant 1.
+Over one period of N steps every bin z of the rfft therefore solves
+
+    (I - M_e[:w] D(z) P) Y = M_s[:w] S(z),
+
+P sending each column to the other end of its mode; the receiver volts and
+source currents are M_e[w:] D(z) P Y + M_s[w:] S(z), back through the irfft.
+"""
+
+import numpy as np
+
+from xtcancel.stimulus import drive_levels
+
+_BINS = 256  # bins solved at once: (256, w, w) complex systems
+
+
+def periodic_steady_state(engine):
+    """(volts, source currents), each (n, N): the settled waveforms at steps
+    start_index .. start_index + N - 1, N the steps of one stream period.
+    Needs a whole number of steps a unit interval."""
+    steps_per_ui = engine.ui / engine.dt
+    assert abs(steps_per_ui - round(steps_per_ui)) < 1e-9, "no whole number of steps a UI"
+    n, w = engine.n, engine.width
+    period = round(steps_per_ui) * engine.streams.shape[1]
+    cols = np.eye(w + n + 1)
+    step = engine._step_columns(cols[:w], cols[w:w + n], cols[w + n])
+    m_e, m_s = step[:, :w], step[:, w:]
+    i0 = np.concatenate([np.tile(s.i0, 2) for s in engine.segments])  # near, far ends
+    frac = np.concatenate([np.tile(s.frac, 2) for s in engine.segments])
+    other_end = np.where(np.arange(w) // n % 2 == 0, np.arange(w) + n, np.arange(w) - n)
+
+    d = engine.spec.drivers
+    t = engine.dt * (engine.start_index + np.arange(period))
+    src = drive_levels(engine.streams, t, engine.spec.stimulus.data_rate, d.rise_s,
+                       d.v_low, d.v_high)
+    s = np.fft.rfft(np.column_stack([src, np.ones(period)]), axis=0)  # (bins, n + 1)
+    z_inv = np.exp(-2j * np.pi * np.arange(s.shape[0]) / period)[:, None]
+    out = np.empty((s.shape[0], 2 * n), dtype=complex)
+    for k in range(0, s.shape[0], _BINS):
+        zk = z_inv[k:k + _BINS]
+        delay = (1.0 - frac) * zk ** i0 + frac * zk ** (i0 + 1)  # (bins, w): d_c(z)
+        # M_e[:w] D(z) P: column c of M_e[:w] D(z) lands on column other_end(c).
+        loop = (m_e[:w] * delay[:, None, :])[:, :, other_end]
+        rhs = s[k:k + _BINS] @ m_s[:w].T
+        y = np.linalg.solve(np.eye(w) - loop, rhs[..., None])[..., 0]
+        incident = delay * y[:, other_end]
+        out[k:k + _BINS] = incident @ m_e[w:].T + s[k:k + _BINS] @ m_s[w:].T
+    settled = np.fft.irfft(out, n=period, axis=0).T
+    return settled[:n], settled[n:]

@@ -12,9 +12,10 @@ import pytest
 
 from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli
-from xtcancel.bundle import save_bundle, uncoupled_bundle
+from xtcancel.bundle import characteristic_impedance, load_bundle, save_bundle, uncoupled_bundle
 from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
 from xtcancel.eye import eye_measure, fold_phases, write_eye_json
+from xtcancel.fom import bundle_fom, code_table, write_code_table_csv, write_report_json
 from xtcancel.mtlsim import build_link, load_link, run_transient
 from xtcancel.termination import load_network, save_network
 from xtcancel.textio import write_csv
@@ -83,6 +84,37 @@ def test_synth_flag_validation(tmp_path):
     assert cli.main(["synth", "--lc", fx("six.json"), "--cutoff-cross", "100",
                      "-o", out]) == 2
     assert cli.main(["synth", "-o", out]) == 2
+
+
+@pytest.mark.parametrize("sources", [
+    ["--lc", fx("six.json"), "--network", fx("pair-network.json")], []], ids=["both", "neither"])
+def test_fom_conflicting_or_missing_source_exit_2(tmp_path, capsys, sources):
+    """Two admittance sources, or none, exit 2 from the parser: fom used to
+    score the network and ignore --lc."""
+    out = tmp_path / "o.json"
+    assert cli.main(["fom", *sources, "-o", str(out)]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fom_levels_take_a_negative_low_level(tmp_path):
+    """--levels LOW HIGH reads a negative low level as a number (the digest
+    script's odd-level run): its files are the in-process report and table.
+    The default levels are 0 1."""
+    rep, codes = tmp_path / "rep.json", tmp_path / "codes.csv"
+    assert cli.main(["fom", "--lc", fx("twelve.json"), "--vref", "0.4", "--levels", "-0.2",
+                     "1.1", "-o", str(rep), "--codes", str(codes)]) == 0
+    y = characteristic_impedance(load_bundle(fx("twelve.json")))[0].yc
+    want_rep, want_codes = tmp_path / "want.json", tmp_path / "want.csv"
+    write_report_json(bundle_fom(y, vref=0.4, levels=(-0.2, 1.1)), want_rep)
+    write_code_table_csv(code_table(y, vref=0.4, levels=(-0.2, 1.1)), want_codes)
+    assert rep.read_bytes() == want_rep.read_bytes()
+    assert codes.read_bytes() == want_codes.read_bytes()
+    plain = tmp_path / "plain.json"
+    assert cli.main(["fom", "--lc", fx("twelve.json"), "-o", str(plain)]) == 0
+    assert cli.main(["fom", "--lc", fx("twelve.json"), "--levels", "0", "1",
+                     "-o", str(rep)]) == 0
+    assert rep.read_bytes() == plain.read_bytes()
 
 
 def test_synth_non_realizable_exit_3(tmp_path):
@@ -279,6 +311,18 @@ def test_sweep_value_validation(tmp_path):
                      "--values", "abc/1", "-o", out]) == 2
 
 
+@pytest.mark.parametrize("values", ["inf,-5/10", "inf,none"])
+def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, values):
+    """Every point's link is built before the first runs: a bad last value
+    costs no simulation.  inf is the one spelling of the full network."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--mode", "cutoff", "--link", fx("link-pair.json"),
+                     "--values", values, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "min eye" not in err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_bad_inputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -316,9 +360,10 @@ def test_bool_in_bundle_matrix_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fom", "--lc", fx("pair.json"), "--vref", "inf"], "error: --vref must be finite, got inf"),
-    (["fom", "--lc", fx("pair.json"), "--levels", "nan,1"],
-     "error: --levels values must be finite, got 'nan,1'"),
+    (["fom", "--lc", fx("pair.json"), "--vref", "inf"],
+     "error: vref inf and levels (0.0, 1.0) must be finite"),
+    (["fom", "--lc", fx("pair.json"), "--levels", "nan", "1"],
+     "error: vref 0.5 and levels (nan, 1.0) must be finite"),
     (["synth", "--lc", fx("pair.json"), "--vref", "nan"],
      "error: network vref must be finite, got nan"),
 ], ids=["fom-vref", "fom-levels", "synth-vref"])

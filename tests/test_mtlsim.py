@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from designs import (FOUR_INCHES_M, fifty_ohm_network, graded_bundles, pair_bundle,
-                     scalar_bundle, simple_link)
+from designs import (FOUR_INCHES_M, fifty_ohm_network, graded_bundles, microstrip_bundle,
+                     pair_bundle, scalar_bundle, simple_link)
+from steady_state import periodic_steady_state
 from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel import mtlsim
@@ -195,6 +196,69 @@ def test_matched_link_is_a_resistor_to_its_driver(name, rs):
     yc = engine.segments[0].yc
     pred = np.linalg.solve(np.eye(engine.n) + yc * rs, yc @ (e - engine.vref))
     assert np.max(np.abs(waves.source_currents - pred)) <= 1e-11 * np.max(np.abs(pred))
+
+
+def _prbs5(name):
+    """link-<name>.json at PRBS5, or "microstrip<es>-<em>": microstrip_bundle
+    through realize_network on one 0.1016 m segment, in random mode."""
+    if not name.startswith("microstrip"):
+        spec = load_link(FIXTURES / ("link-%s.json" % name))
+        return replace(spec, stimulus=replace(spec.stimulus, prbs_order=5))
+    es, em = map(float, name[len("microstrip"):].split("-"))
+    bundle = microstrip_bundle(es, em)
+    return simple_link(bundle, realize_network(characteristic_impedance(bundle)[0].zc),
+                       mode="random", prbs_order=5)
+
+
+@pytest.mark.parametrize("rs", [0.0, 1.67])
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar", "microstrip3.4-2.6",
+                                  "microstrip3.8-2.2"])
+def test_matched_link_is_a_modal_delay_line(name, rs):
+    """A termination of Zc^-1 absorbs every mode, so the receiver sees each
+    mode of the driver node volts delayed by the stepper's delay D_k (weight
+    1 - f_k at i0_k steps, f_k at i0_k + 1): v_rx - vref = Mv D_k[Mi (v_drv -
+    vref)], with v_drv = e - Rs i.  The microstrip modes travel at different
+    speeds, so what they leave at the receiver is modal dispersion, which no
+    resistive termination removes."""
+    spec = _prbs5(name)
+    spec = replace(spec, drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
+    engine = build_link(spec)
+    waves = run_transient(engine)
+    d = spec.drivers
+    e = drive_levels(engine.streams, waves.times(), spec.stimulus.data_rate, d.rise_s,
+                     d.v_low, d.v_high).T
+    seg = engine.segments[0]
+    if name.startswith("microstrip"):  # the modes do arrive apart (28 and 54 ps)
+        assert np.ptp(seg.tau) > 25e-12
+    modes = seg.mi @ (e - rs * waves.source_currents - engine.vref)
+    m = np.arange(int(seg.i0.max()) + 1, waves.volts.shape[1])  # samples whose input was kept
+    at = m - seg.i0[:, None]
+    rows = np.arange(engine.n)[:, None]
+    delayed = (1.0 - seg.frac[:, None]) * modes[rows, at] + seg.frac[:, None] * modes[rows, at - 1]
+    pred = seg.mvt.T @ delayed
+    assert np.max(np.abs(waves.volts[:, m] - pred)) <= 1e-11 * np.max(np.abs(pred))
+
+
+@pytest.mark.parametrize("breakout_m, periods", [(0.0, 0), (0.0005, 60), (0.001, 60)],
+                         ids=["twelve", "breakout-0.5mm", "breakout-1mm"])
+def test_run_reaches_the_periodic_steady_state(breakout_m, periods):
+    """run_transient against the per-bin solve of its own discretization.
+    link-twelve as shipped is matched: every kept sample is settled.  The
+    breakout links at PRBS5 reflect at both ends and ring (the 1 mm ring
+    decays by e every 85 bits or so), so they run 60 stream periods (1860
+    bits) longer and their last period is held to the oracle."""
+    spec = load_link(FIXTURES / "link-twelve.json")
+    if breakout_m:
+        spec = breakout_link(replace(spec, stimulus=replace(spec.stimulus, prbs_order=5)),
+                             breakout_m)
+    engine = build_link(spec)
+    if periods:
+        longer = engine.duration_s + periods * engine.streams.shape[1] * engine.ui
+        engine = build_link(replace(spec, duration_s=longer))
+    volts, _ = periodic_steady_state(engine)
+    period, samples = volts.shape[1], engine.samples
+    kept = np.arange(samples - period if periods else 0, samples)
+    assert np.max(np.abs(run_transient(engine).volts[:, kept] - volts[:, kept % period])) <= 1e-9
 
 
 def test_gather_outside_a_blocks_rows_is_refused():

@@ -197,8 +197,8 @@ def test_code_table_and_histogram_csv_match_reference(tmp_path):
 def test_sweep_csv_matches_reference(tmp_path):
     spec = load_link(FIXTURES / "link-pair.json")
     rows = []
-    for value in (None, (90.0, 100.0)):  # None is the full network, value inf
-        col, point = cli._sweep_point(spec, "cutoff", value)
+    # None is the full network, value inf
+    for col, point in cli._sweep_points(spec, "cutoff", [None, (90.0, 100.0)]):
         engine = build_link(point)
         report = eye_measure(run_transient(engine), engine.streams,
                              point.stimulus.data_rate)
