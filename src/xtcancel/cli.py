@@ -2,7 +2,7 @@
 eye measurement, and parameter sweeps.
 
 All commands write data to files only; anything informational goes to the
-error stream.  Given the same inputs and seed, every command produces
+error stream.  Given the same inputs, every command produces
 byte-identical output files.
 
 Exit codes: 0 success; 2 bad input (validation, schema, malformed JSON,
@@ -25,13 +25,12 @@ from .errors import (EnumerationCapError, NonRealizableCouplingError,
                      SimulationDivergedError, ValidationError, check_memory)
 from .eye import (EYE_SCHEMA_VERSION, eye_bytes, eye_measure, render_eye_svg,
                   write_eye_json, write_folded_csv)
-from .fom import (REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
+from .fom import (DEFAULT_LEVELS, REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
                   code_table, write_code_table_csv, write_report_json)
 from .mtlsim import (LINK_SCHEMA_VERSION, Segment, build_link, load_link, read_waveform_csv,
-                     run_transient, waveform_read_bytes, with_stimulus_seed,
-                     write_waveform_csv)
-from .termination import (NETWORK_SCHEMA_VERSION, load_network, network_admittance,
-                          realize_network, reduce_network, save_network,
+                     run_transient, waveform_read_bytes, write_waveform_csv)
+from .termination import (DEFAULT_VREF, NETWORK_SCHEMA_VERSION, load_network,
+                          network_admittance, realize_network, reduce_network, save_network,
                           write_histogram_csv)
 from .textio import write_csv, write_json
 
@@ -55,7 +54,7 @@ def cmd_synth(args):
             net = replace(net, vref=args.vref)
     else:
         basis, _ = characteristic_impedance(load_bundle(args.lc))
-        net = realize_network(basis.zc, vref=0.5 if args.vref is None else args.vref)
+        net = realize_network(basis.zc, vref=DEFAULT_VREF if args.vref is None else args.vref)
         if args.zc:
             write_json(args.zc, {"n": basis.zc.shape[0], "zc": basis.zc.tolist()})
     if args.cutoff_self is not None:
@@ -75,7 +74,7 @@ def cmd_fom(args):
         y, vref = network_admittance(net), net.vref
     else:
         basis, _ = characteristic_impedance(load_bundle(args.lc))
-        y, vref = basis.yc, 0.5
+        y, vref = basis.yc, DEFAULT_VREF
     if args.vref is not None:
         vref = args.vref
     if args.samples is not None:
@@ -92,16 +91,8 @@ def cmd_fom(args):
     return 0
 
 
-def _load_link_seeded(args):
-    spec = load_link(args.link)
-    if args.seed is not None:
-        spec = with_stimulus_seed(spec, args.seed)
-    return spec
-
-
 def cmd_sim(args):
-    spec = _load_link_seeded(args)
-    engine = build_link(spec)
+    engine = build_link(load_link(args.link))
     waves = run_transient(engine)
     write_waveform_csv(waves, args.output)
     _info("wrote %s (%d wires, %d samples)" % (args.output, waves.n, waves.volts.shape[1]))
@@ -118,9 +109,8 @@ def _eye_bytes(engine, rate, svg, folded):
 
 
 def cmd_eye(args):
-    spec = _load_link_seeded(args)
-    engine = build_link(spec)
-    rate = spec.stimulus.data_rate
+    engine = build_link(load_link(args.link))
+    rate = engine.spec.stimulus.data_rate
     # Checked before the file is read.
     check_memory(_eye_bytes(engine, rate, svg=bool(args.svg), folded=bool(args.folded)),
                  "eye on %d samples of %d wires" % (engine.samples, engine.n),
@@ -154,8 +144,7 @@ def _parse_sweep_values(mode, text):
 
 
 def _sweep_points(spec, mode, values):
-    """(column value, LinkSpec) of every sweep point, built before any point
-    runs, so the specs refuse a bad value before the first simulation."""
+    """(column value, LinkSpec) of every sweep point."""
     n = spec.termination.n
     if mode == "rs":
         return [(v, replace(spec, drivers=replace(spec.drivers, rs_ohms=(v,) * n)))
@@ -178,13 +167,15 @@ def _sweep_points(spec, mode, values):
 
 
 def cmd_sweep(args):
-    spec = _load_link_seeded(args)
-    points = _sweep_points(spec, args.mode, _parse_sweep_values(args.mode, args.values))
+    points = _sweep_points(load_link(args.link), args.mode,
+                           _parse_sweep_values(args.mode, args.values))
+    # Every point's link is built before any runs, so build_link's timestep
+    # checks, like the specs' value checks, refuse a bad point up front.
+    engines = [(col, build_link(point)) for col, point in points]
     rows = []
-    for col, point in points:
-        engine = build_link(point)
+    for col, engine in engines:
         waves = run_transient(engine)
-        report = eye_measure(waves, engine.streams, point.stimulus.data_rate)
+        report = eye_measure(waves, engine.streams, engine.spec.stimulus.data_rate)
         for we in report.per_wire:
             rows.append((col, we.wire, we.eye_v, report.min_v, report.avg_v, report.max_v))
         _info("%s=%r: min eye %g V" % (args.mode, col, report.min_v))
@@ -205,7 +196,8 @@ def build_parser():
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--lc", help="bundle (L/C matrices) JSON file")
     source.add_argument("--net", help="existing network JSON file (reduce only)")
-    sp.add_argument("--vref", type=float, help="termination rail voltage (default 0.5 or --net's)")
+    sp.add_argument("--vref", type=float,
+                    help="termination rail voltage (default %g or --net's)" % DEFAULT_VREF)
     sp.add_argument("--cutoff-self", type=float, help="drop self resistors above this (ohm)")
     sp.add_argument("--cutoff-cross", type=float, help="drop bridges above this (ohm)")
     sp.add_argument("-o", "--output", required=True, help="network JSON output")
@@ -218,9 +210,10 @@ def build_parser():
     source.add_argument("--lc", help="bundle JSON file")
     source.add_argument("--network", help="termination network JSON (admittance source)")
     fp.add_argument("--vref", type=float,
-                    help="termination rail voltage (default 0.5 or --network's)")
+                    help="termination rail voltage (default %g or --network's)" % DEFAULT_VREF)
     fp.add_argument("--levels", nargs=2, type=float, metavar=("LOW", "HIGH"),
-                    default=(0.0, 1.0), help="logic low and high voltages (default 0 1)")
+                    default=DEFAULT_LEVELS,
+                    help="logic low and high voltages (default %g %g)" % DEFAULT_LEVELS)
     fp.add_argument("-o", "--output", required=True, help="report JSON output")
     codes = fp.add_mutually_exclusive_group()
     codes.add_argument("--codes", help="write the per-code current table CSV")
@@ -230,14 +223,12 @@ def build_parser():
 
     mp = sub.add_parser("sim", help="run the time-domain link simulation")
     mp.add_argument("--link", required=True, help="link JSON file")
-    mp.add_argument("--seed", type=int, help="override the stimulus seed")
     mp.add_argument("-o", "--output", required=True, help="waveform CSV output")
     mp.set_defaults(func=cmd_sim)
 
     ep = sub.add_parser("eye", help="measure eyes from a waveform file")
     ep.add_argument("--waves", required=True, help="waveform CSV from sim")
     ep.add_argument("--link", required=True, help="link JSON the waveforms came from")
-    ep.add_argument("--seed", type=int, help="stimulus seed used for sim")
     ep.add_argument("-o", "--output", required=True, help="eye report JSON output")
     ep.add_argument("--svg", help="render an eye diagram SVG")
     ep.add_argument("--folded", help="write folded samples CSV")
@@ -249,7 +240,6 @@ def build_parser():
     wp.add_argument("--values", required=True,
                     help="comma list: ohms (rs), SELF/CROSS ohms or inf, the full network "
                          "(cutoff), meters (uncoupled)")
-    wp.add_argument("--seed", type=int, help="override the stimulus seed")
     wp.add_argument("-o", "--output", required=True, help="sweep CSV output")
     wp.set_defaults(func=cmd_sweep)
 

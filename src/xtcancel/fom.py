@@ -18,12 +18,14 @@ import numpy as np
 
 from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError, check_memory
+from .termination import DEFAULT_VREF
 from .textio import write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
 
 ENUMERATION_CAP = 20
 EXACT_FOM_CAP = 40
+DEFAULT_LEVELS = (0.0, 1.0)  # V, logic low and high
 # Rows of sampled codes per chunk: even, so every chunk but the last draws a
 # whole number of 64-bit words, and small, so one chunk's codes and currents
 # (512 KiB each at n=64) stay in cache from the draw to the reductions.
@@ -92,7 +94,7 @@ def _checked_inputs(y, vref, levels):
     return y, volts[1] - volts[0], volts[2] - volts[0]
 
 
-def bundle_fom(y, vref=0.5, levels=(0.0, 1.0)):
+def bundle_fom(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS):
     """Exact figures of merit over all 2^n codes (n <= 40), in closed form.
 
     Every bit is independently a or b (the levels less vref), with mean mu
@@ -134,7 +136,7 @@ def sampled_fom_bytes(n, samples):
     return 8 * 3 * samples + rows * (8 * n + 8 * n + 4 * n + 8) + (1 << 16)
 
 
-def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
+def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=100000, seed=0):
     """Monte Carlo estimate of the figures of merit for wide buses.
 
     Codes are drawn uniformly with replacement from the 2^n space using a
@@ -189,7 +191,7 @@ def bundle_fom_sampled(y, vref=0.5, levels=(0.0, 1.0), samples=100000, seed=0):
     )
 
 
-def code_table(y, vref=0.5, levels=(0.0, 1.0)):
+def code_table(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS):
     """Per-code current table, shape (2^n, n): row c is code c, built lowest
     bit first, and bit k of c set puts wire k+1 at levels[1].  Rows c and
     2^n-1-c are exact negations only when the levels sit symmetrically

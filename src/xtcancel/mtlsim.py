@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
 from .textio import read_json, write_csv
 
-LINK_SCHEMA_VERSION = 1
+LINK_SCHEMA_VERSION = 2
 
 TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
@@ -435,7 +435,7 @@ def write_waveform_csv(waves, path):
 def read_waveform_csv(path, engine):
     """Read a waveform CSV into engine's Waveforms, refusing a file that is
     not on the grid engine's sim writes: its wire count, timestep, start time
-    and sample count.  Another seed or network with the same timing passes.
+    and sample count.  Another link with the same timing passes.
     No more than one row past the grid is parsed; the checked times are dropped."""
     samples = engine.samples
     with open(path, "r", encoding="utf-8") as fh:
@@ -499,12 +499,9 @@ def waveform_read_bytes(n, samples):
     return 8 * ((n + 1) * (samples + 1) + n * samples) + (1 << 16)
 
 
-def _ints(values, field):
-    return tuple(integer(v, field) for v in converted(list, values, field))
-
-
 def _bit_rows(rows, field):
-    return tuple(_ints(row, field) for row in converted(list, rows, field))
+    return tuple(tuple(integer(v, field) for v in converted(list, row, field))
+                 for row in converted(list, rows, field))
 
 
 def _optional(raw, key, convert):
@@ -542,7 +539,7 @@ def link_from_dict(raw, base_dir="."):
                    else network_from_dict(ref))
 
     stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",),
-                        ("prbs_order", "seed", "mode", "invert_mask", "offsets", "streams"))
+                        ("prbs_order", "seed", "mode", "streams"))
     # Only the PRBS fields the document gives, so StimulusSpec owns their
     # defaults; next to explicit streams, which replace the PRBS, none is taken.
     prbs = {k: stim_raw[k] for k in ("prbs_order", "mode") if k in stim_raw}
@@ -553,8 +550,6 @@ def link_from_dict(raw, base_dir="."):
     stimulus = StimulusSpec(
         data_rate=number(stim_raw["data_rate"], "data_rate"),
         seed=_optional(stim_raw, "seed", integer),
-        invert_mask=_optional(stim_raw, "invert_mask", _ints),
-        offsets=_optional(stim_raw, "offsets", _ints),
         streams=_optional(stim_raw, "streams", _bit_rows),
         **prbs,
     )
@@ -569,8 +564,3 @@ def link_from_dict(raw, base_dir="."):
 
 def load_link(path):
     return link_from_dict(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def with_stimulus_seed(spec, seed):
-    """Copy a LinkSpec with a different PRBS seed (CLI --seed override)."""
-    return replace(spec, stimulus=replace(spec.stimulus, seed=seed))

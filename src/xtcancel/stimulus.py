@@ -71,22 +71,19 @@ def prbs(order=7, seed=None):
 class StimulusSpec:
     """How each wire of the bus is driven.
 
-    mode picks the default per-wire arrangement of one shared PRBS:
+    mode picks the per-wire arrangement of one shared PRBS:
       worst  -- every wire carries the same stream (pseudo-even excitation)
       best   -- streams alternate inverted/non-inverted by wire index
                 (pseudo-odd excitation)
       random -- wire k starts 17*k bits into the period (decorrelated)
-    invert_mask / offsets override the mode defaults wire-by-wire, and
-    streams replaces PRBS generation entirely with explicit bit rows, so it
-    refuses a seed, offsets or invert_mask.
+    Every other arrangement is spelled as streams: explicit bit rows that
+    replace PRBS generation entirely, so they refuse a seed.
     """
 
     data_rate: float               # bit/s
     prbs_order: int = 7
     seed: int | None = None        # LFSR initial state; None -> all ones
     mode: str = "random"
-    invert_mask: tuple[int, ...] | None = None
-    offsets: tuple[int, ...] | None = None
     streams: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -96,11 +93,8 @@ class StimulusSpec:
         if self.mode not in PATTERN_MODES:
             raise ValidationError("unknown stimulus mode %r (expected one of %s)"
                                   % (self.mode, "/".join(PATTERN_MODES)))
-        if self.streams is not None:
-            ignored = [k for k in ("seed", "offsets", "invert_mask") if getattr(self, k) is not None]
-            if ignored:
-                raise ValidationError("explicit streams replace the PRBS; drop %s"
-                                      % ", ".join(ignored))
+        if self.streams is not None and self.seed is not None:
+            raise ValidationError("explicit streams replace the PRBS; drop seed")
 
     @property
     def unit_interval(self):
@@ -137,21 +131,8 @@ def pattern_assign(spec, n):
     wires = np.arange(n)
     offsets = wires * _RANDOM_STRIDE if spec.mode == "random" else np.zeros(n, np.int64)
     inverts = wires % 2 == 1 if spec.mode == "best" else np.zeros(n, bool)
-    if spec.offsets is not None:
-        if len(spec.offsets) != n:
-            raise ValidationError("offsets cover %d wires, bus has %d" % (len(spec.offsets), n))
-        # Python ints, so an offset of any size wraps exactly
-        offsets = np.array(spec.offsets, dtype=object) % period
-    if spec.invert_mask is not None:
-        if len(spec.invert_mask) != n:
-            raise ValidationError("invert mask covers %d wires, bus has %d"
-                                  % (len(spec.invert_mask), n))
-        if not np.isin(spec.invert_mask, (0, 1)).all():
-            raise ValidationError("invert_mask entries must be 0 or 1, got %r"
-                                  % (spec.invert_mask,))
-        inverts = np.array(spec.invert_mask, dtype=bool)
     # Row k is the base rotated left by offsets[k]: np.roll(base, -offsets[k]).
-    at = (offsets.astype(np.int64)[:, None] + np.arange(period)) % period
+    at = (offsets[:, None] + np.arange(period)) % period
     return base[at] ^ inverts[:, None]
 
 

@@ -20,6 +20,7 @@ from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationEr
 from .textio import read_json, write_csv, write_json
 
 NETWORK_SCHEMA_VERSION = 1
+DEFAULT_VREF = 0.5  # V, the termination rail when none is given
 
 # Off-diagonal admittance above this is a genuinely negative resistor demand;
 # anything smaller in magnitude is treated as no coupling at all.
@@ -84,7 +85,7 @@ class TerminationNetwork:
         }
 
 
-def realize_network(zc, vref=0.5):
+def realize_network(zc, vref=DEFAULT_VREF):
     """Synthesize the crosstalk-cancelling resistor network for Zc.
 
     Y = Zc^-1; each negative off-diagonal entry becomes a coupling resistor

@@ -192,7 +192,7 @@ def fixture_networks(bundles):
 
 def simple_link(bundle, network, length_m=FOUR_INCHES_M, data_rate=16e9,
                 rs_ohms=1.67, rise_s=10e-12, mode="worst", seed=None,
-                prbs_order=7, streams=None, offsets=None, invert_mask=None,
+                prbs_order=7, streams=None,
                 v_low=0.0, v_high=1.0, timestep_s=None, duration_s=None):
     """One-segment link with uniform driver resistance; keeps tests short."""
     n = bundle.n
@@ -203,8 +203,7 @@ def simple_link(bundle, network, length_m=FOUR_INCHES_M, data_rate=16e9,
         drivers=DriverBank(rs_ohms=rs, v_low=v_low, v_high=v_high, rise_s=rise_s),
         termination=network,
         stimulus=StimulusSpec(data_rate=data_rate, prbs_order=prbs_order, seed=seed,
-                              mode=mode, invert_mask=invert_mask, offsets=offsets,
-                              streams=streams),
+                              mode=mode, streams=streams),
         timestep_s=timestep_s,
         duration_s=duration_s,
     )

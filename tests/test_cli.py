@@ -17,6 +17,7 @@ from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
 from xtcancel.eye import eye_measure, fold_phases, write_eye_json
 from xtcancel.fom import bundle_fom, code_table, write_code_table_csv, write_report_json
 from xtcancel.mtlsim import build_link, load_link, run_transient
+from xtcancel.stimulus import pattern_assign
 from xtcancel.termination import load_network, save_network
 from xtcancel.textio import write_csv
 
@@ -256,10 +257,44 @@ def test_sim_deterministic_and_seeded(tmp_path):
     assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(a)]) == 0
     assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    raw["stimulus"]["seed"] = 9
     c = tmp_path / "c.csv"
-    assert cli.main(["sim", "--link", fx("link-pair.json"), "--seed", "9",
-                     "-o", str(c)]) == 0
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(c)]) == 0
     assert c.read_bytes() != a.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sim", "eye", "sweep"])
+def test_seed_flag_is_refused(tmp_path, capsys, command):
+    """The link document is the one owner of the stimulus seed: a --seed on
+    the command line could make eye score sim's waves against other streams."""
+    waves = tmp_path / "waves.csv"
+    if command == "eye":
+        assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
+    out = tmp_path / "out"
+    argv = {"sim": ["sim", "--link", fx("link-pair.json")],
+            "eye": ["eye", "--waves", str(waves), "--link", fx("link-pair.json")],
+            "sweep": ["sweep", "--mode", "rs", "--link", fx("link-pair.json"),
+                      "--values", "0"]}[command]
+    assert cli.main(argv + ["--seed", "9", "-o", str(out)]) == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, mode", [("link-twelve.json", "random"),
+                                        ("link-pair.json", "worst")], ids=["twelve", "pair"])
+def test_mode_spelled_as_streams_gives_identical_waves(tmp_path, name, mode):
+    """Explicit streams spell every arrangement: a mode's streams, given
+    bit for bit, make sim write the mode's bytes."""
+    spec = load_link(fx(name))
+    assert spec.stimulus.mode == mode
+    raw = json.loads(Path(fx(name)).read_text())
+    del raw["stimulus"]["prbs_order"], raw["stimulus"]["mode"]
+    raw["stimulus"]["streams"] = pattern_assign(spec.stimulus, spec.termination.n).tolist()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["sim", "--link", fx(name), "-o", str(a)]) == 0
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_rs(tmp_path):
@@ -311,12 +346,17 @@ def test_sweep_value_validation(tmp_path):
                      "--values", "abc/1", "-o", out]) == 2
 
 
-@pytest.mark.parametrize("values", ["inf,-5/10", "inf,none"])
-def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, values):
-    """Every point's link is built before the first runs: a bad last value
+@pytest.mark.parametrize("mode, link, values", [
+    ("cutoff", "link-pair.json", "inf,-5/10"),
+    ("cutoff", "link-pair.json", "inf,none"),
+    # a 10 um breakout is shorter than one timestep, which build_link refuses
+    ("uncoupled", "link-twelve.json", "0.001,0.00001"),
+], ids=["inf,-5/10", "inf,none", "uncoupled-timestep"])
+def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, link, values):
+    """Every point's engine is built before the first runs: a bad last value
     costs no simulation.  inf is the one spelling of the full network."""
     out = tmp_path / "s.csv"
-    assert cli.main(["sweep", "--mode", "cutoff", "--link", fx("link-pair.json"),
+    assert cli.main(["sweep", "--mode", mode, "--link", fx(link),
                      "--values", values, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: " in err and "min eye" not in err
@@ -392,9 +432,12 @@ def test_non_finite_link_number_exit_2(tmp_path, capsys, field, value, message):
     assert "error: " + message in capsys.readouterr().err
 
 
-def _scalar_link(tmp_path, raw):
-    raw["segments"][0]["bundle"] = fx("scalar.json")
-    raw["termination"] = fx("50ohm-scalar.json")
+def _link_in(tmp_path, raw):
+    """Write raw, a document read from fixtures/, to tmp_path with its file
+    references made absolute."""
+    for entry in raw["segments"]:
+        entry["bundle"] = fx(entry["bundle"])
+    raw["termination"] = fx(raw["termination"])
     link = tmp_path / "link.json"
     link.write_text(json.dumps(raw))
     return str(link)
@@ -407,28 +450,39 @@ def test_misspelt_link_field_exit_2(tmp_path, capsys):
     raw["drivers"]["rs_ohm"] = 50
     raw["stimulus"]["prbs_ordr"] = 9
     waves = tmp_path / "w.csv"
-    assert cli.main(["sim", "--link", _scalar_link(tmp_path, raw), "-o", str(waves)]) == 2
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 2
     assert "error: drivers has unknown field(s): rs_ohm" in capsys.readouterr().err
     assert not waves.exists()
 
 
-@pytest.mark.parametrize("field, value, flags", [
-    ("prbs_order", 9, []),
-    ("mode", "best", []),
-    ("seed", None, ["--seed", "9"]),
+@pytest.mark.parametrize("field, value", [("offsets", [0, 5]), ("invert_mask", [0, 1])],
+                         ids=["offsets", "invert_mask"])
+def test_per_wire_override_field_exit_2(tmp_path, capsys, field, value):
+    """Per-wire offsets and inversions are spelled as explicit streams; the
+    old override fields are refused by name, not ignored."""
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    raw["stimulus"][field] = value
+    waves = tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 2
+    assert "error: stimulus has unknown field(s): %s" % field in capsys.readouterr().err
+    assert not waves.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prbs_order", 9),
+    ("mode", "best"),
+    ("seed", 9),
 ], ids=["prbs_order", "mode", "seed"])
-def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, field, value, flags):
+def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, field, value):
     """Explicit streams replace the PRBS: a PRBS field next to them in the
-    document, or --seed on the command line, is refused, not ignored."""
+    document is refused, not ignored."""
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
     del raw["stimulus"]["prbs_order"], raw["stimulus"]["mode"]
     raw["stimulus"]["streams"] = [[0, 1, 1, 0, 1]]
     waves = tmp_path / "w.csv"
-    assert cli.main(["sim", "--link", _scalar_link(tmp_path, raw), "-o", str(waves)]) == 0
-    if value is not None:
-        raw["stimulus"][field] = value
-    link = _scalar_link(tmp_path, raw)
-    assert cli.main(["sim", "--link", link, *flags, "-o", str(waves)]) == 2
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 0
+    raw["stimulus"][field] = value
+    assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 2
     assert "error: explicit streams replace the PRBS; drop %s" % field \
         in capsys.readouterr().err
 

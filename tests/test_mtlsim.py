@@ -18,8 +18,7 @@ from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel import mtlsim
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _block_gather, _NodeSolve,
                              build_link, link_from_dict, load_link, run_transient,
-                             read_waveform_csv, with_stimulus_seed,
-                             write_waveform_csv)
+                             read_waveform_csv, write_waveform_csv)
 from xtcancel.stimulus import StimulusSpec, drive_levels
 from xtcancel.termination import network_admittance, realize_network, self_conductances
 
@@ -710,8 +709,6 @@ def test_link_json_loading(tmp_path):
     assert spec.termination.n == 2
     assert spec.drivers.rs_ohms == (0.0, 0.0)
     assert spec.stimulus.mode == "worst"
-    seeded = with_stimulus_seed(spec, 77)
-    assert seeded.stimulus.seed == 77 and spec.stimulus.seed is None
     with pytest.raises(ValidationError):
         link_from_dict({"segments": []})
     term = {"n": 1, "vref": 0.5,
@@ -732,7 +729,6 @@ def test_link_json_loading(tmp_path):
                              # non-integer numbers are rejected, not truncated
                              ("stimulus", "prbs_order", 7.9),
                              ("stimulus", "seed", 3.5),
-                             ("stimulus", "offsets", [1.5]),
                              ("stimulus", "streams", [[0.5, 1]]),
                              ("stimulus", "streams", [[0, 1.7]]),
                              # true and quoted numbers are not numbers
@@ -749,7 +745,9 @@ def test_link_json_loading(tmp_path):
             link_from_dict(doc)
     # a misspelt key is refused, not ignored
     for part, key in (("link document", "duraton_s"), ("segment", "lenght_m"),
-                      ("drivers", "rs_ohm"), ("stimulus", "prbs_ordr")):
+                      ("drivers", "rs_ohm"), ("stimulus", "prbs_ordr"),
+                      # per-wire overrides are spelled as explicit streams
+                      ("stimulus", "offsets"), ("stimulus", "invert_mask")):
         doc = {"segments": [{"bundle": {"n": 1, "L": [[2.5e-7]], "C": [[1e-10]]},
                              "length_m": 0.1}],
                "drivers": {}, "termination": term, "stimulus": {"data_rate": 16e9}}

@@ -1,7 +1,6 @@
 """PRBS generation, pattern assignment, and drive waveform tests."""
 
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,18 +124,6 @@ def test_pattern_random_offsets():
     assert np.array_equal(streams, again)
 
 
-def test_pattern_overrides():
-    spec = StimulusSpec(data_rate=16e9, mode="worst",
-                        invert_mask=(0, 1), offsets=(0, 5))
-    streams = pattern_assign(spec, 2)
-    base = prbs(7)
-    assert np.array_equal(streams[0], base)
-    assert np.array_equal(streams[1], 1 - np.roll(base, -5))
-    for mask in ((0, 2), (-1, 0)):  # not 0/1: rejected, not read as "invert"
-        with pytest.raises(ValidationError, match="invert_mask"):
-            pattern_assign(replace(spec, invert_mask=mask), 2)
-
-
 def test_pattern_explicit_streams():
     spec = StimulusSpec(data_rate=16e9, streams=((1, 0, 1, 1), (0, 0, 1, 0)))
     streams = pattern_assign(spec, 2)
@@ -160,14 +147,9 @@ def test_stimulus_spec_validation():
         StimulusSpec(data_rate=float("inf"))
     with pytest.raises(ValidationError):
         StimulusSpec(data_rate=16e9, mode="typical")
-    # explicit streams replace the PRBS, so what would shape it is refused
-    streams = ((0, 1, 1),)
-    for field, value in (("seed", 5), ("offsets", (3,)), ("invert_mask", (1,))):
-        with pytest.raises(ValidationError,
-                           match="explicit streams replace the PRBS; drop %s$" % field):
-            StimulusSpec(data_rate=16e9, streams=streams, **{field: value})
-    with pytest.raises(ValidationError, match="drop seed, offsets, invert_mask$"):
-        StimulusSpec(data_rate=16e9, streams=streams, seed=5, offsets=(3,), invert_mask=(1,))
+    # explicit streams replace the PRBS, so a seed that would shape it is refused
+    with pytest.raises(ValidationError, match="explicit streams replace the PRBS; drop seed$"):
+        StimulusSpec(data_rate=16e9, streams=((0, 1, 1),), seed=5)
     assert StimulusSpec(data_rate=16e9).unit_interval == pytest.approx(62.5e-12)
 
 
