@@ -56,6 +56,15 @@ def main():
         "stimulus": {"data_rate": 16e9, "prbs_order": 7, "mode": "random"},
     })
 
+    # link-twelve's drivers and stimulus on the inhomogeneous bundle, whose
+    # modes spread over 54 ps: the matched network leaves far-end crosstalk.
+    write_json(os.path.join(OUT, "link-microstrip.json"), {
+        "segments": [{"bundle": "microstrip.json", "length_m": 0.1016}],
+        "drivers": {"rs_ohms": 1.67, "v_low": 0.0, "v_high": 1.0, "rise_s": 10e-12},
+        "termination": "microstrip-network.json",
+        "stimulus": {"data_rate": 16e9, "prbs_order": 7, "mode": "random"},
+    })
+
     print("fixtures written to", os.path.abspath(OUT))
 
 

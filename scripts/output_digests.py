@@ -1,10 +1,11 @@
 """Print the SHA-256 of every file the CLI writes for the shipped fixtures.
 
-Runs each command (synth with --zc/--histogram, synth reduction of a network
-and of a bundle, fom with --codes, also at levels off-centre about --vref,
-fom from a network and sampled with --samples, sim, eye with --svg/--folded,
-and sweep in all three modes) on fixtures/ into a temporary directory and
-prints one "sha256  name" line per output file.
+Runs each command (synth with --zc/--histogram on every bundle, the
+inhomogeneous microstrip.json included, synth reduction of a network and of
+a bundle, fom with --codes, also at levels off-centre about --vref, fom from
+a network and sampled with --samples, sim and eye with --svg/--folded on
+every link, and sweep in all three modes) on fixtures/ into a temporary
+directory and prints one "sha256  name" line per output file.
 Two checkouts whose outputs are byte-identical print the same
 lines, so a refactor of the output layer can be checked with diff:
 
@@ -28,7 +29,7 @@ def commands():
     """(argv, output file names) for every run, file names relative to the
     output directory."""
     runs = []
-    for name in ("scalar", "pair", "six", "twelve"):
+    for name in ("scalar", "pair", "six", "twelve", "microstrip"):
         runs.append((["synth", "--lc", "@%s.json" % name, "-o", "synth-%s.json" % name,
                       "--zc", "zc-%s.json" % name, "--histogram", "hist-%s.csv" % name],
                      ["synth-%s.json" % name, "zc-%s.json" % name, "hist-%s.csv" % name]))
@@ -48,7 +49,7 @@ def commands():
                  ["fom-net-twelve.json"]))
     runs.append((["fom", "--lc", "@twelve.json", "--samples", "5000", "--seed", "3",
                   "-o", "fom-sampled-twelve.json"], ["fom-sampled-twelve.json"]))
-    for name in ("scalar", "pair", "twelve"):
+    for name in ("scalar", "pair", "twelve", "microstrip"):
         link = "@link-%s.json" % name
         waves = "waves-%s.csv" % name
         runs.append((["sim", "--link", link, "-o", waves], [waves]))

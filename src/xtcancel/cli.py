@@ -5,24 +5,21 @@ All commands write data to files only; anything informational goes to the
 error stream.  Given the same inputs, every command produces
 byte-identical output files.
 
-Exit codes: 0 success; 2 bad input (validation, schema, malformed JSON,
-unknown flags); 3 coupling not realizable as a passive network; 4 bus wider
-than the cap of the exact report or of the code table; 5 simulation produced
-non-finite values.
+Exit codes: 0 success, else the exit_code of the error type raised (errors.py):
+2 bad input (a missing file too), 3 coupling not realizable as a passive
+network, 4 bus wider than a cap, 5 simulation produced non-finite values.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from . import __version__
 from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_impedance,
                      load_bundle, uncoupled_bundle)
-from .errors import (EnumerationCapError, NonRealizableCouplingError,
-                     SimulationDivergedError, ValidationError, check_memory)
+from .errors import ValidationError, XtcancelError, check_memory
 from .eye import (EYE_SCHEMA_VERSION, eye_bytes, eye_measure, render_eye_svg,
                   write_eye_json, write_folded_csv)
 from .fom import (DEFAULT_LEVELS, REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
@@ -77,13 +74,13 @@ def cmd_fom(args):
         y, vref = basis.yc, DEFAULT_VREF
     if args.vref is not None:
         vref = args.vref
+    # Both before either is written, the table first: its cap is the lower.
+    table = code_table(y, vref=vref, levels=args.levels) if args.codes else None
     if args.samples is not None:
         report = bundle_fom_sampled(y, vref=vref, levels=args.levels,
                                     samples=args.samples, seed=args.seed or 0)
     else:
         report = bundle_fom(y, vref=vref, levels=args.levels)
-    # The table's cap is lower than the report's: fail before writing either.
-    table = code_table(y, vref=vref, levels=args.levels) if args.codes else None
     write_report_json(report, args.output)
     if table is not None:
         write_code_table_csv(table, args.codes)
@@ -254,19 +251,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NonRealizableCouplingError as exc:
+    except (XtcancelError, OSError) as exc:
         _info("error: %s" % exc)
-        return 3
-    except EnumerationCapError as exc:
-        _info("error: %s" % exc)
-        _info("hint: pass --samples N for a Monte Carlo estimate of wide buses")
-        return 4
-    except SimulationDivergedError as exc:
-        _info("error: %s" % exc)
-        return 5
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _info("error: %s" % exc)
-        return 2
+        return getattr(exc, "exit_code", 2)  # an OSError is bad input: a missing file
 
 
 def entry():

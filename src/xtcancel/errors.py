@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the reader of document fields.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific type that applies rather than bare ValueError.
+Each error type carries the process exit code the CLI returns for it
+(exit_code), so library code should raise the most specific type that
+applies rather than bare ValueError.
 document(), number() and integer() read an input document: a document holds
 only the fields its reader knows, a field must hold a JSON number, so a bool
 or a quoted number is rejected (RFC 8259), and converted() turns any other
@@ -17,6 +18,7 @@ MEMORY_BUDGET_BYTES = 1 << 30
 
 class XtcancelError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
 class ValidationError(XtcancelError, ValueError):
@@ -32,6 +34,7 @@ class NonRealizableCouplingError(XtcancelError):
 
     Carries the offending 1-based wire pair so callers can report it.
     """
+    exit_code = 3
 
     def __init__(self, i, j, admittance):
         self.i = i
@@ -65,10 +68,12 @@ class DegenerateStreamError(ValidationError):
 
 class EnumerationCapError(XtcancelError):
     """Exhaustive code enumeration was requested beyond the supported size."""
+    exit_code = 4
 
 
 class SimulationDivergedError(XtcancelError):
     """A non-finite value appeared during time stepping."""
+    exit_code = 5
 
     def __init__(self, step, detail=""):
         self.step = step

@@ -109,7 +109,7 @@ def bundle_fom(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS):
     n = y.shape[0]
     if n > EXACT_FOM_CAP:
         raise EnumerationCapError(
-            "exact figures of merit capped at %d wires (got %d); use the sampled variant"
+            "exact figures of merit capped at %d wires (got %d); pass --samples N to sample"
             % (EXACT_FOM_CAP, n))
     mu, h = 0.5 * (a + b), 0.5 * (b - a)
     c = y.sum(axis=1)

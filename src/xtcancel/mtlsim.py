@@ -53,7 +53,8 @@ steps past the run are discarded.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
 check after every block would report.  The run holds the returned waveforms
 and one window, not a row for every step, and Engine refuses a link whose
-stepper_bytes is over errors.MEMORY_BUDGET_BYTES before any PRBS exists.
+stepper_bytes is over errors.MEMORY_BUDGET_BYTES before any PRBS or step
+map exists.
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ class Engine:
         self.samples = self.steps - self.start_index
         # The pre-flight, before any stream exists.
         check_memory(self.stepper_bytes(self.steps), "a link of %d timesteps" % self.steps,
-                     "lower prbs_order, lengthen timestep_s or shorten duration_s")
+                     "lower prbs_order, lengthen timestep_s or shorten duration_s "
+                     "or the segment list")
 
         self.streams = pattern_assign(spec.stimulus, n)
 
@@ -324,18 +326,26 @@ class Engine:
         return -(-max(_WINDOW_STEPS, self.pad) // self.block) * self.block
 
     def stepper_bytes(self, steps):
-        """An upper bound on the memory of a run of steps: the returned volts
-        and currents (2n words a step), the gather indices and one window,
-        plus 64 KiB for small arrays.  A window is its history rows, its
-        drive, and the larger of drive_levels' temporaries and the block
-        buffers with the finiteness check."""
+        """An upper bound on the memory of building the link and a run of
+        steps: the step map, the returned volts and currents (2n words a
+        step) and one window, plus 64 KiB for small arrays.
+
+        The step map is step_e, step (which step_s views) and the gather
+        indices; its build adds the identity and the larger of step_e's two
+        halves and the gather's temporaries.  The width w is 2n a segment, so
+        the map grows as the square of the segment count.  A window is its
+        history rows, its drive, and the larger of drive_levels' temporaries
+        and the block buffers with the finiteness check."""
         w, n, block, size = self.width, self.n, self.block, self.window_steps()
+        k = w + n + 1  # the identity's columns
+        step_map = 2 * w * (w + 2 * n) + (w + 2 * n) * k + block * 2 * w
+        build = k * k + max(2 * w * (w + 2 * n), block * 2 * w)
         window = (self.pad + size) * (w + 2 * n) + size * (n + 1) + max(
             # drive_levels' result, its ramps (two arrays of at most every
             # step's rows) and its times, bit indices, masks and phases
             size * (3 * n + 6),
             block * (3 * w + 2 * n) + size * n)
-        return 8 * (2 * n * steps + block * 2 * w + window) + (1 << 16)
+        return 8 * (2 * n * steps + step_map + build + window) + (1 << 16)
 
     def waveforms(self, volts, source_currents=None):
         """volts (n, samples), relative to vref, on run_transient's grid."""
@@ -439,20 +449,22 @@ def read_waveform_csv(path, engine):
     No more than one row past the grid is parsed; the checked times are dropped."""
     samples = engine.samples
     with open(path, "r", encoding="utf-8") as fh:
-        cols = fh.readline().strip().split(",")
-        if cols[0] != "time_s" or len(cols) < 2:
-            raise ValidationError("waveform CSV must start with time_s,w1,... header")
-        if len(cols) - 1 != engine.n:
-            raise ValidationError("waveform file has %d wires, link has %d"
-                                  % (len(cols) - 1, engine.n))
         try:
+            cols = fh.readline().strip().split(",")
+            if cols[0] != "time_s" or len(cols) < 2:
+                raise ValidationError("waveform CSV must start with time_s,w1,... header")
+            if len(cols) - 1 != engine.n:
+                raise ValidationError("waveform file has %d wires, link has %d"
+                                      % (len(cols) - 1, engine.n))
             # loadtxt warns about each blank line, which max_rows does not
             # count, and about a file with no data rows.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                                   max_rows=samples + 1)
-        except ValueError as exc:
+        except ValidationError:
+            raise
+        except ValueError as exc:  # text that is not UTF-8, or a row that is not numbers
             raise ValidationError("waveform CSV: %s" % exc) from None
     _check_waveform(data, cols, engine, samples)
     # a copy, so the result does not keep the whole parse buffer alive

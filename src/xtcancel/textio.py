@@ -18,6 +18,8 @@ import json
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Cells formatted per write.  Formatting a whole table at once would hold one
 # Python object per value (tens of MB for a long waveform) at the same time.
 _CHUNK_CELLS = 1 << 13
@@ -90,5 +92,9 @@ def write_json(path, doc):
 
 
 def read_json(path):
+    """The document in path; malformed text raises ValidationError naming path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError("%s: %s" % (path, exc)) from None

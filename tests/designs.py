@@ -175,6 +175,7 @@ def fixture_bundles():
         "pair.json": pair_bundle(name="pair"),
         "six.json": six_wire_bundle(name="six"),
         "twelve.json": twelve_wire_bundle(name="twelve"),
+        "microstrip.json": microstrip_bundle(3.8, 2.2),
     }
 
 
@@ -182,7 +183,8 @@ def fixture_networks(bundles):
     """The networks of fixtures/, by file name, from fixture_bundles()."""
     nets = {}
     for fname, source in (("pair-network.json", "pair.json"),
-                          ("twelve-network.json", "twelve.json")):
+                          ("twelve-network.json", "twelve.json"),
+                          ("microstrip-network.json", "microstrip.json")):
         basis, _ = characteristic_impedance(bundles[source])
         nets[fname] = realize_network(basis.zc, vref=0.5)
     nets["twelve-50ohm.json"] = fifty_ohm_network(12, vref=0.5)

@@ -1,7 +1,10 @@
 """End-to-end command-line tests: flows, file outputs, and exit codes."""
 
+import importlib.util
+import inspect
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from designs import non_realizable_bundle, reference_termination
-from xtcancel import cli
+from xtcancel import cli, errors
 from xtcancel.bundle import characteristic_impedance, load_bundle, save_bundle, uncoupled_bundle
 from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
 from xtcancel.eye import eye_measure, fold_phases, write_eye_json
@@ -148,11 +151,17 @@ def test_fom_from_network_file(tmp_path):
     assert data["max_wire_current_a"] == pytest.approx(10.0e-3, rel=1e-9)
 
 
-def test_fom_cap_and_sampling(tmp_path):
+def test_fom_cap_and_sampling(tmp_path, capsys):
     wide = tmp_path / "wide.json"
     save_bundle(uncoupled_bundle(41), wide)
     rep = tmp_path / "rep.json"
     assert cli.main(["fom", "--lc", str(wide), "-o", str(rep)]) == 4
+    assert "pass --samples N" in capsys.readouterr().err  # the report's remedy
+    # with --codes the table, whose cap is the lower, refuses first
+    assert cli.main(["fom", "--lc", str(wide), "-o", str(rep),
+                     "--codes", str(tmp_path / "c.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "error: code table capped at 20 wires (got 41)" in err and "--samples" not in err
     assert cli.main(["fom", "--lc", str(wide), "-o", str(rep),
                      "--samples", "400", "--seed", "3"]) == 0
     data = json.loads(rep.read_text())
@@ -165,8 +174,12 @@ def test_fom_cap_and_sampling(tmp_path):
     mid = tmp_path / "mid.json"
     save_bundle(uncoupled_bundle(21), mid)
     mid_rep = tmp_path / "mid-rep.json"
+    capsys.readouterr()
     assert cli.main(["fom", "--lc", str(mid), "-o", str(mid_rep),
                      "--codes", str(tmp_path / "c.csv")]) == 4
+    # no sampled table exists, so the table's message names no remedy
+    err = capsys.readouterr().err
+    assert "error: code table capped at 20 wires (got 21)" in err and "--samples" not in err
     assert not mid_rep.exists() and not (tmp_path / "c.csv").exists()
     assert cli.main(["fom", "--lc", str(mid), "-o", str(mid_rep)]) == 0
     data = json.loads(mid_rep.read_text())
@@ -363,10 +376,17 @@ def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, li
     assert not out.exists()
 
 
-def test_exit_code_2_on_bad_inputs(tmp_path):
+def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+    # nesting past the parser's recursion limit, and an integer past int's
+    # digit limit: refused by the JSON reader, naming the file
+    raw = json.loads(Path(fx("pair.json")).read_text())
+    for text in ("[" * 100000, json.dumps(raw).replace('"n": 2', '"n": 1' + "0" * 5000)):
+        bad.write_text(text)
+        assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+        assert "error: %s: " % bad in capsys.readouterr().err
     assert cli.main(["sim", "--link", str(tmp_path / "missing.json"),
                      "-o", str(tmp_path / "w.csv")]) == 2
     assert cli.main(["fom", "--lc", fx("pair.json"), "-o", str(tmp_path / "r.json"),
@@ -487,11 +507,13 @@ def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, field, value):
         in capsys.readouterr().err
 
 
-def test_eye_wire_mismatch_exit_2(tmp_path):
+def test_eye_wire_mismatch_exit_2(tmp_path, capsys):
     waves = tmp_path / "waves.csv"
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0
     assert cli.main(["eye", "--waves", str(waves), "--link", fx("link-pair.json"),
                      "-o", str(tmp_path / "e.json")]) == 2
+    # the header check's own message, not wrapped as a parse error
+    assert "error: waveform file has 1 wires, link has 2\n" in capsys.readouterr().err
 
 
 def _resized(raw, length_m=None, **fields):
@@ -517,12 +539,9 @@ def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
     assert t[0] == engine.start_index * engine.dt
     assert t.size == engine.samples
     raw = json.loads(Path(fx("link-pair.json")).read_text())
-    raw["segments"][0]["bundle"] = fx("pair.json")
-    raw["termination"] = fx("pair-network.json")
-    link = tmp_path / "other.json"
-    link.write_text(json.dumps(_resized(raw, **change)))
+    link = _link_in(tmp_path, _resized(raw, **change))
     out = tmp_path / "e.json"
-    assert cli.main(["eye", "--waves", str(waves), "--link", str(link), "-o", str(out)]) == 2
+    assert cli.main(["eye", "--waves", str(waves), "--link", link, "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -530,12 +549,8 @@ def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
 def _twelve_at(tmp_path, prbs_order):
     """link-twelve.json at another PRBS order, written to tmp_path."""
     raw = json.loads(Path(fx("link-twelve.json")).read_text())
-    raw["segments"][0]["bundle"] = fx("twelve.json")
-    raw["termination"] = fx("twelve-network.json")
     raw["stimulus"]["prbs_order"] = prbs_order
-    link = tmp_path / ("link-prbs%d.json" % prbs_order)
-    link.write_text(json.dumps(raw))
-    return str(link)
+    return _link_in(tmp_path, raw)
 
 
 def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
@@ -614,35 +629,30 @@ def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["waves", "link"])
+@pytest.mark.parametrize("name", ["waves", "header", "link"])
 def test_non_utf8_input_exit_2(tmp_path, capsys, name):
-    """A 0xff byte in a waveform data row or in a link file is bad input,
-    not a crash."""
-    paths = {"waves": tmp_path / "waves.csv", "link": tmp_path / "link.json"}
-    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(paths["waves"])]) == 0
-    raw = json.loads(Path(fx("link-pair.json")).read_text())
-    raw["segments"][0]["bundle"] = fx("pair.json")
-    raw["termination"] = fx("pair-network.json")
-    paths["link"].write_text(json.dumps(raw, indent=1))
-    data = paths[name].read_bytes()
-    at = data.index(b"\n", len(data) // 2) + 1  # the start of a row or line
-    paths[name].write_bytes(data[:at] + b"\xff" + data[at:])
+    """A 0xff byte in a waveform data row or header line, or in a link file,
+    is bad input, not a crash."""
+    link = Path(_link_in(tmp_path, json.loads(Path(fx("link-pair.json")).read_text())))
+    waves = tmp_path / "waves.csv"
+    assert cli.main(["sim", "--link", str(link), "-o", str(waves)]) == 0
+    path = link if name == "link" else waves
+    data = path.read_bytes()
+    at = (len(data) // 2 if name == "link" else len("time_s,") if name == "header"
+          else data.index(b"\n", len(data) // 2) + 1)  # the start of a data row
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
     out = tmp_path / "e.json"
-    assert cli.main(["eye", "--waves", str(paths["waves"]), "--link", str(paths["link"]),
-                     "-o", str(out)]) == 2
+    assert cli.main(["eye", "--waves", str(waves), "--link", str(link), "-o", str(out)]) == 2
     assert "can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_timestep_longer_than_rise_exit_2(tmp_path, capsys):
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
-    raw["segments"][0]["bundle"] = fx("scalar.json")
-    raw["termination"] = fx("50ohm-scalar.json")
-    link = tmp_path / "link.json"
     for timestep, code in ((2e-11, 2), (1e-11, 0)):  # rise_s is 1e-11
         raw["timestep_s"] = timestep
-        link.write_text(json.dumps(raw))
-        assert cli.main(["sim", "--link", str(link), "-o", str(tmp_path / "w.csv")]) == code
+        link = _link_in(tmp_path, raw)  # the references, once absolute, stay so
+        assert cli.main(["sim", "--link", link, "-o", str(tmp_path / "w.csv")]) == code
     err = capsys.readouterr().err
     assert "error: timestep_s 2e-11 s is longer than rise_s 1e-11 s" in err
 
@@ -654,3 +664,40 @@ def test_exit_code_5_on_divergence(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_transient", blow_up)
     assert cli.main(["sim", "--link", fx("link-scalar.json"),
                      "-o", str(tmp_path / "w.csv")]) == 5
+
+
+# Every error type of errors.py and a phrase of the README's exit-code row
+# that its exit_code must select.
+_ERROR_ROWS = [("XtcancelError", "bad input"), ("ValidationError", "bad input"),
+               ("NonPhysicalBundleError", "bad input"), ("IsolatedWireError", "bad input"),
+               ("DegenerateStreamError", "bad input"),
+               ("NonRealizableCouplingError", "not realizable"),
+               ("EnumerationCapError", "too wide"), ("SimulationDivergedError", "non-finite")]
+
+
+@pytest.mark.parametrize("name, meaning", _ERROR_ROWS, ids=[name for name, _ in _ERROR_ROWS])
+def test_error_exit_code_is_its_readme_row(name, meaning):
+    """cli.main exits with the raised type's exit_code; the README's table
+    says what each code means."""
+    types = {n for n, t in inspect.getmembers(errors, inspect.isclass)
+             if issubclass(t, errors.XtcancelError)}
+    assert types == {n for n, _ in _ERROR_ROWS}
+    readme = (FIXTURES.parent / "README.md").read_text()
+    rows = dict(re.findall(r"^\| (\d) \| (.*) \|$", readme, re.M))
+    assert meaning in rows[str(getattr(errors, name).exit_code)]
+
+
+def test_output_digests_script_runs_and_repeats(capsys):
+    """scripts/output_digests.py runs every fixture command to exit 0 and
+    prints one digest line per output, the same lines twice."""
+    path = FIXTURES.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [out for _, outs in script.commands() for out in outs]
+    runs = []
+    for _ in range(2):
+        assert script.main() == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert [re.fullmatch(r"[0-9a-f]{64}  (\S+)", line).group(1) for line in runs[0]] == names
+    assert runs[1] == runs[0]

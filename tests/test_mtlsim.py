@@ -300,22 +300,32 @@ def _warmup_refusal(delay, dt, gb, length):
                      "segment" % (delay, dt, gb, length))
 
 
-@pytest.mark.parametrize("change, message", [
+@pytest.mark.parametrize("change, message, bound", [
     ({"prbs_order": 23}, r"a link of \d+ timesteps needs about [\d.]+ GB of memory, over the "
                          r"1\.07 GB budget; lower prbs_order, lengthen timestep_s or shorten "
-                         r"duration_s"),
-    ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.25", "0.1016")),
+                         r"duration_s", 2**20),
+    ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.25", "0.1016"), 2**20),
     # tau / dt overflows a float (a denormal timestep) or int64 (a huge
     # length): refused before the cast, without a warning
-    ({"timestep_s": 1e-320}, _warmup_refusal("5.86994e-10", "9.99989e-321", "inf", "0.1016")),
-    ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.27e+297", "1e+300")),
-], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300"])
-def test_oversized_link_rejected_before_allocation(change, message):
+    ({"timestep_s": 1e-320}, _warmup_refusal("5.86994e-10", "9.99989e-321", "inf", "0.1016"),
+     2**20),
+    ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.27e+297", "1e+300"),
+     2**20),
+    # the step map, 2w x (w + 2n) words and more with w = 2n x 500, would
+    # need about 6.9 GB; up to the pre-flight the segments hold 2.9 MB
+    ({"segments": 500}, re.escape(
+        "a link of 910392 timesteps needs about 7.85 GB of memory, over the 1.07 GB budget; "
+        "lower prbs_order, lengthen timestep_s or shorten duration_s or the segment list"),
+     2**22),
+], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300", "segments-500"])
+def test_oversized_link_rejected_before_allocation(change, message, bound):
     spec = load_link(FIXTURES / "link-twelve.json")
     if "prbs_order" in change:
         spec = replace(spec, stimulus=replace(spec.stimulus, **change))
     elif "length_m" in change:
         spec = replace(spec, segments=(replace(spec.segments[0], **change),))
+    elif "segments" in change:
+        spec = replace(spec, segments=spec.segments * change["segments"])
     else:
         spec = replace(spec, **change)
     tracemalloc.start()
@@ -327,22 +337,26 @@ def test_oversized_link_rejected_before_allocation(change, message):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < bound
 
 
 @pytest.mark.parametrize("name", ["twelve", "twelve-breakout-0.5mm", "pair",
-                                  "scalar-breakout-0.5mm"])
+                                  "scalar-breakout-0.5mm", "twelve-x20"])
 def test_stepper_peak_within_preflight_estimate(name):
+    """The pre-flight's figure bounds the traced peak of building the link,
+    step map included, and running it."""
     twelve = load_link(FIXTURES / "link-twelve.json")
     spec = {"twelve": twelve, "twelve-breakout-0.5mm": breakout_link(twelve, 0.0005),
             "pair": load_link(FIXTURES / "link-pair.json"),
             # the peak is the output rows and the drive, as estimated, so the
             # 64 KiB allowance for small arrays is what keeps it under
             "scalar-breakout-0.5mm": breakout_link(load_link(FIXTURES / "link-scalar.json"),
-                                                   0.0005)}[name]
-    engine = build_link(spec)
+                                                   0.0005),
+            # w = 480, where the step map's w^2 words no longer fit in the allowance
+            "twelve-x20": replace(twelve, segments=twelve.segments * 20)}[name]
     tracemalloc.start()
     try:
+        engine = build_link(spec)
         run_transient(engine)
         _, peak = tracemalloc.get_traced_memory()
     finally:
