@@ -167,8 +167,17 @@ def cmd_sweep(args):
     points = _sweep_points(load_link(args.link), args.mode,
                            _parse_sweep_values(args.mode, args.values))
     # Every point's link is built before any runs, so build_link's timestep
-    # checks, like the specs' value checks, refuse a bad point up front.
-    engines = [(col, build_link(point)) for col, point in points]
+    # checks, like the specs' value checks, refuse a bad point up front.  The
+    # built links hold their step maps together, through the largest run.
+    engines, held, run = [], 0, 0
+    for col, point in points:
+        engine = build_link(point)
+        engines.append((col, engine))
+        held += engine.step_map_bytes()
+        run = max(run, engine.stepper_bytes(engine.steps) - engine.step_map_bytes())
+        check_memory(held + run,
+                     "holding %d of the sweep's %d links" % (len(engines), len(points)),
+                     "sweep fewer values at a time")
     rows = []
     for col, engine in engines:
         waves = run_transient(engine)

@@ -20,12 +20,14 @@ History is read with linear interpolation at t - tau, so modal delays need
 not be timestep multiples; every modal delay must be at least one timestep
 for the explicit update to stay causal.
 
-Blocked stepping.  Write tau = (i0 + frac) dt.  The incident waves of step m
-read history rows m - i0 and m - i0 - 1, and the shortest delay B = min i0
-is at least one step, so every step of a block m .. m + B - 1 reads only rows
-written before the block.  The B steps are therefore independent of one
-another and run as one batch; the blocking approximates nothing.  The link is
-linear, so one step is an affine map, computed once from the node solves,
+Blocked stepping.  Write tau = (i0 + frac) dt; Engine.i0 and Engine.frac
+hold them for every history column, the link's one delay table.  The
+incident waves of step m read history rows m - i0 and m - i0 - 1, and the
+shortest delay B = min i0 is at least one step, so every step of a block
+m .. m + B - 1 reads only rows written before the block.  The B steps are
+therefore independent of one another and run as one batch; the blocking
+approximates nothing.  The link is linear, so one step is an affine map,
+computed once from the node solves,
 
     y = H[gather] @ step_e + [src, 1] @ step_s
 
@@ -37,7 +39,11 @@ m - i0 - 1, so step_e stacks the interpolation weights (1 - frac) and frac
 times the wave part of the map.
 y holds the new history row, then the receiver volts relative to vref, then
 the source currents; its constant (svec vref at the receiver, -vref in the
-volts) rides on a column of ones appended to the drive.
+volts) rides on a column of ones appended to the drive, Engine.drive(t).
+Each part of the map is an array of its own size: step_e is filled in place
+(in Fortran order, the layout np.dot rounds with) and step_s copied out of
+the step columns, which are freed with the identity before the gather is
+built.
 
 run_transient keeps all three in one window of pad + W rows whose rows are
 the steps' y, so the gather indices step over 2n (S + 1) columns a row for S
@@ -239,11 +245,13 @@ class Engine:
         # The first step kept in the waveforms: the grid run_transient returns
         # and read_waveform_csv checks a waveform file against.
         self.start_index = int(math.ceil(self.warmup_s / self.dt - 1e-9))
-        i0 = np.concatenate([np.tile(s.i0, 2) for s in self.segments])  # near, far ends
-        frac = np.concatenate([np.tile(s.frac, 2) for s in self.segments])
-        self.width = i0.size
-        self.pad = int(i0.max()) + 1
-        self.block = int(i0.min())
+        # The link-wide delay table: per history column, near then far end of
+        # each segment, the whole steps i0 and the fraction frac of a step.
+        self.i0 = np.concatenate([np.tile(s.i0, 2) for s in self.segments])
+        self.frac = np.concatenate([np.tile(s.frac, 2) for s in self.segments])
+        self.width = self.i0.size
+        self.pad = int(self.i0.max()) + 1
+        self.block = int(self.i0.min())
 
         window = self.warmup_s + self.nominal_delay_s + stream_period(spec.stimulus) * self.ui
         if spec.duration_s is None:
@@ -283,18 +291,23 @@ class Engine:
 
         # The step map: one step of the link is affine in the incident waves
         # and the drive, so the node solves run once, on identity columns.
+        # Each part gets an array of its own size, and the identity and the
+        # step columns are freed before the gather is built.
         w = self.width
         eye = np.eye(w + n + 1)
         step = self._step_columns(eye[:w], eye[w:w + n], eye[w + n])
-        self.step_e = np.vstack([(1.0 - frac)[:, None] * step[:, :w].T,
-                                 frac[:, None] * step[:, :w].T])
-        self.step_s = step[:, w:].T
-        self.gather = _block_gather(i0, n, self.pad, self.block)
+        del eye
+        self.step_s = np.asfortranarray(step[:, w:].T)
+        # Fortran order: the layout np.dot has always been given, so the
+        # products round as before.
+        self.step_e = np.empty((2 * w, w + 2 * n), order="F")
+        np.multiply((1.0 - self.frac)[:, None], step[:, :w].T, out=self.step_e[:w])
+        np.multiply(self.frac[:, None], step[:, :w].T, out=self.step_e[w:])
+        del step
+        self.gather = _block_gather(self.i0, n, self.pad, self.block)
         # The history row before t=0: every line starts at the DC state of the
         # t=0 drive, so the startup transient is only the difference from it.
-        d = spec.drivers
-        v_dc, i_dc = self.solve_dc(drive_levels(self.streams, np.zeros(1), spec.stimulus.data_rate,
-                                                d.rise_s, d.v_low, d.v_high)[0])
+        v_dc, i_dc = self.solve_dc(self.drive(np.zeros(1))[0])
         self.start_waves = np.concatenate([s.mi @ v_dc + end * (s.mvt @ i_dc)
                                            for s in segs for end in (1.0, -1.0)])  # near, far
 
@@ -312,11 +325,14 @@ class Engine:
                + [segs[-1].mit @ e_far[-1]])
         drives = [src] + [0.0] * (len(segs) - 1) + [self.vref * one]
         nodes = [s.solve(d, j) for s, d, j in zip(self.nodes, drives, inj)]
-        rows = []
+        out = np.empty((self.width + 2 * n, one.size))
+        rows = out.reshape(-1, n, one.size)  # n rows at a time, written in place
         for k, s in enumerate(segs):
-            rows += [2.0 * s.mi @ nodes[k] - e_near[k], 2.0 * s.mi @ nodes[k + 1] - e_far[k]]
-        rows += [nodes[-1] - self.vref * one, segs[0].yc @ nodes[0] - inj[0]]
-        return np.vstack(rows)
+            rows[2 * k] = 2.0 * s.mi @ nodes[k] - e_near[k]
+            rows[2 * k + 1] = 2.0 * s.mi @ nodes[k + 1] - e_far[k]
+        rows[-2] = nodes[-1] - self.vref * one
+        rows[-1] = segs[0].yc @ nodes[0] - inj[0]
+        return out
 
     def window_steps(self):
         """Steps of one run_transient window: _WINDOW_STEPS rounded up to
@@ -325,27 +341,44 @@ class Engine:
         next one reads."""
         return -(-max(_WINDOW_STEPS, self.pad) // self.block) * self.block
 
+    def step_map_bytes(self):
+        """The memory the built link holds for its step map: step_e (2w x
+        (w + 2n) words), step_s ((n + 1) x (w + 2n)) and the gather indices
+        (B x 2w).  The width w is 2n a segment, so the map grows as the
+        square of the segment count."""
+        w, n = self.width, self.n
+        return 8 * (2 * w * (w + 2 * n) + (n + 1) * (w + 2 * n) + self.block * 2 * w)
+
     def stepper_bytes(self, steps):
         """An upper bound on the memory of building the link and a run of
-        steps: the step map, the returned volts and currents (2n words a
-        step) and one window, plus 64 KiB for small arrays.
+        steps: the step map (step_map_bytes), the returned volts and
+        currents (2n words a step) and one window, plus 64 KiB for small
+        arrays.
 
-        The step map is step_e, step (which step_s views) and the gather
-        indices; its build adds the identity and the larger of step_e's two
-        halves and the gather's temporaries.  The width w is 2n a segment, so
-        the map grows as the square of the segment count.  A window is its
-        history rows, its drive, and the larger of drive_levels' temporaries
-        and the block buffers with the finiteness check."""
+        Building the step map adds the identity (k x k words, k = w + n + 1)
+        and, while the node solves run on it, the step columns ((w + 2n) x
+        k) and the solves' node volts and injections (as large again); step_e
+        and step_s are then taken from the step columns, which are freed, with
+        the identity, before the gather is built.  A window is its history
+        rows, its drive, and the larger of drive_levels' temporaries and the
+        block buffers with the finiteness check."""
         w, n, block, size = self.width, self.n, self.block, self.window_steps()
         k = w + n + 1  # the identity's columns
-        step_map = 2 * w * (w + 2 * n) + (w + 2 * n) * k + block * 2 * w
-        build = k * k + max(2 * w * (w + 2 * n), block * 2 * w)
+        build = k * k + 2 * (w + 2 * n) * k
         window = (self.pad + size) * (w + 2 * n) + size * (n + 1) + max(
             # drive_levels' result, its ramps (two arrays of at most every
             # step's rows) and its times, bit indices, masks and phases
             size * (3 * n + 6),
             block * (3 * w + 2 * n) + size * n)
-        return 8 * (2 * n * steps + step_map + build + window) + (1 << 16)
+        return self.step_map_bytes() + 8 * (2 * n * steps + build + window) + (1 << 16)
+
+    def drive(self, t):
+        """The drivers' source levels at times t, shape (len(t), n):
+        drive_levels with this link's streams, data rate, rise time and
+        levels."""
+        d = self.spec.drivers
+        return drive_levels(self.streams, t, self.spec.stimulus.data_rate, d.rise_s,
+                            d.v_low, d.v_high)
 
     def waveforms(self, volts, source_currents=None):
         """volts (n, samples), relative to vref, on run_transient's grid."""
@@ -371,7 +404,6 @@ def run_transient(engine):
     """Step the link for its duration and return post-warmup receiver waveforms."""
     dt, steps, start_index = engine.dt, engine.steps, engine.start_index
     n, w, pad, block = engine.n, engine.width, engine.pad, engine.block
-    d, rate = engine.spec.drivers, engine.spec.stimulus.data_rate
     size = engine.window_steps()
     # One row per step of the window: history, receiver volts, source currents.
     win = np.empty((pad + size, w + 2 * n))
@@ -386,8 +418,7 @@ def run_transient(engine):
         c = min(size, steps - c0)
         whole = -(-c // block) * block  # whole blocks; steps past the run are discarded
         win[:pad] = win[size:]  # the history the window's steps read
-        drive[:whole, :n] = drive_levels(engine.streams, dt * np.arange(c0, c0 + whole), rate,
-                                         d.rise_s, d.v_low, d.v_high)
+        drive[:whole, :n] = engine.drive(dt * np.arange(c0, c0 + whole))
         # The drive part of the window's steps, written into their rows; the
         # blocks add the wave part.
         np.matmul(drive[:whole], engine.step_s, out=win[pad:pad + whole])
@@ -414,8 +445,12 @@ def _block_gather(i0, n, pad, block):
     cols = np.arange(w)
     other_end = np.where(cols // n % 2 == 0, cols + n, cols - n)
     stride = w + 2 * n
-    at = (pad + np.arange(block)[:, None] - i0) * stride + other_end
-    gather = np.concatenate([at, at - stride], axis=1)
+    gather = np.empty((block, 2 * w), dtype=np.int64)  # filled in place
+    at = gather[:, :w]
+    np.subtract(pad + np.arange(block)[:, None], i0, out=at)
+    at *= stride
+    at += other_end
+    np.subtract(at, stride, out=gather[:, w:])
     if gather.min() < 0 or gather.max() >= (pad + block) * stride:
         raise RuntimeError("a block of %d steps would gather outside the %d window rows "
                            "it may read" % (block, pad + block))

@@ -15,6 +15,7 @@ map(",".join, zip(*cells)), so no Python bytecode runs per value or per row.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -91,10 +92,20 @@ def write_json(path, doc):
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _parse_int(text):
+    """int(text); past Python's digit limit, a ValueError that names the
+    limit but not the interpreter call that raises it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("an integer of %d digits is over the %d-digit limit"
+                         % (len(text.lstrip("-")), sys.get_int_max_str_digits())) from None
+
+
 def read_json(path):
     """The document in path; malformed text raises ValidationError naming path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
         except (ValueError, RecursionError) as exc:
             raise ValidationError("%s: %s" % (path, exc)) from None

@@ -16,8 +16,6 @@ source currents are M_e[w:] D(z) P Y + M_s[w:] S(z), back through the irfft.
 
 import numpy as np
 
-from xtcancel.stimulus import drive_levels
-
 _BINS = 256  # bins solved at once: (256, w, w) complex systems
 
 
@@ -32,14 +30,10 @@ def periodic_steady_state(engine):
     cols = np.eye(w + n + 1)
     step = engine._step_columns(cols[:w], cols[w:w + n], cols[w + n])
     m_e, m_s = step[:, :w], step[:, w:]
-    i0 = np.concatenate([np.tile(s.i0, 2) for s in engine.segments])  # near, far ends
-    frac = np.concatenate([np.tile(s.frac, 2) for s in engine.segments])
+    i0, frac = engine.i0, engine.frac
     other_end = np.where(np.arange(w) // n % 2 == 0, np.arange(w) + n, np.arange(w) - n)
 
-    d = engine.spec.drivers
-    t = engine.dt * (engine.start_index + np.arange(period))
-    src = drive_levels(engine.streams, t, engine.spec.stimulus.data_rate, d.rise_s,
-                       d.v_low, d.v_high)
+    src = engine.drive(engine.dt * (engine.start_index + np.arange(period)))
     s = np.fft.rfft(np.column_stack([src, np.ones(period)]), axis=0)  # (bins, n + 1)
     z_inv = np.exp(-2j * np.pi * np.arange(s.shape[0]) / period)[:, None]
     out = np.empty((s.shape[0], 2 * n), dtype=complex)

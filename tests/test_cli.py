@@ -376,6 +376,24 @@ def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, li
     assert not out.exists()
 
 
+def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch):
+    """Each of the three links fits the budget alone, but their step maps,
+    held together, and the largest run do not: refused before the first run."""
+    values = [0.0, 0.0005, 0.001]
+    points = cli._sweep_points(load_link(fx("link-twelve.json")), "uncoupled", values)
+    engines = [build_link(point) for _, point in points]
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES",
+                        max(e.stepper_bytes(e.steps) for e in engines))
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--mode", "uncoupled", "--link", fx("link-twelve.json"),
+                     "--values", "0,0.0005,0.001", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: holding 2 of the sweep's 3 links needs about [\d.]+ GB of "
+                     r"memory, over the [\d.]+ GB budget; sweep fewer values at a time", err)
+    assert "min eye" not in err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -383,10 +401,13 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     # nesting past the parser's recursion limit, and an integer past int's
     # digit limit: refused by the JSON reader, naming the file
     raw = json.loads(Path(fx("pair.json")).read_text())
-    for text in ("[" * 100000, json.dumps(raw).replace('"n": 2', '"n": 1' + "0" * 5000)):
+    for text, message in (
+            ("[" * 100000, "maximum recursion depth exceeded"),
+            (json.dumps(raw).replace('"n": 2', '"n": 1' + "0" * 5000),
+             "an integer of 5001 digits is over the 4300-digit limit\n")):
         bad.write_text(text)
         assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
-        assert "error: %s: " % bad in capsys.readouterr().err
+        assert "error: %s: %s" % (bad, message) in capsys.readouterr().err
     assert cli.main(["sim", "--link", str(tmp_path / "missing.json"),
                      "-o", str(tmp_path / "w.csv")]) == 2
     assert cli.main(["fom", "--lc", fx("pair.json"), "-o", str(tmp_path / "r.json"),

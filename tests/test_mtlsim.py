@@ -19,7 +19,7 @@ from xtcancel import mtlsim
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _block_gather, _NodeSolve,
                              build_link, link_from_dict, load_link, run_transient,
                              read_waveform_csv, write_waveform_csv)
-from xtcancel.stimulus import StimulusSpec, drive_levels
+from xtcancel.stimulus import StimulusSpec
 from xtcancel.termination import network_admittance, realize_network, self_conductances
 
 UI = 62.5e-12  # 16 Gb/s
@@ -49,9 +49,7 @@ def reference_transient(engine):
     dt = engine.dt
     steps = int(round(engine.duration_s / dt)) + 1
     start = int(math.ceil(engine.warmup_s / dt - 1e-9))
-    d = engine.spec.drivers
-    src = drive_levels(engine.streams, dt * np.arange(steps), engine.spec.stimulus.data_rate,
-                       d.rise_s, d.v_low, d.v_high).T
+    src = engine.drive(dt * np.arange(steps)).T
     v0, i0 = engine.solve_dc(src[:, 0])
     segs = engine.segments
     pad = max(int(s.i0.max()) for s in segs) + 2
@@ -189,9 +187,7 @@ def test_matched_link_is_a_resistor_to_its_driver(name, rs):
     spec = replace(spec, drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
     engine = build_link(spec)
     waves = run_transient(engine)
-    d = spec.drivers
-    e = drive_levels(engine.streams, waves.times(), spec.stimulus.data_rate, d.rise_s,
-                     d.v_low, d.v_high).T
+    e = engine.drive(waves.times()).T
     yc = engine.segments[0].yc
     pred = np.linalg.solve(np.eye(engine.n) + yc * rs, yc @ (e - engine.vref))
     assert np.max(np.abs(waves.source_currents - pred)) <= 1e-11 * np.max(np.abs(pred))
@@ -223,9 +219,7 @@ def test_matched_link_is_a_modal_delay_line(name, rs):
     spec = replace(spec, drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
     engine = build_link(spec)
     waves = run_transient(engine)
-    d = spec.drivers
-    e = drive_levels(engine.streams, waves.times(), spec.stimulus.data_rate, d.rise_s,
-                     d.v_low, d.v_high).T
+    e = engine.drive(waves.times()).T
     seg = engine.segments[0]
     if name.startswith("microstrip"):  # the modes do arrive apart (28 and 54 ps)
         assert np.ptp(seg.tau) > 25e-12
@@ -265,8 +259,7 @@ def test_gather_outside_a_blocks_rows_is_refused():
     window's first cell for an index before it and its last cell for one
     past it; the indices are checked at build instead."""
     engine = build_link(breakout_link(load_link(FIXTURES / "link-twelve.json"), 0.0005))
-    i0 = np.concatenate([np.tile(s.i0, 2) for s in engine.segments])
-    n, pad, block = engine.n, engine.pad, engine.block
+    i0, n, pad, block = engine.i0, engine.n, engine.pad, engine.block
     assert np.array_equal(_block_gather(i0, n, pad, block), engine.gather)
     with pytest.raises(RuntimeError, match=r"a block of 2 steps would gather outside the "
                                            r"\d+ window rows it may read"):
@@ -312,9 +305,10 @@ def _warmup_refusal(delay, dt, gb, length):
     ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.27e+297", "1e+300"),
      2**20),
     # the step map, 2w x (w + 2n) words and more with w = 2n x 500, would
-    # need about 6.9 GB; up to the pre-flight the segments hold 2.9 MB
+    # hold about 2.4 GB and need 3.5 GB to build; up to the pre-flight the
+    # segments hold 2.9 MB
     ({"segments": 500}, re.escape(
-        "a link of 910392 timesteps needs about 7.85 GB of memory, over the 1.07 GB budget; "
+        "a link of 910392 timesteps needs about 6.7 GB of memory, over the 1.07 GB budget; "
         "lower prbs_order, lengthen timestep_s or shorten duration_s or the segment list"),
      2**22),
 ], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300", "segments-500"])
@@ -362,6 +356,28 @@ def test_stepper_peak_within_preflight_estimate(name):
     finally:
         tracemalloc.stop()
     assert peak <= engine.stepper_bytes(engine.steps)
+
+
+def test_step_map_is_held_at_its_own_size():
+    """On link-twelve's segment repeated 40 times (w = 960) the built link
+    holds step_e, step_s and the gather, each an array of its own: no view
+    keeps the step columns alive, and the identity is freed before the
+    gather is built."""
+    twelve = load_link(FIXTURES / "link-twelve.json")
+    spec = replace(twelve, segments=twelve.segments * 40)
+    tracemalloc.start()
+    try:
+        engine = build_link(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 26e6
+    assert peak < 36e6
+    assert held <= engine.step_map_bytes() + 2**20
+    for part in (engine.step_e, engine.step_s, engine.gather):
+        assert part.flags.owndata
+    assert engine.step_s.shape == (engine.n + 1, engine.width + 2 * engine.n)
+    assert engine.step_e.flags.f_contiguous  # the layout np.dot rounds with
 
 
 @pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
