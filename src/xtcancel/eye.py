@@ -115,36 +115,28 @@ def eye_measure(waves, streams, data_rate):
     t_last = t0 + span
     k_cand = max(int(round(ui / waves.dt)), 1)
     offsets = waves.nominal_delay_s - 0.5 * ui + waves.dt * np.arange(k_cand)
-    # Each offset's first and last bit; an offset without a full period keeps -inf.
+    # Each offset's first and last bit sampled on the waveform: whatever the
+    # offset, the span's period + 1 UI hold a full period of them after both
+    # bounds' rounding, so every wire's ones and zeros, each indexed in range.
     b_lo = np.ceil((t0 - offsets) / ui - 0.5).astype(np.int64)
     b_hi = np.floor((t_last - offsets) / ui - 0.5).astype(np.int64)
-    full = b_hi - b_lo + 1 >= period
-
-    eyes = np.full((k_cand, n), -np.inf)  # eyes[k, w]: wire w's eye at offset k
-    if full.any():
-        # Every bit of some full offset; each offset masks the bits outside
-        # its own range and the samples off the waveform.
-        bits = np.arange(b_lo[full].min(), b_hi[full].max() + 1)
-        labels = streams[:, bits % period][:, None]  # (wire, 1, bit)
-        ones, zeros = labels == 1, labels == 0
-        centers = (bits + 0.5) * ui
-        chunk = max(1, _SCAN_CELLS // (n * bits.size))
-        for k in range(0, k_cand, chunk):
-            ks = slice(k, k + chunk)
-            idx = np.round((offsets[ks, None] + centers - t0) / waves.dt).astype(np.int64)
-            keep = ((bits >= b_lo[ks, None]) & (bits <= b_hi[ks, None])
-                    & (idx >= 0) & (idx < samples))
-            # (wire, offset, bit); take copies a strided volts, but
-            # run_transient and read_waveform_csv return one C row a wire
-            vals = waves.volts.take(idx, axis=1, mode="clip")
-            # A wire with no ones (or no zeros) reads +inf and fails the check below.
-            eye = (np.where(keep & ones, vals, np.inf).min(axis=2)
-                   - np.where(keep & zeros, vals, -np.inf).max(axis=2))
-            eyes[ks] = np.where(full[ks], eye, -np.inf).T
+    eyes = np.empty((k_cand, n))  # eyes[k, w]: wire w's eye at offset k
+    # Every bit of some offset; each offset masks the bits outside its own range.
+    bits = np.arange(b_lo.min(), b_hi.max() + 1)
+    labels = streams[:, bits % period][:, None]  # (wire, 1, bit)
+    ones, zeros = labels == 1, labels == 0
+    centers = (bits + 0.5) * ui
+    chunk = max(1, _SCAN_CELLS // (n * bits.size))
+    for k in range(0, k_cand, chunk):
+        ks = slice(k, k + chunk)
+        idx = np.round((offsets[ks, None] + centers - t0) / waves.dt).astype(np.int64)
+        keep = (bits >= b_lo[ks, None]) & (bits <= b_hi[ks, None])
+        # (wire, offset, bit); take copies a strided volts, but
+        # run_transient and read_waveform_csv return one C row a wire
+        vals = waves.volts.take(idx, axis=1, mode="clip")
+        eyes[ks] = (np.where(keep & ones, vals, np.inf).min(axis=2)
+                    - np.where(keep & zeros, vals, -np.inf).max(axis=2)).T
     best = eyes.max(axis=0)
-    if not np.isfinite(best).all():
-        w = int(np.argmin(np.isfinite(best)))
-        raise ValidationError("no sampling offset covers wire %d's full period" % (w + 1))
     best_off = offsets[np.argmax(eyes >= best - _PHASE_TIE_V, axis=0)]
     per_wire = [WireEye(wire=w + 1, eye_v=max(float(best[w]), 0.0),
                         phase_ui=float((float(best_off[w]) % ui) / ui))

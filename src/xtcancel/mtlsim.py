@@ -82,7 +82,7 @@ from .textio import read_json, write_csv
 
 LINK_SCHEMA_VERSION = 2
 
-TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64
+TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64, or finer to step inside rise_s
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
 WARMUP_EXTRA_UI = 8    # ... plus 8 unit intervals
 
@@ -226,19 +226,25 @@ class Engine:
         self.spec = spec
         self.n = n
         self.ui = spec.stimulus.unit_interval
-        self.dt = spec.timestep_s if spec.timestep_s is not None else self.ui / TIMESTEPS_PER_UI
+        rise = spec.drivers.rise_s
+        self.dt = spec.timestep_s
+        if self.dt is None:
+            # UI/K, K the smallest whole number >= TIMESTEPS_PER_UI whose step is
+            # no longer than the rise time as computed, so checked after the
+            # ceil.  (A float: a rise too short for any grid reads a step of 0.)
+            k = max(TIMESTEPS_PER_UI, float(np.ceil(self.ui / rise)))
+            self.dt = self.ui / (k + 1.0 if self.ui / k > rise else k)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError("timestep must be positive, got %r" % (self.dt,))
-        if not spec.drivers.rise_s < self.ui:
+        if not rise < self.ui:
             raise ValidationError("rise time %g s must be inside (0, bit period %g s)"
-                                  % (spec.drivers.rise_s, self.ui))
+                                  % (rise, self.ui))
 
         self.segments = [_SegmentState(seg, self.dt) for seg in spec.segments]
-        if spec.timestep_s is not None and self.dt > spec.drivers.rise_s:
+        if self.dt > rise:
             # The drive ramp would fall between samples.  (Checked after the
             # segments, which name a step longer than a modal delay.)
-            raise ValidationError("timestep_s %g s is longer than rise_s %g s"
-                                  % (self.dt, spec.drivers.rise_s))
+            raise ValidationError("timestep_s %g s is longer than rise_s %g s" % (self.dt, rise))
         self.total_delay_s = float(sum(s.tau.max() for s in self.segments))
         self.nominal_delay_s = float(sum(s.tau.mean() for s in self.segments))
         self.warmup_s = WARMUP_FLIGHTS * self.total_delay_s + WARMUP_EXTRA_UI * self.ui
@@ -588,15 +594,18 @@ def link_from_dict(raw, base_dir="."):
     stim_raw = document(raw["stimulus"], "stimulus", ("data_rate",),
                         ("prbs_order", "seed", "mode", "streams"))
     # Only the PRBS fields the document gives, so StimulusSpec owns their
-    # defaults; next to explicit streams, which replace the PRBS, none is taken.
+    # defaults; next to explicit streams, which replace the PRBS, every one
+    # given is named (a null seed, as for StimulusSpec, is none).
     prbs = {k: stim_raw[k] for k in ("prbs_order", "mode") if k in stim_raw}
-    if stim_raw.get("streams") is not None and prbs:
-        raise ValidationError("explicit streams replace the PRBS; drop %s" % ", ".join(prbs))
+    seed = _optional(stim_raw, "seed", integer)
+    given = list(prbs) + ["seed"] * (seed is not None)
+    if stim_raw.get("streams") is not None and given:
+        raise ValidationError("explicit streams replace the PRBS; drop %s" % ", ".join(given))
     if "prbs_order" in prbs:
         prbs["prbs_order"] = integer(prbs["prbs_order"], "prbs_order")
     stimulus = StimulusSpec(
         data_rate=number(stim_raw["data_rate"], "data_rate"),
-        seed=_optional(stim_raw, "seed", integer),
+        seed=seed,
         streams=_optional(stim_raw, "streams", _bit_rows),
         **prbs,
     )

@@ -11,7 +11,8 @@ Over one period of N steps every bin z of the rfft therefore solves
     (I - M_e[:w] D(z) P) Y = M_s[:w] S(z),
 
 P sending each column to the other end of its mode; the receiver volts and
-source currents are M_e[w:] D(z) P Y + M_s[w:] S(z), back through the irfft.
+source currents are M_e[w:] D(z) P Y + M_s[w:] S(z), back through the irfft,
+as is Y itself, the settled outgoing waves.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ _BINS = 256  # bins solved at once: (256, w, w) complex systems
 
 
 def periodic_steady_state(engine):
-    """(volts, source currents), each (n, N): the settled waveforms at steps
-    start_index .. start_index + N - 1, N the steps of one stream period.
-    Needs a whole number of steps a unit interval."""
+    """(volts, source currents, waves): the settled receiver volts and source
+    currents, each (n, N), and history rows, (N, w), at steps start_index ..
+    start_index + N - 1, N the steps of one stream period.  Needs a whole
+    number of steps a unit interval."""
     steps_per_ui = engine.ui / engine.dt
     assert abs(steps_per_ui - round(steps_per_ui)) < 1e-9, "no whole number of steps a UI"
     n, w = engine.n, engine.width
@@ -37,14 +39,15 @@ def periodic_steady_state(engine):
     s = np.fft.rfft(np.column_stack([src, np.ones(period)]), axis=0)  # (bins, n + 1)
     z_inv = np.exp(-2j * np.pi * np.arange(s.shape[0]) / period)[:, None]
     out = np.empty((s.shape[0], 2 * n), dtype=complex)
+    waves = np.empty((s.shape[0], w), dtype=complex)
     for k in range(0, s.shape[0], _BINS):
         zk = z_inv[k:k + _BINS]
         delay = (1.0 - frac) * zk ** i0 + frac * zk ** (i0 + 1)  # (bins, w): d_c(z)
         # M_e[:w] D(z) P: column c of M_e[:w] D(z) lands on column other_end(c).
         loop = (m_e[:w] * delay[:, None, :])[:, :, other_end]
         rhs = s[k:k + _BINS] @ m_s[:w].T
-        y = np.linalg.solve(np.eye(w) - loop, rhs[..., None])[..., 0]
+        y = waves[k:k + _BINS] = np.linalg.solve(np.eye(w) - loop, rhs[..., None])[..., 0]
         incident = delay * y[:, other_end]
         out[k:k + _BINS] = incident @ m_e[w:].T + s[k:k + _BINS] @ m_s[w:].T
     settled = np.fft.irfft(out, n=period, axis=0).T
-    return settled[:n], settled[n:]
+    return settled[:n], settled[n:], np.fft.irfft(waves, n=period, axis=0)

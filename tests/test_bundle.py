@@ -205,6 +205,14 @@ def test_bundle_validation_errors():
         CouplingMatrices.from_arrays(good_l, np.array([[1e-10, 1e-12], [1e-12, 1e-10]]))
     with pytest.raises(NonPhysicalBundleError):  # zero row sum in C
         CouplingMatrices.from_arrays(good_l, np.array([[1e-10, -1e-10], [-1e-10, 1e-10]]))
+    with pytest.raises(ValidationError, match="bundle needs at least one wire"):
+        CouplingMatrices.from_arrays(np.zeros((0, 0)), np.zeros((0, 0)))
+    # built directly, past from_arrays' checks: the decomposition names the
+    # matrix that is not positive definite
+    with pytest.raises(NonPhysicalBundleError, match="inductance matrix has eigenvalue"):
+        characteristic_impedance(CouplingMatrices(n=2, L=-good_l, C=good_c))
+    with pytest.raises(NonPhysicalBundleError, match="mode matrix has eigenvalue"):
+        characteristic_impedance(CouplingMatrices(n=2, L=good_l, C=-good_c))
 
 
 def test_bundle_rejects_non_finite():

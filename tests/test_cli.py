@@ -394,6 +394,20 @@ def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
+    """link-twelve at PRBS9: the stepper's run needs 10.6 MB beyond the step
+    map, the eye measured on its volts and currents 14.5 MB.  Under a 12 MB
+    budget the point is refused before it runs."""
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 12_000_000)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--mode", "rs", "--link", _twelve_at(tmp_path, 9),
+                     "--values", "1.67", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: holding 1 of the sweep's 1 links needs about 0.0148 GB" in err
+    assert "min eye" not in err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -420,6 +434,33 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         raw[field] = value
         bad.write_text(json.dumps(raw))
         assert cli.main(["synth", "--lc", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+    capsys.readouterr()
+    assert cli.main(["fom", "--lc", fx("pair.json"), "--samples", "1",
+                     "-o", str(tmp_path / "r.json")]) == 2
+    assert "error: need at least 2 samples" in capsys.readouterr().err
+    # link fields out of range: driver levels, rise time, timestep, segments
+    for owner, field, value, message in (
+            ("drivers", "v_high", 0.0, "driver v_high must exceed v_low"),
+            ("drivers", "rise_s", 0.0, "driver rise time must be positive"),
+            (None, "timestep_s", 0.0, "timestep must be positive, got 0.0"),
+            # no default grid steps inside a 1e-320 s rise: UI / rise is inf
+            ("drivers", "rise_s", 1e-320, "timestep must be positive, got 0.0"),
+            (None, "segments", {}, "link needs a non-empty segments list")):
+        raw = json.loads(Path(fx("link-scalar.json")).read_text())
+        (raw[owner] if owner else raw)[field] = value
+        link = _link_in(tmp_path, raw)
+        assert cli.main(["sim", "--link", link, "-o", str(tmp_path / "w.csv")]) == 2
+        assert "error: " + message in capsys.readouterr().err
+    # networks: no wires, a bridge listed twice
+    for edit, message in ((lambda net: net.update(n=0), "network needs at least one wire"),
+                          (lambda net: net["elements"].append(net["elements"][2]),
+                           "duplicate cross element on pair (1, 2)")):
+        raw = json.loads(Path(fx("pair-network.json")).read_text())
+        edit(raw)
+        bad.write_text(json.dumps(raw))
+        assert cli.main(["synth", "--net", str(bad), "-o", str(tmp_path / "o.json")]) == 2
+        assert "error: " + message in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("o.json", "r.json", "w.csv"))
 
 
 def test_non_finite_bundle_exit_2(tmp_path, capsys):
@@ -509,22 +550,23 @@ def test_per_wire_override_field_exit_2(tmp_path, capsys, field, value):
     assert not waves.exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("prbs_order", 9),
-    ("mode", "best"),
-    ("seed", 9),
-], ids=["prbs_order", "mode", "seed"])
-def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, field, value):
-    """Explicit streams replace the PRBS: a PRBS field next to them in the
-    document is refused, not ignored."""
+@pytest.mark.parametrize("fields, named", [
+    ({"prbs_order": 9}, "prbs_order"),
+    ({"mode": "best"}, "mode"),
+    ({"seed": 9}, "seed"),
+    ({"mode": "best", "seed": 9}, "mode, seed"),
+], ids=["prbs_order", "mode", "seed", "mode+seed"])
+def test_seed_on_explicit_streams_exit_2(tmp_path, capsys, fields, named):
+    """Explicit streams replace the PRBS: the PRBS fields next to them in the
+    document are refused, not ignored, and named in one message."""
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
     del raw["stimulus"]["prbs_order"], raw["stimulus"]["mode"]
     raw["stimulus"]["streams"] = [[0, 1, 1, 0, 1]]
     waves = tmp_path / "w.csv"
     assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 0
-    raw["stimulus"][field] = value
+    raw["stimulus"].update(fields)
     assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 2
-    assert "error: explicit streams replace the PRBS; drop %s" % field \
+    assert "error: explicit streams replace the PRBS; drop %s\n" % named \
         in capsys.readouterr().err
 
 

@@ -90,8 +90,22 @@ def test_eye_measure_matches_per_wire_reference():
     volts[0, 0] = 0.1
     edge = replace(edge, volts=volts, nominal_delay_s=-0.25 * edge.dt)
     # the third case moves the offset grid by a nonzero nominal delay
-    for wv, streams in ((waves, engine.streams), (square, units),
-                        (replace(square, nominal_delay_s=0.3 * UI), units), (edge, unit)):
+    cases = [(waves, engine.streams), (square, units),
+             (replace(square, nominal_delay_s=0.3 * UI), units), (edge, unit)]
+    # Seeded moves of the time axis: a start time up to 1 ms, and a nominal
+    # delay moved by a fraction of a step and by -1, 0 or +1 us, so each
+    # offset's bit bounds round at other places.  eye_measure takes a full
+    # period on the waveform from its span check alone; the reference checks
+    # both for every offset.  The cut copies span one step over period + 1 UI,
+    # the least that check passes.
+    cut = [(replace(wv, volts=wv.volts[:, :(s.shape[1] + 1) * 64 + 2]), s)
+           for wv, s in ((square, units), (edge, unit))]
+    rng = np.random.default_rng(31)
+    for wv, streams in ((square, units), (edge, unit), *cut) * 4:
+        delay = rng.choice([-1e-6, 0.0, 1e-6]) + rng.uniform(-1.0, 1.0) * wv.dt
+        cases.append((replace(wv, start_time=rng.uniform(0.0, 1e-3), nominal_delay_s=delay),
+                      streams))
+    for wv, streams in cases:
         got = eye_measure(wv, streams, 16e9).per_wire
         assert [(w.eye_v, w.phase_ui) for w in got] \
             == reference_eye_measure(wv, np.asarray(streams), 16e9)
@@ -149,6 +163,11 @@ def test_degenerate_stream_error():
     with pytest.raises(DegenerateStreamError) as info:
         eye_measure(waves, ones, 16e9)
     assert info.value.wire == 1
+    # streams that are not one row a wire
+    with pytest.raises(ValidationError, match="streams must be a 2-d bit array"):
+        eye_measure(waves, [1, 0, 1, 0], 16e9)
+    with pytest.raises(ValidationError, match="streams cover 2 wires, waveforms 1"):
+        eye_measure(waves, [[1, 0, 1, 0], [0, 1, 0, 1]], 16e9)
 
 
 def test_span_too_short_error():
@@ -270,3 +289,8 @@ def test_svg_deterministic_and_well_formed(tmp_path):
     text = a.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert "polyline" in text
+    # flat waveforms: the volts axis spans 1 V above them instead of none
+    flat, _ = square_waves([1, 0, 1, 0], amplitude=0.0)
+    render_eye_svg(flat, 16e9, a)
+    text = a.read_text()
+    assert ">1.050 V<" in text and ">-0.050 V<" in text and "polyline" in text

@@ -248,10 +248,38 @@ def test_run_reaches_the_periodic_steady_state(breakout_m, periods):
     if periods:
         longer = engine.duration_s + periods * engine.streams.shape[1] * engine.ui
         engine = build_link(replace(spec, duration_s=longer))
-    volts, _ = periodic_steady_state(engine)
+    volts, _, _ = periodic_steady_state(engine)
     period, samples = volts.shape[1], engine.samples
     kept = np.arange(samples - period if periods else 0, samples)
     assert np.max(np.abs(run_transient(engine).volts[:, kept] - volts[:, kept % period])) <= 1e-9
+
+
+@pytest.mark.parametrize("steps_per_ui", [64, 256])
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar", "microstrip", "twelve-breakout-1mm"])
+def test_settled_period_balances_power_exactly(name, steps_per_ui):
+    """Over one settled period the power in at the drivers, less the power
+    into the termination and its rail, is the energy the interpolated delays
+    drop: E = (1 - f) w[t - i0] + f w[t - i0 - 1] gives
+    sum E^2 = sum w^2 - f (1 - f) sum (w[t] - w[t - 1])^2 over a period, and
+    a modal end takes in (w^2 - E^2) / 4.  Every node system conserves power,
+    so the identity is exact; without the loss term the balance misses by
+    1e-5 to 1e-3.  link-pair's 0 ohm drivers are pinned rows, link-microstrip's
+    modes have unequal velocities, and the breakout link has junctions."""
+    spec = load_link(FIXTURES / ("link-%s.json" % name.split("-")[0]))
+    spec = replace(spec, stimulus=replace(spec.stimulus, prbs_order=5),
+                   timestep_s=spec.stimulus.unit_interval / steps_per_ui)
+    if name.endswith("breakout-1mm"):
+        spec = breakout_link(spec, 0.001)
+    engine = build_link(spec)
+    volts, currents, waves = periodic_steady_state(engine)
+    drive = engine.drive(engine.dt * (engine.start_index + np.arange(waves.shape[0]))).T
+    rs = np.asarray(spec.drivers.rs_ohms)[:, None]
+    power_in = np.sum((drive - rs * currents) * currents)
+    v = volts + engine.vref  # the absolute receiver volts
+    power_term = np.sum(v * (engine.y_net @ v - engine.svec[:, None] * engine.vref))
+    dw = waves - np.roll(waves, 1, axis=0)  # cyclic: the period repeats
+    loss = np.sum(engine.frac * (1.0 - engine.frac) * np.sum(dw * dw, axis=0)) / 4.0
+    assert abs(power_in - power_term - loss) <= 1e-12 * power_in
 
 
 def test_gather_outside_a_blocks_rows_is_refused():
@@ -592,6 +620,9 @@ def test_wire_count_mismatch_errors():
             segments=(Segment(bundle=pair_bundle(), length_m=0.1),),
             drivers=DriverBank(rs_ohms=(0.0, 0.0, 0.0)),
             termination=fifty_ohm_network(2), stimulus=stim))
+    with pytest.raises(ValidationError, match="link needs at least one segment"):
+        build_link(LinkSpec(segments=(), drivers=DriverBank(rs_ohms=(0.0, 0.0)),
+                            termination=fifty_ohm_network(2), stimulus=stim))
 
 
 def test_timestep_and_duration_validation():
@@ -611,6 +642,25 @@ def test_timestep_and_duration_validation():
         Segment(bundle=scalar_bundle(), length_m=0.0)
     with pytest.raises(ValidationError):
         DriverBank(rs_ohms=(-1.0,))
+
+
+@pytest.mark.parametrize("data_rate, rise_s, steps_per_ui", [
+    (16e9, 10e-12, 64),
+    (1e9, 10e-12, 101),
+    # a rise one ulp under 1 ns / 90: UI / rise reads 90.0, but the step
+    # 1 ns / 90 is above the rise, so the ceil is checked
+    (1e9, float(np.nextafter(1e-9 / 90, 0.0)), 91),
+], ids=["16G", "1G", "1G-ulp"])
+def test_default_grid_steps_inside_the_rise_time(data_rate, rise_s, steps_per_ui):
+    """Without timestep_s the step is UI/K, K the smallest whole number >= 64
+    whose step is no longer than rise_s, so the one ramp check passes on every
+    default grid.  At 1 Gb/s, UI/64 is 15.6 ps, over a 10 ps rise."""
+    engine = build_link(simple_link(scalar_bundle(), fifty_ohm_network(1), data_rate=data_rate,
+                                    rise_s=rise_s))
+    ui = 1.0 / data_rate
+    assert engine.dt == ui / steps_per_ui
+    assert engine.dt <= rise_s
+    assert steps_per_ui == mtlsim.TIMESTEPS_PER_UI or ui / (steps_per_ui - 1) > rise_s
 
 
 @pytest.mark.parametrize("levels, message", [

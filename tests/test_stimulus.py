@@ -138,6 +138,8 @@ def test_pattern_explicit_streams():
         pattern_assign(StimulusSpec(data_rate=16e9, streams=((),)), 1)
     with pytest.raises(ValidationError):  # negative bit, not an overflow
         pattern_assign(StimulusSpec(data_rate=16e9, streams=((-1, 0),)), 1)
+    with pytest.raises(ValidationError, match="need at least one wire"):
+        pattern_assign(StimulusSpec(data_rate=16e9), 0)
 
 
 def test_stimulus_spec_validation():
