@@ -6,6 +6,10 @@ one "path:line" for each statement no traced line fell inside.  Definitions
 (def and class lines) and docstrings are not counted as statements.  Uses
 the standard library only; the coverage package is not needed.
 
+A process forked from this one (textio's workers) keeps the tracer and
+writes each line it runs that this process had not run to a file of a
+temporary directory, so lines run only in a worker count as run.
+
     python3 scripts/unreached_lines.py
 
 It exits with pytest's exit code, so a failing suite is not mistaken for a
@@ -15,6 +19,7 @@ clean list.  The tracer slows the suite several times over.
 import ast
 import os
 import sys
+import tempfile
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 PACKAGE = os.path.join(ROOT, "src", "xtcancel")
@@ -44,24 +49,44 @@ def traced_run(argv):
     import pytest
 
     ran = {}
+    log = []  # in a forked process: the file each line it runs first goes to
+
+    def record(path, line):
+        lines = ran.setdefault(path, set())
+        if line not in lines:
+            lines.add(line)
+            if log:
+                log[0].write("%s:%d\n" % (path, line))
 
     def local(frame, event, arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            record(frame.f_code.co_filename, frame.f_lineno)
         return local
 
     def scope(frame, event, arg):
         path = frame.f_code.co_filename
         if not path.startswith(PACKAGE + os.sep):
             return None
-        ran.setdefault(path, set()).add(frame.f_lineno)
+        record(path, frame.f_lineno)
         return local
 
-    sys.settrace(scope)
-    try:
-        code = pytest.main(argv)
-    finally:
-        sys.settrace(None)
+    with tempfile.TemporaryDirectory() as forked:
+        def in_child():
+            # line-buffered: each line is written before the next runs, so a
+            # worker that is killed or ends in os._exit has saved its lines
+            log[:] = [open(os.path.join(forked, str(os.getpid())), "w", buffering=1)]
+
+        os.register_at_fork(after_in_child=in_child)
+        sys.settrace(scope)
+        try:
+            code = pytest.main(argv)
+        finally:
+            sys.settrace(None)
+        for name in os.listdir(forked):
+            with open(os.path.join(forked, name)) as fh:
+                for entry in fh:
+                    path, line = entry.rsplit(":", 1)
+                    ran.setdefault(path, set()).add(int(line))
     return int(code), ran
 
 

@@ -23,7 +23,7 @@ import operator
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import formatted, write_csv_blocks, write_json
+from .textio import formatted, worker_count, write_csv_blocks, write_json, write_texts
 
 EYE_SCHEMA_VERSION = 1
 
@@ -38,10 +38,12 @@ _PHASE_TIE_V = 1e-12
 # cell) stay near 9 MB whatever its length.
 _SCAN_CELLS = 1 << 19
 
-# Bytes a sample costs each writer at its peak, traced at about 237 and 135
+# Bytes a sample costs each writer at its peak, traced at about 173 and 135
 # on link-twelve at PRBS7-11: the SVG holds every sample's x text and one
-# wire's y text and points, with the floats they are formatted from; the
-# folded CSV holds every sample's phase text and the floats behind it.
+# wire's points and polylines, with the floats they are formatted from; the
+# folded CSV holds every sample's phase text and the floats behind it.  A
+# forked worker of the writer (textio.write_texts) holds up to as much: its
+# own text and the pages of the shared texts it copies by touching them.
 _SVG_SAMPLE_BYTES = 256
 _FOLDED_SAMPLE_BYTES = 160
 
@@ -103,6 +105,14 @@ def eye_measure(waves, streams, data_rate):
     n, samples = waves.volts.shape
     if streams.shape[0] != n:
         raise ValidationError("streams cover %d wires, waveforms %d" % (streams.shape[0], n))
+    # A NaN or inf would make every eye of its wire nan; min and max find one
+    # without a temporary the size of volts.
+    finite = np.isfinite(waves.volts.min(axis=1)) & np.isfinite(waves.volts.max(axis=1))
+    if not finite.all():
+        w = int(np.argmin(finite))
+        m = int(np.argmin(np.isfinite(waves.volts[w])))
+        raise ValidationError("wire %d's waveform is not finite at sample %d: %r V"
+                              % (w + 1, m, float(waves.volts[w, m])))
     ui = 1.0 / float(data_rate)
     period = streams.shape[1]
     span = (samples - 1) * waves.dt
@@ -145,18 +155,21 @@ def eye_measure(waves, streams, data_rate):
 
 
 def eye_bytes(n, samples, dt, data_rate, svg=False, folded=False):
-    """An upper bound on the traced memory that eye_measure and the requested
+    """An upper bound on the memory that eye_measure and the requested
     writers hold besides the waveforms, one after another, plus 64 KiB for
     small arrays.  The scan holds its per-bit labels and masks, its
     per-offset eyes, and one chunk of offsets: per offset-bit pair the sample
     indices, their mask and up to three float temporaries, and per wire a
-    gathered sample, one masked copy of it and its mask."""
+    gathered sample, one masked copy of it and its mask.  A writer is
+    counted once for this process and once for each worker it forks: the
+    SVG has a text a wire, the folded CSV at most one a cell."""
     ui = 1.0 / float(data_rate)
     k_cand = max(int(round(ui / dt)), 1)
     bits = int((samples - 1) * dt / ui) + 3
     pairs = min(k_cand, max(1, _SCAN_CELLS // (n * bits))) * bits
     scan = pairs * (17 * n + 33) + bits * (10 * n + 32) + k_cand * (24 * n + 40)
-    writer = max(svg * _SVG_SAMPLE_BYTES, folded * _FOLDED_SAMPLE_BYTES) * samples
+    writer = samples * max(svg * _SVG_SAMPLE_BYTES * worker_count(n),
+                           folded * _FOLDED_SAMPLE_BYTES * worker_count(n * samples))
     return max(scan, writer) + (1 << 16)
 
 
@@ -172,11 +185,12 @@ def write_folded_csv(waves, data_rate, path):
     phases = formatted(fold_phases(waves, data_rate))
     n = waves.volts.shape[0]
     # Wire by wire, so no column repeats a value for every sample of every
-    # wire; the wire column is the smallest integer type that holds n.
+    # wire; the wire column is a view of one value of the smallest integer
+    # type that holds n.
     wire_type = np.min_scalar_type(n)
     write_csv_blocks(path, ["wire", "phase_ui", "volts"],
-                     ([np.full(phases.size, w + 1, dtype=wire_type), phases, waves.volts[w]]
-                      for w in range(n)))
+                     [[np.broadcast_to(wire_type.type(w + 1), phases.size), phases, waves.volts[w]]
+                      for w in range(n)])
 
 
 def write_eye_json(report, path):
@@ -235,14 +249,15 @@ def render_eye_svg(waves, data_rate, path):
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(phases) < 0) + 1, [samples]))
     spans = [(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if b - a > 1]
     xs = ["%.2f," % x for x in xpix(phases).tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(part + "\n" for part in parts)
-        # wire by wire: holding every polyline would hold most of the file
-        for w in range(n):
-            color = _PALETTE[w % len(_PALETTE)]
-            ys = formatted(ypix(waves.volts[w]), "%.2f".__mod__).tolist()
-            pts = list(map(operator.add, xs, ys))
-            fh.writelines('<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
-                          'stroke-opacity="0.55"/>\n' % (" ".join(pts[a:b]), color)
-                          for a, b in spans)
-        fh.write("</svg>\n")
+
+    def polylines(w):  # a text a wire: holding every polyline would hold most of the file
+        color = _PALETTE[w % len(_PALETTE)]
+        pts = list(map(operator.add, xs, formatted(ypix(waves.volts[w]), "%.2f".__mod__).tolist()))
+        return "".join('<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
+                       'stroke-opacity="0.55"/>\n' % (" ".join(pts[a:b]), color)
+                       for a, b in spans)
+
+    with open(path, "wb") as fh:
+        fh.write("".join(part + "\n" for part in parts).encode())
+        write_texts(fh, polylines, n)
+        fh.write(b"</svg>\n")

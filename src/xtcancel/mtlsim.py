@@ -231,8 +231,13 @@ class Engine:
         if self.dt is None:
             # UI/K, K the smallest whole number >= TIMESTEPS_PER_UI whose step is
             # no longer than the rise time as computed, so checked after the
-            # ceil.  (A float: a rise too short for any grid reads a step of 0.)
+            # ceil.  (A float: a rise too short for any grid reads K = inf.)
             k = max(TIMESTEPS_PER_UI, float(np.ceil(self.ui / rise)))
+            # A run keeps one UI at least, 16n bytes a step, so a rise whose
+            # grid cannot hold that is refused here, by its name.
+            check_memory(16.0 * n * k,
+                         "stepping inside a %g s rise_s (%.3g steps a UI)" % (rise, k),
+                         "lengthen rise_s")
             self.dt = self.ui / (k + 1.0 if self.ui / k > rise else k)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError("timestep must be positive, got %r" % (self.dt,))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import spd_inverse
-from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, document,
-                     integer, number)
+from .errors import (IsolatedWireError, NonRealizableCouplingError, ValidationError, check_memory,
+                     document, integer, number)
 from .textio import read_json, write_csv, write_json
 
 NETWORK_SCHEMA_VERSION = 1
@@ -52,6 +52,9 @@ class TerminationNetwork:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("network needs at least one wire")
+        # Before anything of n entries is built: network_admittance's n x n.
+        check_memory(8.0 * self.n * self.n, "the admittance of a %d-wire network" % self.n,
+                     "terminate fewer wires")
         if not math.isfinite(self.vref):
             raise ValidationError("network vref must be finite, got %r" % (self.vref,))
         seen_self = set()

@@ -1,6 +1,8 @@
-"""The one CSV writer and the one JSON reader and writer.  CSV floats are
-their shortest round-trip repr, so a read gives back the exact doubles, and
-integer columns plain decimals.
+"""The one CSV writer, the one JSON reader and writer, and write_texts, which
+writes the big text outputs on every CPU this process may run on.
+
+CSV floats are their shortest round-trip repr, so a read gives back the
+exact doubles, and integer columns plain decimals.
 
 A run of equal values is formatted once.  A settled lossless line holds its
 level exactly, so most receiver samples repeat the one before them, and
@@ -12,9 +14,19 @@ folded CSV's wire number is formatted once per wire.
 
 Run heads are formatted by map, and the rows of each chunk are joined by
 map(",".join, zip(*cells)), so no Python bytecode runs per value or per row.
+
+Formatting is the writers' floor in one process, so write_texts spreads it
+over processes: a table is cut into chunks of _CHUNK_CELLS cells (an SVG
+into one text a wire), forked workers format some of them and send them back
+through pipes, and the bytes are written in order, the same bytes that one
+process writes.
 """
 
+import contextlib
 import json
+import os
+import pickle
+import struct
 import sys
 
 import numpy as np
@@ -24,6 +36,15 @@ from .errors import ValidationError
 # Cells formatted per write.  Formatting a whole table at once would hold one
 # Python object per value (tens of MB for a long waveform) at the same time.
 _CHUNK_CELLS = 1 << 13
+
+# Bytes a pipe from a worker holds, so a worker can send a text or more ahead
+# of the one being written.  Linux lets an unprivileged process set up to
+# /proc/sys/fs/pipe-max-size, 1 MiB by default; a refusal keeps the default.
+_PIPE_BYTES = 1 << 20
+
+# The prefix of everything a worker sends: whether text_of raised, and the
+# length of the text, or of the pickled exception, that follows.
+_FRAME = struct.Struct("<?Q")
 
 
 def formatted(values, fmt=repr):
@@ -69,21 +90,141 @@ def write_csv(path, header, columns):
 def write_csv_blocks(path, header, blocks):
     """write_csv for a table given as blocks of rows: each block is a list
     of columns as write_csv takes them, and its rows follow the previous
-    block's.  A block is built only when the rows before it are written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            columns = [np.asarray(c) for c in columns]
-            if len(columns) != len(header):
-                raise ValueError("CSV header names %d columns (%s), got %d columns"
-                                 % (len(header), ", ".join(header), len(columns)))
-            if len({c.size for c in columns}) > 1:
-                raise ValueError("CSV columns differ in length: " + ", ".join(
-                    "%s %d" % (name, c.size) for name, c in zip(header, columns)))
-            rows = max(1, _CHUNK_CELLS // len(columns))
-            for start in range(0, columns[0].size, rows):
-                cells = [_cells(c[start:start + rows]) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    block's.  Every block is checked before the file is opened."""
+    chunks = []  # (columns, first row, row past the last) of each text
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        if len(columns) != len(header):
+            raise ValueError("CSV header names %d columns (%s), got %d columns"
+                             % (len(header), ", ".join(header), len(columns)))
+        if len({c.size for c in columns}) > 1:
+            raise ValueError("CSV columns differ in length: " + ", ".join(
+                "%s %d" % (name, c.size) for name, c in zip(header, columns)))
+        rows = max(1, _CHUNK_CELLS // len(columns))
+        chunks += [(columns, start, start + rows) for start in range(0, columns[0].size, rows)]
+
+    def text_of(k):
+        columns, start, stop = chunks[k]
+        cells = [_cells(c[start:stop]) for c in columns]
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        write_texts(fh, text_of, len(chunks))
+
+
+def worker_count(count):
+    """The processes write_texts computes count texts in: one for each CPU
+    this process may run on, at most count, and one where the platform has
+    no fork or no CPU affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), count))
+
+
+def write_texts(fh, text_of, count):
+    """Write text_of(i) as UTF-8 to the binary file fh for i in range(count),
+    in order: the bytes a loop over i writes, on every CPU this process may
+    run on.
+
+    With k = worker_count(count), this process computes text i when k
+    divides i, and k - 1 forked workers compute the others, worker j those i
+    with i % k == j, each sending its texts length-prefixed through its own
+    pipe; with k = 1 the same loop computes every text here.  A worker
+    computes texts and nothing else: it never returns into the caller's
+    frames and ends with os._exit, so it flushes no buffer and closes no file
+    of the caller's.  A forked worker has only the forking thread, so
+    text_of must take no lock that another thread could hold at the fork:
+    the writers' format numbers and make no BLAS call.
+    An exception text_of raises in a worker is raised here when text i is
+    due, as it would be in one process; a worker that dies raises
+    RuntimeError.  Every worker is killed if still running and reaped before
+    this returns or raises.
+    """
+    k = worker_count(count)
+    pids, pipes, written = [], [], False
+    try:
+        for j in range(1, k):
+            import fcntl  # POSIX, as fork is
+
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                # not Linux, or over the user's pipe quota: the default size
+                with contextlib.suppress(AttributeError, OSError):
+                    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                pid = os.fork()
+                if pid == 0:
+                    _serve(text_of, range(j, count, k), write_end, pipes)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        for i in range(count):
+            j = i % k
+            fh.write(text_of(i).encode() if j == 0 else _receive(pipes[j - 1], i))
+        written = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not written:  # it may be computing a text nobody will read
+                import signal  # here: a millisecond of every command's start
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(text_of, indices, fd, pipes):
+    """A forked worker's whole life: close the read ends of pipes, send
+    text_of(i) through fd for every i of indices, or the exception it
+    raises, then _exit.  Never returns."""
+    code = 1
+    try:
+        for pipe in pipes:
+            os.close(pipe.fileno())
+        for i in indices:
+            try:
+                data = text_of(i).encode()
+            except Exception as exc:
+                _send(fd, True, _pickled(exc))
+                break
+            _send(fd, False, data)
+        else:
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled(exc):
+    """exc pickled, or, when it does not survive pickling (an __init__ that
+    takes other arguments than its args), a RuntimeError that names it."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError("%s: %s" % (type(exc).__name__, exc)))
+
+
+def _send(fd, failed, data):
+    os.write(fd, _FRAME.pack(failed, len(data)))
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe, i):
+    """Text i from the worker that writes into pipe, or the exception it
+    raised computing it; RuntimeError if it ended without sending either."""
+    head = pipe.read(_FRAME.size)
+    if len(head) == _FRAME.size:
+        failed, size = _FRAME.unpack(head)
+        data = pipe.read(size)
+        if len(data) == size:
+            if failed:
+                raise pickle.loads(data)
+            return data
+    raise RuntimeError("the worker process computing text %d ended before sending it" % i)
 
 
 def write_json(path, doc):

@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
+import pytest
 
 from xtcancel.bundle import CouplingMatrices
 
@@ -27,3 +30,23 @@ def realizable_admittance(rng, n):
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 0.0)
     return np.diag(g.sum(axis=1) + 1e-3 * (0.5 + rng.random(n))) - g
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """set_cpus(k) makes write_texts see k CPUs; the pids it forks collect
+    in set_cpus.forks."""
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            set_cpus.forks.append(pid)
+        return pid
+
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    set_cpus.forks = []
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return set_cpus

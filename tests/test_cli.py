@@ -443,8 +443,12 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
             ("drivers", "v_high", 0.0, "driver v_high must exceed v_low"),
             ("drivers", "rise_s", 0.0, "driver rise time must be positive"),
             (None, "timestep_s", 0.0, "timestep must be positive, got 0.0"),
-            # no default grid steps inside a 1e-320 s rise: UI / rise is inf
-            ("drivers", "rise_s", 1e-320, "timestep must be positive, got 0.0"),
+            # no default grid steps inside a 1e-320 s rise (UI / rise is inf) or
+            # holds one UI inside a 1e-300 s one; the refusal names rise_s
+            ("drivers", "rise_s", 1e-320, "stepping inside a 9.99989e-321 s rise_s (inf steps "
+                                          "a UI) needs about inf GB of memory"),
+            ("drivers", "rise_s", 1e-300, "stepping inside a 1e-300 s rise_s (6.25e+289 steps "
+                                          "a UI) needs about 1e+282 GB of memory"),
             (None, "segments", {}, "link needs a non-empty segments list")):
         raw = json.loads(Path(fx("link-scalar.json")).read_text())
         (raw[owner] if owner else raw)[field] = value
@@ -461,6 +465,21 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         assert cli.main(["synth", "--net", str(bad), "-o", str(tmp_path / "o.json")]) == 2
         assert "error: " + message in capsys.readouterr().err
     assert not any((tmp_path / name).exists() for name in ("o.json", "r.json", "w.csv"))
+
+
+@pytest.mark.parametrize("n, gb", [(10**9, "8e+09"), (20000, "3.2")])
+def test_network_too_wide_to_hold_exit_2_before_allocation(tmp_path, capsys, n, gb):
+    """A network's n is refused on its n x n admittance when it is read,
+    before floating_wires or network_admittance builds n of anything."""
+    net = tmp_path / "wide.json"
+    net.write_text(json.dumps({"n": n, "vref": 0.5,
+                               "elements": [{"kind": "self", "i": 1, "ohms": 50.0}]}))
+    for argv in (["synth", "--net", str(net)], ["fom", "--network", str(net)]):
+        assert cli.main(argv + ["-o", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the admittance of a %d-wire network needs about %s GB of memory, over "
+            "the 1.07 GB budget; terminate fewer wires\n" % (n, gb))
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_non_finite_bundle_exit_2(tmp_path, capsys):
@@ -616,10 +635,11 @@ def _twelve_at(tmp_path, prbs_order):
     return _link_in(tmp_path, raw)
 
 
-def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
+def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     """sim admits link-twelve at PRBS16, a 4.2M-row waveform file.  eye
-    reads and copies it within the budget, but with --svg it needs more:
-    then it refuses before opening the file."""
+    reads and copies it within the budget, but with --svg it needs more, and
+    more again on two CPUs, where a worker renders every other wire: then it
+    refuses before opening the file."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
     assert engine.stepper_bytes(engine.steps) <= MEMORY_BUDGET_BYTES
@@ -627,10 +647,12 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys):
     argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
     assert cli.main(argv) == 2
     assert "No such file" in capsys.readouterr().err  # past the pre-flight
-    assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
-    assert ("error: eye on 4194969 samples of 12 wires needs about 1.48 GB of memory, "
-            "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
-            "--svg/--folded") in capsys.readouterr().err
+    for k, gb in ((1, "1.48"), (2, "2.55")):
+        cpus(k)
+        assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
+        assert ("error: eye on 4194969 samples of 12 wires needs about %s GB of memory, "
+                "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
+                "--svg/--folded" % gb) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -170,6 +170,20 @@ def test_degenerate_stream_error():
         eye_measure(waves, [[1, 0, 1, 0], [0, 1, 0, 1]], 16e9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_volts_error(bad):
+    """A NaN or inf sample is refused naming its wire and sample; without
+    the check every eye of its wire read nan."""
+    one, streams = square_waves([1, 0, 1, 1, 0, 0, 1, 0])
+    volts = np.concatenate([one.volts, one.volts])
+    volts[1, 77] = bad
+    waves = Waveforms(dt=one.dt, start_time=one.start_time, vref=one.vref, volts=volts,
+                      nominal_delay_s=one.nominal_delay_s)
+    with pytest.raises(ValidationError) as info:
+        eye_measure(waves, np.concatenate([streams, streams]), 16e9)
+    assert str(info.value) == "wire 2's waveform is not finite at sample 77: %r V" % bad
+
+
 def test_span_too_short_error():
     waves, _ = square_waves([1, 0, 1, 0], reps=1)
     # four bits of samples cannot cover a 32-bit stream period plus one UI

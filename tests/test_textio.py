@@ -6,20 +6,23 @@ whole arrays.  They are kept as the specification of the file formats: the
 package writers must produce the same bytes.
 """
 
+import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xtcancel import cli
+from xtcancel import cli, textio
 from xtcancel.bundle import characteristic_impedance, load_bundle
+from xtcancel.errors import NonRealizableCouplingError
 from xtcancel.eye import eye_measure, fold_phases, render_eye_svg, write_folded_csv
 from xtcancel.fom import code_table, write_code_table_csv
 from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
                              write_waveform_csv)
 from xtcancel.termination import (conductance_histogram, network_admittance,
                                   realize_network, write_histogram_csv)
-from xtcancel.textio import _CHUNK_CELLS, formatted, write_csv
+from xtcancel.textio import _CHUNK_CELLS, formatted, write_csv, write_texts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SWEEP_HEADER = ["value", "wire", "eye_v", "min_v", "avg_v", "max_v"]
@@ -330,3 +333,131 @@ def test_settled_waveform_outputs_match_reference(tmp_path):
                lambda p: reference_folded_csv(waves, rate, p))
     same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
                lambda p: reference_eye_svg(waves, rate, p))
+
+
+def assert_no_child():
+    """Every process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_worker_count_follows_the_cpus_and_the_platform(cpus, monkeypatch, missing):
+    cpus(3)
+    assert [textio.worker_count(c) for c in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+    monkeypatch.delattr(os, missing)
+    assert textio.worker_count(50) == 1
+    write_csv(os.devnull, ["a"], [np.arange(3 * _CHUNK_CELLS)])
+    assert cpus.forks == []
+
+
+@pytest.mark.parametrize("link", sorted(p.name for p in FIXTURES.glob("link-*.json")))
+def test_sim_and_eye_write_the_same_bytes_on_one_two_and_three_cpus(tmp_path, cpus, link):
+    files = {}
+    for k in (1, 2, 3):
+        cpus(k)
+        out = tmp_path / str(k)
+        out.mkdir()
+        waves = str(out / "waves.csv")
+        assert cli.main(["sim", "--link", str(FIXTURES / link), "-o", waves]) == 0
+        assert_no_child()
+        assert cli.main(["eye", "--waves", waves, "--link", str(FIXTURES / link),
+                         "-o", str(out / "eye.json"), "--svg", str(out / "eye.svg"),
+                         "--folded", str(out / "folded.csv")]) == 0
+        assert_no_child()
+        files[k] = {p.name: p.read_bytes() for p in out.iterdir()}
+        # sim and the folded CSV fork k - 1 workers each, and the SVG as
+        # many as it has wires beyond the first, up to k - 1
+        wires = load_link(FIXTURES / link).termination.n
+        assert len(cpus.forks) == (k - 1) * 2 + min(k, wires) - 1
+        cpus.forks.clear()
+    assert files[2] == files[1] and files[3] == files[1]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_code_table_in_chunks_on_several_cpus_matches_reference(tmp_path, cpus, k):
+    """The twelve-wire code table is 4096 rows of 13 cells: seven chunks,
+    which two or three workers do not share evenly."""
+    bundle = load_bundle(FIXTURES / "twelve.json")
+    table = code_table(network_admittance(realize_network(characteristic_impedance(bundle)[0].zc)))
+    assert table.size + table.shape[0] > 6 * _CHUNK_CELLS
+    cpus(k)
+    same_bytes(tmp_path, lambda p: write_code_table_csv(table, p),
+               lambda p: reference_code_table_csv(table, p))
+    assert len(cpus.forks) == k - 1
+    assert_no_child()
+
+
+def _texts_up_to(path, k, text_of, count=9):
+    """write_texts(text_of) into path on k CPUs: what it raises, and the
+    bytes it wrote first."""
+    with open(path, "wb") as fh:
+        with pytest.raises(BaseException) as raised:
+            write_texts(fh, text_of, count)
+    assert_no_child()
+    return raised, path.read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_exception_in_a_worker_is_raised_by_the_writer(tmp_path, cpus, k):
+    """Text 5 is a worker's on two and three CPUs: its exception is raised
+    when text 5 is due, after texts 0-4, as in one process.  One that does
+    not survive pickling comes back as a RuntimeError naming it."""
+    cpus(k)
+
+    def failing_at_5(exc):
+        def text_of(i):
+            if i == 5:
+                raise exc
+            return "%d\n" % i
+        return text_of
+
+    raised, written = _texts_up_to(tmp_path / "t", k, failing_at_5(ZeroDivisionError("no 5")))
+    assert raised.type is ZeroDivisionError and str(raised.value) == "no 5"
+    assert written == b"0\n1\n2\n3\n4\n"
+    unpicklable = NonRealizableCouplingError(1, 2, 1e-3)
+    raised, _ = _texts_up_to(tmp_path / "t", k, failing_at_5(unpicklable))
+    if k == 1:
+        assert raised.value is unpicklable
+    else:
+        assert raised.type is RuntimeError
+        assert str(raised.value) == "NonRealizableCouplingError: " + str(unpicklable)
+
+
+def test_a_worker_that_dies_makes_the_writer_raise(tmp_path, cpus):
+    cpus(2)
+    parent = os.getpid()
+    raised, written = _texts_up_to(
+        tmp_path / "t", 2, lambda i: os._exit(3) if os.getpid() != parent and i == 3 else "%d" % i)
+    assert raised.type is RuntimeError
+    assert str(raised.value) == "the worker process computing text 3 ended before sending it"
+    assert written == b"012"
+
+
+def test_an_interrupt_or_a_failed_write_ends_every_worker(tmp_path, cpus):
+    """Workers still computing (here, sleeping) are killed and reaped at
+    once, whether the caller's own text or the file write raises."""
+    cpus(3)
+    parent = os.getpid()
+
+    def text_of(i):
+        if os.getpid() != parent:
+            time.sleep(60)
+        if i == 0 and fail:
+            raise KeyboardInterrupt
+        return "%d" % i
+
+    start = time.monotonic()
+    fail = True
+    raised, written = _texts_up_to(tmp_path / "t", 3, text_of)
+    assert raised.type is KeyboardInterrupt and written == b""
+
+    class FullDisk:
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    fail = False
+    with pytest.raises(OSError, match="No space left"):
+        write_texts(FullDisk(), text_of, 9)
+    assert_no_child()
+    assert time.monotonic() - start < 30
