@@ -23,7 +23,7 @@ import operator
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import formatted, worker_count, write_csv_blocks, write_json, write_texts
+from .textio import formatted, write_csv_blocks, write_json, write_texts
 
 EYE_SCHEMA_VERSION = 1
 
@@ -44,6 +44,8 @@ _SCAN_CELLS = 1 << 19
 # folded CSV holds every sample's phase text and the floats behind it.  A
 # forked worker of the writer (textio.write_texts) holds up to as much: its
 # own text and the pages of the shared texts it copies by touching them.
+# eye_bytes counts one process; write_texts forks only the workers whose
+# figures fit the budget beside the volts.
 _SVG_SAMPLE_BYTES = 256
 _FOLDED_SAMPLE_BYTES = 160
 
@@ -105,14 +107,6 @@ def eye_measure(waves, streams, data_rate):
     n, samples = waves.volts.shape
     if streams.shape[0] != n:
         raise ValidationError("streams cover %d wires, waveforms %d" % (streams.shape[0], n))
-    # A NaN or inf would make every eye of its wire nan; min and max find one
-    # without a temporary the size of volts.
-    finite = np.isfinite(waves.volts.min(axis=1)) & np.isfinite(waves.volts.max(axis=1))
-    if not finite.all():
-        w = int(np.argmin(finite))
-        m = int(np.argmin(np.isfinite(waves.volts[w])))
-        raise ValidationError("wire %d's waveform is not finite at sample %d: %r V"
-                              % (w + 1, m, float(waves.volts[w, m])))
     ui = 1.0 / float(data_rate)
     period = streams.shape[1]
     span = (samples - 1) * waves.dt
@@ -120,6 +114,15 @@ def eye_measure(waves, streams, data_rate):
         raise ValidationError(
             "waveform span %g s is too short to sample a %d-bit period at %g b/s"
             % (span, period, data_rate))
+    # A NaN or inf would make every eye of its wire nan; min and max, which
+    # the span check leaves two samples or more, find one without a
+    # temporary the size of volts.
+    finite = np.isfinite(waves.volts.min(axis=1)) & np.isfinite(waves.volts.max(axis=1))
+    if not finite.all():
+        w = int(np.argmin(finite))
+        m = int(np.argmin(np.isfinite(waves.volts[w])))
+        raise ValidationError("wire %d's waveform is not finite at sample %d: %r V"
+                              % (w + 1, m, float(waves.volts[w, m])))
 
     t0 = waves.start_time
     t_last = t0 + span
@@ -161,15 +164,13 @@ def eye_bytes(n, samples, dt, data_rate, svg=False, folded=False):
     per-offset eyes, and one chunk of offsets: per offset-bit pair the sample
     indices, their mask and up to three float temporaries, and per wire a
     gathered sample, one masked copy of it and its mask.  A writer is
-    counted once for this process and once for each worker it forks: the
-    SVG has a text a wire, the folded CSV at most one a cell."""
+    counted for this process alone."""
     ui = 1.0 / float(data_rate)
     k_cand = max(int(round(ui / dt)), 1)
     bits = int((samples - 1) * dt / ui) + 3
     pairs = min(k_cand, max(1, _SCAN_CELLS // (n * bits))) * bits
     scan = pairs * (17 * n + 33) + bits * (10 * n + 32) + k_cand * (24 * n + 40)
-    writer = samples * max(svg * _SVG_SAMPLE_BYTES * worker_count(n),
-                           folded * _FOLDED_SAMPLE_BYTES * worker_count(n * samples))
+    writer = max(svg * _SVG_SAMPLE_BYTES, folded * _FOLDED_SAMPLE_BYTES) * samples
     return max(scan, writer) + (1 << 16)
 
 
@@ -190,7 +191,8 @@ def write_folded_csv(waves, data_rate, path):
     wire_type = np.min_scalar_type(n)
     write_csv_blocks(path, ["wire", "phase_ui", "volts"],
                      [[np.broadcast_to(wire_type.type(w + 1), phases.size), phases, waves.volts[w]]
-                      for w in range(n)])
+                      for w in range(n)],
+                     _FOLDED_SAMPLE_BYTES * phases.size, waves.volts.nbytes)
 
 
 def write_eye_json(report, path):
@@ -259,5 +261,5 @@ def render_eye_svg(waves, data_rate, path):
 
     with open(path, "wb") as fh:
         fh.write("".join(part + "\n" for part in parts).encode())
-        write_texts(fh, polylines, n)
+        write_texts(fh, polylines, n, _SVG_SAMPLE_BYTES * samples, waves.volts.nbytes)
         fh.write(b"</svg>\n")

@@ -637,9 +637,9 @@ def _twelve_at(tmp_path, prbs_order):
 
 def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     """sim admits link-twelve at PRBS16, a 4.2M-row waveform file.  eye
-    reads and copies it within the budget, but with --svg it needs more, and
-    more again on two CPUs, where a worker renders every other wire: then it
-    refuses before opening the file."""
+    reads and copies it within the budget, but with --svg it needs more:
+    then it refuses before opening the file.  The figure counts one
+    process, so the CPU count does not change it."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
     assert engine.stepper_bytes(engine.steps) <= MEMORY_BUDGET_BYTES
@@ -647,13 +647,27 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
     assert cli.main(argv) == 2
     assert "No such file" in capsys.readouterr().err  # past the pre-flight
-    for k, gb in ((1, "1.48"), (2, "2.55")):
+    for k in (1, 2, 64):
         cpus(k)
         assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
-        assert ("error: eye on 4194969 samples of 12 wires needs about %s GB of memory, "
+        assert ("error: eye on 4194969 samples of 12 wires needs about 1.48 GB of memory, "
                 "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
-                "--svg/--folded" % gb) in capsys.readouterr().err
+                "--svg/--folded") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_eye_with_writers_at_prbs15_passes_the_pre_flight_on_any_cpu_count(
+        tmp_path, capsys, cpus, k):
+    """link-twelve at PRBS15 (2.1M samples) with --svg and --folded is
+    admitted whatever the CPU count: the writers fork only the workers that
+    fit the budget, so the pre-flight counts one process."""
+    cpus(k)
+    link = _twelve_at(tmp_path, 15)
+    for writer in ("--svg", "--folded"):
+        assert cli.main(["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link,
+                         "-o", str(tmp_path / "e.json"), writer, str(tmp_path / "out")]) == 2
+        assert "No such file" in capsys.readouterr().err  # past the pre-flight
 
 
 def test_eye_refuses_a_longer_file_within_estimate(tmp_path, capsys, monkeypatch):

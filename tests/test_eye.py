@@ -188,8 +188,12 @@ def test_span_too_short_error():
     waves, _ = square_waves([1, 0, 1, 0], reps=1)
     # four bits of samples cannot cover a 32-bit stream period plus one UI
     stream = np.resize([1, 0, 1, 0], (1, 32))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="too short"):
         eye_measure(waves, stream, 16e9)
+    # no sample at all: the same refusal, before anything reduces the volts
+    empty = replace(waves, volts=waves.volts[:, :0])
+    with pytest.raises(ValidationError, match="waveform span -.* is too short"):
+        eye_measure(empty, stream, 16e9)
 
 
 def test_phase_stable_against_roundoff():

@@ -15,8 +15,8 @@ import pytest
 
 from xtcancel import cli, textio
 from xtcancel.bundle import characteristic_impedance, load_bundle
-from xtcancel.errors import NonRealizableCouplingError
-from xtcancel.eye import eye_measure, fold_phases, render_eye_svg, write_folded_csv
+from xtcancel.eye import (_FOLDED_SAMPLE_BYTES, _SVG_SAMPLE_BYTES, eye_measure, fold_phases,
+                          render_eye_svg, write_folded_csv)
 from xtcancel.fom import code_table, write_code_table_csv
 from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
                              write_waveform_csv)
@@ -318,14 +318,19 @@ def test_object_column_is_written_as_given(tmp_path):
                reference)
 
 
-def test_settled_waveform_outputs_match_reference(tmp_path):
-    """Waveforms that hold their level for many samples, as a matched line
-    does, through every waveform writer."""
+def settled_waves():
+    """Three wires of 1800 samples that hold their level for many samples,
+    as a matched line does."""
     ui = 1.0 / 16e9
     steps = np.repeat([0.0, 1.0, -0.0, 0.5, 0.5 + 1e-15, 1.0], 300)
     volts = np.array([steps, steps[::-1], np.roll(steps, 137)])
-    waves = Waveforms(dt=ui / 64, start_time=0.0, vref=0.5, volts=volts,
-                      nominal_delay_s=3.3 * ui)
+    return Waveforms(dt=ui / 64, start_time=0.0, vref=0.5, volts=volts,
+                     nominal_delay_s=3.3 * ui)
+
+
+def test_settled_waveform_outputs_match_reference(tmp_path):
+    """Settled waveforms through every waveform writer."""
+    waves = settled_waves()
     rate = 16e9
     same_bytes(tmp_path, lambda p: write_waveform_csv(waves, p),
                lambda p: reference_waveform_csv(waves, p))
@@ -345,6 +350,10 @@ def assert_no_child():
 def test_worker_count_follows_the_cpus_and_the_platform(cpus, monkeypatch, missing):
     cpus(3)
     assert [textio.worker_count(c) for c in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+    # as many as fit the budget beside what the caller holds, and never none
+    budget = textio.MEMORY_BUDGET_BYTES
+    assert [textio.worker_count(50, budget // w, held) for w, held in
+            ((4, 0), (2, 0), (2, budget // 2), (1, 0), (1, budget // 2))] == [3, 2, 1, 1, 1]
     monkeypatch.delattr(os, missing)
     assert textio.worker_count(50) == 1
     write_csv(os.devnull, ["a"], [np.arange(3 * _CHUNK_CELLS)])
@@ -388,6 +397,27 @@ def test_code_table_in_chunks_on_several_cpus_matches_reference(tmp_path, cpus, 
     assert_no_child()
 
 
+@pytest.mark.parametrize("svg_fits, forks", [(1, 0), (2, 3)])
+def test_eye_writers_fork_only_the_workers_that_fit_the_budget(
+        tmp_path, cpus, monkeypatch, svg_fits, forks):
+    """Each eye writer's process holds up to its per-sample figure for every
+    sample beside the volts.  With room for one SVG figure, neither writer
+    forks on three CPUs; with room for two, the SVG forks one worker and the
+    folded CSV, whose figure fits three times, two.  The bytes stay the same."""
+    waves, rate = settled_waves(), 16e9
+    samples = waves.volts.shape[1]
+    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES",
+                        waves.volts.nbytes + svg_fits * _SVG_SAMPLE_BYTES * samples)
+    assert 3 * _FOLDED_SAMPLE_BYTES <= 2 * _SVG_SAMPLE_BYTES
+    cpus(3)
+    same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
+               lambda p: reference_eye_svg(waves, rate, p))
+    same_bytes(tmp_path, lambda p: write_folded_csv(waves, rate, p),
+               lambda p: reference_folded_csv(waves, rate, p))
+    assert len(cpus.forks) == forks
+    assert_no_child()
+
+
 def _texts_up_to(path, k, text_of, count=9):
     """write_texts(text_of) into path on k CPUs: what it raises, and the
     bytes it wrote first."""
@@ -401,27 +431,21 @@ def _texts_up_to(path, k, text_of, count=9):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_an_exception_in_a_worker_is_raised_by_the_writer(tmp_path, cpus, k):
     """Text 5 is a worker's on two and three CPUs: its exception is raised
-    when text 5 is due, after texts 0-4, as in one process.  One that does
-    not survive pickling comes back as a RuntimeError naming it."""
+    when text 5 is due, after texts 0-4, as in one process, as a
+    RuntimeError naming its type and message."""
     cpus(k)
 
-    def failing_at_5(exc):
-        def text_of(i):
-            if i == 5:
-                raise exc
-            return "%d\n" % i
-        return text_of
+    def text_of(i):
+        if i == 5:
+            raise ZeroDivisionError("no 5")
+        return "%d\n" % i
 
-    raised, written = _texts_up_to(tmp_path / "t", k, failing_at_5(ZeroDivisionError("no 5")))
-    assert raised.type is ZeroDivisionError and str(raised.value) == "no 5"
-    assert written == b"0\n1\n2\n3\n4\n"
-    unpicklable = NonRealizableCouplingError(1, 2, 1e-3)
-    raised, _ = _texts_up_to(tmp_path / "t", k, failing_at_5(unpicklable))
+    raised, written = _texts_up_to(tmp_path / "t", k, text_of)
     if k == 1:
-        assert raised.value is unpicklable
+        assert raised.type is ZeroDivisionError and str(raised.value) == "no 5"
     else:
-        assert raised.type is RuntimeError
-        assert str(raised.value) == "NonRealizableCouplingError: " + str(unpicklable)
+        assert raised.type is RuntimeError and str(raised.value) == "ZeroDivisionError: no 5"
+    assert written == b"0\n1\n2\n3\n4\n"
 
 
 def test_a_worker_that_dies_makes_the_writer_raise(tmp_path, cpus):
