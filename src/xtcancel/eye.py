@@ -38,15 +38,15 @@ _PHASE_TIE_V = 1e-12
 # cell) stay near 9 MB whatever its length.
 _SCAN_CELLS = 1 << 19
 
-# Bytes a sample costs each writer at its peak, traced at about 173 and 135
-# on link-twelve at PRBS7-11: the SVG holds every sample's x text and one
-# wire's points and polylines, with the floats they are formatted from; the
-# folded CSV holds every sample's phase text and the floats behind it.  A
-# forked worker of the writer (textio.write_texts) holds up to as much: its
-# own text and the pages of the shared texts it copies by touching them.
-# eye_bytes counts one process; write_texts forks only the workers whose
-# figures fit the budget beside the volts.
-_SVG_SAMPLE_BYTES = 256
+# Bytes a sample costs each writer at its peak: traced at up to 174 and 136
+# on link-twelve at PRBS7-11, plus 15 and 18 %.  The SVG holds every sample's
+# x text and one wire's points and polylines, with the floats they are
+# formatted from; the folded CSV holds every sample's phase text and the
+# floats behind it.  A forked worker of the writer (textio.on_cpus) holds up
+# to as much: its own text and the pages of the shared texts it copies by
+# touching them.  eye_bytes counts one process; on_cpus forks only the
+# workers whose figures fit the budget beside the volts.
+_SVG_SAMPLE_BYTES = 200
 _FOLDED_SAMPLE_BYTES = 160
 
 _SVG_SIZE = (860, 460)  # width, height in px

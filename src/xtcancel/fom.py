@@ -11,6 +11,7 @@ code by the exact report's in-place doubling, up to n=20 (ENUMERATION_CAP).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from .bundle import checked_symmetric
 from .errors import EnumerationCapError, ValidationError, check_memory
 from .termination import DEFAULT_VREF
-from .textio import write_csv, write_json
+from .textio import on_cpus, write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -128,12 +129,27 @@ def bundle_fom(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS):
                      n_codes=total)
 
 
+def _chunk_bytes(n, rows):
+    """The memory one process holds drawing a chunk of rows codes: the codes,
+    currents, raw words and row sums, and the chunk's per-sample results
+    twice, as an array and as the bytes that carry them."""
+    return rows * (8 * n + 8 * n + 4 * n + 8 + 2 * 16) + 2 * 16
+
+
+def _held_bytes(samples):
+    """The memory bundle_fom_sampled holds besides its chunks: the
+    per-sample bundle and power arrays and std's temporary of one of them,
+    plus 64 KiB for small arrays."""
+    return 8 * 3 * samples + (1 << 16)
+
+
 def sampled_fom_bytes(n, samples):
-    """An upper bound on the memory of bundle_fom_sampled: the per-sample
-    bundle and power arrays and std's temporary of one of them, one chunk's
-    codes, currents, raw words and row sums, plus 64 KiB for small arrays."""
-    rows = min(_SAMPLE_ROWS, samples)
-    return 8 * 3 * samples + rows * (8 * n + 8 * n + 4 * n + 8) + (1 << 16)
+    """An upper bound on the memory bundle_fom_sampled holds in the calling
+    process: what it holds besides its chunks, and one chunk.  Each forked
+    worker holds one chunk more, and textio.on_cpus forks only the workers
+    whose chunks fit the budget beside the rest, so a sample count is
+    admitted or refused alike on any number of CPUs."""
+    return _held_bytes(samples) + _chunk_bytes(n, min(_SAMPLE_ROWS, samples))
 
 
 def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=100000, seed=0):
@@ -143,9 +159,17 @@ def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=1000
     seeded generator, so results are reproducible.  Bit k of the flattened
     (samples, n) code array is the top bit of the k-th 32-bit half of the
     generator's 64-bit words, low half first (on a little-endian host): the
-    bits that Generator.integers(0, 2) takes.  Chunk boundaries do not change
-    which codes are drawn.  Standard errors cover the two averages; the max
-    fields are sample maxima.
+    bits that Generator.integers(0, 2) takes.  Standard errors cover the two
+    averages; the max fields are sample maxima.
+
+    The codes are drawn in chunks of _SAMPLE_ROWS rows on every CPU this
+    process may run on (textio.on_cpus).  Chunk c starts at word
+    c * _SAMPLE_ROWS * n / 2 of the generator, which PCG64.advance reaches
+    in O(log c) steps, so any process draws any chunk's codes exactly.  A
+    chunk sends back its bundle and power values and its largest and
+    negated smallest current as raw float64 bytes, and this process fills
+    the per-sample arrays and reduces them in order, so the report has the
+    same bytes on any number of CPUs.
     """
     y, a, b = _checked_inputs(y, vref, levels)
     n = y.shape[0]
@@ -157,26 +181,43 @@ def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=1000
     check_memory(sampled_fom_bytes(n, samples), "drawing %d samples" % samples,
                  "draw fewer samples")
     words = np.random.default_rng(seed).bit_generator
+    first_word = words.state
     volts = np.array([a, b])  # bit 0 or 1 -> x
-    # Only the per-sample totals are kept whole, so the statistics below see
-    # the same vectors whatever the chunk; each chunk reuses the codes and
-    # currents buffers in place.
-    bundle = np.empty(samples)
-    power = np.empty(samples)
-    max_wire = 0.0
+    # Each chunk reuses the codes and currents buffers in place, in every
+    # process; only the per-sample totals are kept whole, so the statistics
+    # below see the same vectors whatever the chunk.
     rows = min(_SAMPLE_ROWS, samples)
     x_buf, cur_buf = np.empty((rows, n)), np.empty((rows, n))
-    for start in range(0, samples, _SAMPLE_ROWS):
+
+    def draw(c):
+        start = c * _SAMPLE_ROWS
         count = min(_SAMPLE_ROWS, samples - start)
         x, cur = x_buf[:count], cur_buf[:count]
+        words.state = first_word
+        words.advance(start * n // 2)  # _SAMPLE_ROWS is even
         halves = words.random_raw((count * n + 1) // 2).view(np.uint32)[:count * n]
         np.right_shift(halves, 31, out=halves)
         np.take(volts, halves, out=x.reshape(-1), mode="clip")  # "raise" would buffer out
         np.matmul(x, y, out=cur)
-        np.abs(cur.sum(axis=1), out=bundle[start:start + count])
+        out = np.empty(2 * count + 2)
+        np.abs(cur.sum(axis=1), out=out[:count])
         x *= cur
-        x.sum(axis=1, out=power[start:start + count])
-        max_wire = max(max_wire, float(cur.max()), -float(cur.min()))
+        x.sum(axis=1, out=out[count:-2])
+        out[-2:] = cur.max(), -cur.min()
+        return out.tobytes()
+
+    bundle = np.empty(samples)
+    power = np.empty(samples)
+    max_wire = 0.0
+    chunks = -(-samples // _SAMPLE_ROWS)
+    with contextlib.closing(on_cpus(draw, chunks, _chunk_bytes(n, rows),
+                                    _held_bytes(samples))) as results:
+        for c, data in enumerate(results):
+            out = np.frombuffer(data)
+            start, count = c * _SAMPLE_ROWS, (out.size - 2) // 2
+            bundle[start:start + count] = out[:count]
+            power[start:start + count] = out[count:-2]
+            max_wire = max(max_wire, float(out[-2]), float(out[-1]))
     k = float(samples)
     return FomReport(
         avg_bundle_current=float(bundle.mean()),

@@ -103,8 +103,9 @@ class DriverBank:
 
     def __post_init__(self):
         for r in self.rs_ohms:
-            if not (r >= 0.0 and math.isfinite(r)):
-                raise ValidationError("driver resistance must be finite and >= 0, got %r" % (r,))
+            if not (r >= 0.0 and math.isfinite(r)) or (r and math.isinf(1.0 / r)):
+                raise ValidationError("driver resistance must be finite and >= 0, and 0 or large "
+                                      "enough for a finite conductance, got %r" % (r,))
         if not all(map(math.isfinite, (self.v_low, self.v_high, self.v_high - self.v_low))):
             raise ValidationError("driver v_low %r, v_high %r and their difference must be finite"
                                   % (self.v_low, self.v_high))
@@ -190,6 +191,9 @@ class _NodeSolve:
 
     def __init__(self, a, g, pinned, what):
         a = np.where(pinned[:, None], np.eye(g.size), a)
+        if not np.isfinite(a).all():  # finite conductances whose sum overflows
+            raise ValidationError("%s nodal system has non-finite conductances: its "
+                                  "resistances are too small" % what)
         # Rows scaled to unit max: a pinned row and the row of a driver behind
         # a tiny resistance differ in scale, not in rank.
         cond = np.linalg.cond(a / np.abs(a).max(axis=1, keepdims=True))

@@ -60,8 +60,9 @@ class TerminationNetwork:
         seen_self = set()
         seen_cross = set()
         for el in self.elements:
-            if not (0.0 < el.ohms < float("inf")):
-                raise ValidationError("element %s has non-positive or non-finite resistance" % (el,))
+            if not (0.0 < el.ohms < float("inf") and 1.0 / el.ohms < float("inf")):
+                raise ValidationError("element %s has non-positive or non-finite resistance, "
+                                      "or one too small for a finite conductance" % (el,))
             if el.kind == "self":
                 if not 1 <= el.i <= self.n or el.j is not None:
                     raise ValidationError("bad self element indices %s" % (el,))

@@ -1,5 +1,7 @@
-"""The one CSV writer, the one JSON reader and writer, and write_texts, which
-writes the big text outputs on every CPU this process may run on.
+"""The one CSV writer, the one JSON reader and writer, and on_cpus, which
+computes indexed results on every CPU this process may run on, in order:
+write_texts writes the big text outputs through it, and the sampled figures
+of merit draw their chunks through it.
 
 CSV floats are their shortest round-trip repr, so a read gives back the
 exact doubles, and integer columns plain decimals.
@@ -18,8 +20,8 @@ map(",".join, zip(*cells)), so no Python bytecode runs per value or per row.
 Formatting is the writers' floor in one process, so write_texts spreads it
 over processes: a table is cut into chunks of _CHUNK_CELLS cells (an SVG
 into one text a wire), forked workers, one a CPU as far as the memory budget
-allows, format some of them and send them back through pipes, and the bytes
-are written in order, the same bytes that one process writes.
+allows, format some of them and send them back through pipes (on_cpus), and
+the bytes are written in order, the same bytes that one process writes.
 """
 
 import contextlib
@@ -44,8 +46,8 @@ _CHUNK_CELLS = 1 << 13
 # alternating pairs, faster in 29).
 _PIPE_BYTES = 1 << 20
 
-# The prefix of everything a worker sends: whether text_of raised, and the
-# length of the text, or of the exception's "Type: message", that follows.
+# The prefix of everything a worker sends: whether compute raised, and the
+# length of the result, or of the exception's "Type: message", that follows.
 _FRAME = struct.Struct("<?Q")
 
 
@@ -117,7 +119,7 @@ def write_csv_blocks(path, header, blocks, worker_bytes=0, held_bytes=0):
 
 
 def worker_count(count, worker_bytes=0, held_bytes=0):
-    """The processes write_texts computes count texts in: one for each CPU
+    """The processes on_cpus computes count results in: one for each CPU
     this process may run on, at most count, and at most as many as fit
     worker_bytes each beside held_bytes within MEMORY_BUDGET_BYTES.  Never
     fewer than one, the caller, and only it where the platform has no fork
@@ -132,30 +134,43 @@ def worker_count(count, worker_bytes=0, held_bytes=0):
 
 def write_texts(fh, text_of, count, worker_bytes=0, held_bytes=0):
     """Write text_of(i) as UTF-8 to the binary file fh for i in range(count),
-    in order: the bytes a loop over i writes, on every CPU this process may
-    run on.
+    in order: the bytes a loop over i writes, computed on every CPU this
+    process may run on (on_cpus, which takes worker_bytes and held_bytes)."""
+    with contextlib.closing(on_cpus(lambda i: text_of(i).encode(), count,
+                                    worker_bytes, held_bytes)) as texts:
+        for data in texts:
+            fh.write(data)
+            del data  # not held while the next text is computed
 
-    worker_bytes bounds the memory one process holds computing texts, and
+
+def on_cpus(compute, count, worker_bytes=0, held_bytes=0):
+    """Yield compute(i), a bytes object, for i in range(count), in order,
+    computed on every CPU this process may run on.  Close the generator
+    (contextlib.closing) if it may be left before its end.
+
+    worker_bytes bounds the memory one process holds computing results, and
     held_bytes what the caller holds besides; the caller's memory check
     counts one process, so workers are forked only while every process's
     worker_bytes fit the budget beside held_bytes (worker_count).
 
-    With k = worker_count(...), this process computes text i when k
+    With k = worker_count(...), this process computes result i when k
     divides i, and k - 1 forked workers compute the others, worker j those i
-    with i % k == j, each sending its texts length-prefixed through its own
-    pipe; with k = 1 the same loop computes every text here.  A worker
-    computes texts and nothing else: it never returns into the caller's
+    with i % k == j, each sending its results length-prefixed through its
+    own pipe; with k = 1 the same loop computes every result here.  A worker
+    computes results and nothing else: it never returns into the caller's
     frames and ends with os._exit, so it flushes no buffer and closes no file
     of the caller's.  A forked worker has only the forking thread, so
-    text_of must take no lock that another thread could hold at the fork:
-    the writers' format numbers and make no BLAS call.
-    An exception text_of raises in a worker is raised here when text i is
+    compute must take no lock that another thread could hold at the fork.
+    BLAS calls are safe: numpy's OpenBLAS shuts its thread pool down in a
+    pthread_atfork handler, so a worker starts its own.
+    An exception compute raises in a worker is raised here when result i is
     due, where one process would raise it, as a RuntimeError naming its type
     and message; a worker that dies raises RuntimeError too.  Every worker
-    is killed if still running and reaped before this returns or raises.
+    is killed if still running and reaped before the generator is exhausted,
+    raises or is closed.
     """
     k = worker_count(count, worker_bytes, held_bytes)
-    pids, pipes, written = [], [], False
+    pids, pipes, done = [], [], False
     try:
         for j in range(1, k):
             import fcntl  # POSIX, as fork is
@@ -168,28 +183,28 @@ def write_texts(fh, text_of, count, worker_bytes=0, held_bytes=0):
                     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
                 pid = os.fork()
                 if pid == 0:
-                    _serve(text_of, range(j, count, k), write_end, pipes)
+                    _serve(compute, range(j, count, k), write_end, pipes)
                 pids.append(pid)
             finally:
                 os.close(write_end)
         for i in range(count):
             j = i % k
-            fh.write(text_of(i).encode() if j == 0 else _receive(pipes[j - 1], i))
-        written = True
+            yield compute(i) if j == 0 else _receive(pipes[j - 1], i)
+        done = True
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            if not written:  # it may be computing a text nobody will read
+            if not done:  # it may be computing a result nobody will read
                 import signal  # here: a millisecond of every command's start
 
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _serve(text_of, indices, fd, pipes):
+def _serve(compute, indices, fd, pipes):
     """A forked worker's whole life: close the read ends of pipes, send
-    text_of(i) through fd for every i of indices, or the "Type: message" of
+    compute(i) through fd for every i of indices, or the "Type: message" of
     the exception it raises, then _exit.  Never returns."""
     code = 1
     try:
@@ -197,7 +212,7 @@ def _serve(text_of, indices, fd, pipes):
             os.close(pipe.fileno())
         for i in indices:
             try:
-                data = text_of(i).encode()
+                data = compute(i)
             except Exception as exc:
                 failure = "%s: %s" % (type(exc).__name__, exc)
                 _send(fd, True, failure.encode(errors="backslashreplace"))
@@ -217,7 +232,7 @@ def _send(fd, failed, data):
 
 
 def _receive(pipe, i):
-    """Text i from the worker that writes into pipe; RuntimeError naming
+    """Result i from the worker that writes into pipe; RuntimeError naming
     the exception it raised computing it, or that it ended without sending
     either."""
     head = pipe.read(_FRAME.size)

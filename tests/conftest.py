@@ -32,11 +32,17 @@ def realizable_admittance(rng, n):
     return np.diag(g.sum(axis=1) + 1e-3 * (0.5 + rng.random(n))) - g
 
 
+def assert_no_child():
+    """Every process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """set_cpus(k) makes write_texts see k CPUs; the pids it forks collect
-    in set_cpus.forks."""
-    real_fork = os.fork
+    """set_cpus(k) makes textio.on_cpus see k CPUs; the pids it forks
+    collect in set_cpus.forks, and those it kills in set_cpus.kills."""
+    real_fork, real_kill = os.fork, os.kill
 
     def counted_fork():
         pid = real_fork()
@@ -44,9 +50,14 @@ def cpus(monkeypatch):
             set_cpus.forks.append(pid)
         return pid
 
+    def counted_kill(pid, sig):
+        set_cpus.kills.append(pid)
+        real_kill(pid, sig)
+
     def set_cpus(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
-    set_cpus.forks = []
+    set_cpus.forks, set_cpus.kills = [], []
     monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "kill", counted_kill)
     return set_cpus

@@ -544,6 +544,31 @@ def _link_in(tmp_path, raw):
     return str(link)
 
 
+def test_resistance_without_a_finite_conductance_exit_2(tmp_path, capsys):
+    """A subnormal resistance's conductance overflows, and so can the sum of
+    two finite ones; sim ended in a LinAlgError from the nodal solve."""
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    raw["drivers"]["rs_ohms"] = 1e-320
+    link = _link_in(tmp_path, raw)
+    assert cli.main(["sim", "--link", link, "-o", str(tmp_path / "w.csv")]) == 2
+    assert ("error: driver resistance must be finite and >= 0, and 0 or large enough for a "
+            "finite conductance, got 1e-320") in capsys.readouterr().err
+    net = tmp_path / "net.json"
+    for ohms, message in (((83.3, 83.3, 1e-320), "or one too small for a finite conductance"),
+                          ((1e-308, 83.3, 1e-308), "error: receiver nodal system has non-finite "
+                                                   "conductances: its resistances are too small")):
+        raw = json.loads(Path(fx("pair-network.json")).read_text())
+        for element, value in zip(raw["elements"], ohms):
+            element["ohms"] = value
+        net.write_text(json.dumps(raw))
+        raw = json.loads(Path(fx("link-pair.json")).read_text())
+        raw["termination"] = str(net)
+        link = _link_in(tmp_path, raw)
+        assert cli.main(["sim", "--link", link, "-o", str(tmp_path / "w.csv")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_misspelt_link_field_exit_2(tmp_path, capsys):
     """A link whose misspelt keys were ignored ran PRBS7 through 0 ohm drivers."""
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
@@ -650,7 +675,7 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     for k in (1, 2, 64):
         cpus(k)
         assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
-        assert ("error: eye on 4194969 samples of 12 wires needs about 1.48 GB of memory, "
+        assert ("error: eye on 4194969 samples of 12 wires needs about 1.24 GB of memory, "
                 "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
                 "--svg/--folded") in capsys.readouterr().err
     assert not out.exists()

@@ -1,15 +1,21 @@
 """Switching-current and power figure-of-merit tests."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_bundle
+import xtcancel
+from conftest import assert_no_child, random_bundle
+from xtcancel import errors, textio
 from xtcancel.bundle import characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import MEMORY_BUDGET_BYTES, EnumerationCapError, ValidationError
-from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, bundle_fom,
+from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, _chunk_bytes, bundle_fom,
                           bundle_fom_sampled, code_table, sampled_fom_bytes,
                           write_code_table_csv, write_report_json)
 from xtcancel.termination import network_admittance, realize_network
@@ -219,6 +225,16 @@ def test_sampled_fom():
     assert a.max_bundle_current <= 24 * 10.0e-3 + 1e-15
 
 
+def dense_admittance(n):
+    """A dense termination-style admittance seeded by n: a symmetric
+    M-matrix."""
+    rng = np.random.default_rng(n)
+    g = np.abs(rng.normal(size=(n, n))) * 1e-3
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    return np.diag(g.sum(axis=1) + 1e-3) - g
+
+
 def sampled_fom_oracle(y, vref, levels, samples, seed):
     """The sampled report from fresh per-chunk arrays, chunk by chunk, with
     codes from Generator.integers.  It follows the sampler's partition: BLAS
@@ -244,16 +260,96 @@ def sampled_fom_oracle(y, vref, levels, samples, seed):
                                        (7, 2 * _SAMPLE_ROWS + 3), (64, 5 * _SAMPLE_ROWS + 1)],
                          ids=["tiny", "one-partial-chunk", "partial-last-chunk", "odd-draws",
                               "wide"])
-def test_sampled_fom_matches_per_chunk_oracle(n, samples):
-    rng = np.random.default_rng(n)
-    g = np.abs(rng.normal(size=(n, n))) * 1e-3
-    g = 0.5 * (g + g.T)
-    np.fill_diagonal(g, 0.0)
-    y = np.diag(g.sum(axis=1) + 1e-3) - g
-    rep = bundle_fom_sampled(y, vref=0.4, levels=(-0.2, 1.1), samples=samples, seed=9)
-    assert (rep.avg_bundle_current, rep.avg_bundle_current_stderr, rep.max_bundle_current,
-            rep.max_wire_current, rep.avg_power, rep.avg_power_stderr) \
-        == sampled_fom_oracle(y, 0.4, (-0.2, 1.1), samples, 9)
+def test_sampled_fom_matches_per_chunk_oracle(n, samples, cpus):
+    """On one, two and three CPUs: a single chunk forks nothing, and the
+    chunks of a longer draw are shared, the last one partial or of an odd
+    number of 32-bit halves.  A whole draw reads every result, so no worker
+    is killed."""
+    y = dense_admittance(n)
+    oracle = sampled_fom_oracle(y, 0.4, (-0.2, 1.1), samples, 9)
+    reports = []
+    for k in (1, 2, 3):
+        cpus(k)
+        rep = bundle_fom_sampled(y, vref=0.4, levels=(-0.2, 1.1), samples=samples, seed=9)
+        assert (rep.avg_bundle_current, rep.avg_bundle_current_stderr, rep.max_bundle_current,
+                rep.max_wire_current, rep.avg_power, rep.avg_power_stderr) == oracle
+        reports.append(rep)
+        assert len(cpus.forks) == min(k, -(-samples // _SAMPLE_ROWS)) - 1
+        cpus.forks.clear()
+        assert_no_child()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert cpus.kills == []
+
+
+def test_an_exception_drawing_a_chunk_in_a_worker_is_raised(cpus, monkeypatch):
+    """Chunk 1 of three is the worker's on two CPUs: what it raises reaches
+    the caller as a RuntimeError naming its type and message, and the worker
+    is reaped."""
+    parent, matmul = os.getpid(), np.matmul
+
+    def failing_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise FloatingPointError("no chunk here")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_in_a_worker)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="^FloatingPointError: no chunk here$"):
+        bundle_fom_sampled(dense_admittance(7), samples=3 * _SAMPLE_ROWS, seed=4)
+    assert len(cpus.forks) == 1
+    assert_no_child()
+
+
+def test_sampled_fom_forks_only_the_workers_whose_chunks_fit(cpus, monkeypatch):
+    """The memory check counts one process, so a sample count is admitted or
+    refused alike on any CPU count; then a worker is forked for each chunk
+    buffer that fits the budget beside the rest, with the same report."""
+    n, samples = 7, 5 * _SAMPLE_ROWS
+    y = dense_admittance(n)
+    cpus(1)
+    one = bundle_fom_sampled(y, samples=samples, seed=2)
+    need, chunk = sampled_fom_bytes(n, samples), _chunk_bytes(n, _SAMPLE_ROWS)
+    for budget, forks in ((need, 0), (need + chunk - 1, 0), (need + chunk, 1),
+                          (need + 5 * chunk, 2)):
+        monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", budget)
+        monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", budget)
+        cpus(3)
+        assert bundle_fom_sampled(y, samples=samples, seed=2) == one
+        assert len(cpus.forks) == forks
+        cpus.forks.clear()
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", need - 1)
+    for k in (1, 3):
+        cpus(k)
+        with pytest.raises(ValidationError, match="drawing %d samples needs about" % samples):
+            bundle_fom_sampled(y, samples=samples, seed=2)
+    assert cpus.forks == []
+    assert_no_child()
+
+
+def test_sampled_fom_forks_after_threaded_blas(tmp_path):
+    """numpy's OpenBLAS stops its threads at a fork, so a worker's chunk
+    products run after the parent's threaded ones.  fom --samples with two
+    BLAS threads, after a threaded product, on two CPUs ends and writes the
+    one-CPU bytes."""
+    src = str(Path(xtcancel.__file__).resolve().parent.parent)
+    script = ("import os, sys; import numpy as np\n"
+              "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+              "a = np.ones((600, 600)); a @ a\n"
+              "from xtcancel import cli\n"
+              "sys.exit(cli.main(sys.argv[2:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    twelve = str(Path(__file__).resolve().parent.parent / "fixtures" / "twelve.json")
+    written = []
+    for k in (1, 2):
+        out = tmp_path / ("%d.json" % k)
+        run = subprocess.run([sys.executable, "-c", script, str(k), "fom", "--lc", twelve,
+                              "--samples", "5000", "--seed", "3", "-o", str(out)],
+                             env=env, timeout=60, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
 
 
 def test_sampled_fom_peak_within_estimate():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_child
 from xtcancel import cli, textio
 from xtcancel.bundle import characteristic_impedance, load_bundle
 from xtcancel.eye import (_FOLDED_SAMPLE_BYTES, _SVG_SAMPLE_BYTES, eye_measure, fold_phases,
@@ -340,12 +341,6 @@ def test_settled_waveform_outputs_match_reference(tmp_path):
                lambda p: reference_eye_svg(waves, rate, p))
 
 
-def assert_no_child():
-    """Every process this one started has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_worker_count_follows_the_cpus_and_the_platform(cpus, monkeypatch, missing):
     cpus(3)
@@ -397,18 +392,20 @@ def test_code_table_in_chunks_on_several_cpus_matches_reference(tmp_path, cpus, 
     assert_no_child()
 
 
-@pytest.mark.parametrize("svg_fits, forks", [(1, 0), (2, 3)])
+@pytest.mark.parametrize("svg_fits, forks", [(1, 0), (2, 2)])
 def test_eye_writers_fork_only_the_workers_that_fit_the_budget(
         tmp_path, cpus, monkeypatch, svg_fits, forks):
     """Each eye writer's process holds up to its per-sample figure for every
-    sample beside the volts.  With room for one SVG figure, neither writer
-    forks on three CPUs; with room for two, the SVG forks one worker and the
-    folded CSV, whose figure fits three times, two.  The bytes stay the same."""
+    sample beside the volts.  With room for one SVG figure, which the folded
+    CSV's figure fits once, neither writer forks on three CPUs; with room for
+    two, which the folded CSV's figure fits twice, each forks one worker.
+    The bytes stay the same."""
     waves, rate = settled_waves(), 16e9
     samples = waves.volts.shape[1]
     monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES",
                         waves.volts.nbytes + svg_fits * _SVG_SAMPLE_BYTES * samples)
-    assert 3 * _FOLDED_SAMPLE_BYTES <= 2 * _SVG_SAMPLE_BYTES
+    assert _FOLDED_SAMPLE_BYTES <= _SVG_SAMPLE_BYTES < 2 * _FOLDED_SAMPLE_BYTES
+    assert 2 * _SVG_SAMPLE_BYTES < 3 * _FOLDED_SAMPLE_BYTES
     cpus(3)
     same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
                lambda p: reference_eye_svg(waves, rate, p))
