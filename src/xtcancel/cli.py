@@ -97,8 +97,8 @@ def cmd_sim(args):
 
 
 def _eye_bytes(engine, rate, svg, folded):
-    """An upper bound on eye's memory beyond the built link: the read's peak
-    holds its parse buffer (the grid's rows and one more, at most) and its
+    """An upper bound on eye's memory beyond the built link: the read holds
+    its rows (the grid's and one more) beside one range's parse, then its
     volts, and the scan and the writers then run on the volts it returned."""
     n, samples = engine.n, engine.samples
     return max(waveform_read_bytes(n, samples),

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,7 @@ from .errors import (SimulationDivergedError, ValidationError, check_memory, con
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
-from .textio import read_json, write_csv
+from .textio import range_bytes, read_csv_rows, read_json, write_csv
 
 LINK_SCHEMA_VERSION = 2
 
@@ -496,7 +495,10 @@ def read_waveform_csv(path, engine):
     """Read a waveform CSV into engine's Waveforms, refusing a file that is
     not on the grid engine's sim writes: its wire count, timestep, start time
     and sample count.  Another link with the same timing passes.
-    No more than one row past the grid is parsed; the checked times are dropped."""
+    No more than one row past the grid is kept; the checked times are
+    dropped.  The rows are parsed in byte ranges on every CPU this process
+    may run on (textio.read_csv_rows), with the same volts and the same
+    refusals as one process."""
     samples = engine.samples
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -506,18 +508,13 @@ def read_waveform_csv(path, engine):
             if len(cols) - 1 != engine.n:
                 raise ValidationError("waveform file has %d wires, link has %d"
                                       % (len(cols) - 1, engine.n))
-            # loadtxt warns about each blank line, which max_rows does not
-            # count, and about a file with no data rows.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                  max_rows=samples + 1)
+            data = read_csv_rows(fh, len(cols), samples + 1)
         except ValidationError:
             raise
         except ValueError as exc:  # text that is not UTF-8, or a row that is not numbers
             raise ValidationError("waveform CSV: %s" % exc) from None
     _check_waveform(data, cols, engine, samples)
-    # a copy, so the result does not keep the whole parse buffer alive
+    # a copy, so the result does not keep the whole rows array alive
     return engine.waveforms(data[:, 1:].T.copy())
 
 
@@ -554,11 +551,13 @@ def _check_waveform(data, cols, engine, samples):
 
 def waveform_read_bytes(n, samples):
     """An upper bound on read_waveform_csv's traced memory for samples rows
-    of n wires: the parse buffer (one row past the grid, at most), then the
-    volts copied out of it, plus 64 KiB for loadtxt's read buffers and small
-    arrays.  The checks' masks and time differences are freed before the
-    copy and are smaller than it."""
-    return 8 * ((n + 1) * (samples + 1) + n * samples) + (1 << 16)
+    of n wires: the rows array (one row past the grid), beside first one
+    range's parse (textio.range_bytes) and then the volts copied out of it,
+    plus 64 KiB for the header's read buffers and small arrays.  The checks'
+    masks and time differences are freed before the copy and are smaller
+    than it.  Every other process parses one range at a time."""
+    return (8 * (n + 1) * (samples + 1) + max(range_bytes(n + 1), 8 * n * samples)
+            + (1 << 16))
 
 
 def _bit_rows(rows, field):

@@ -122,19 +122,22 @@ def realize_network(zc, vref=DEFAULT_VREF):
 
 
 def network_admittance(net):
-    """Nodal admittance matrix of the network (reference node eliminated)."""
+    """Nodal admittance matrix of the network (reference node eliminated).
+    A sum of conductances that overflows is left infinite, without numpy's
+    warning: the nodal solves refuse the matrix by name."""
     y = np.zeros((net.n, net.n))
-    for el in net.elements:
-        g = 1.0 / el.ohms
-        i = el.i - 1
-        if el.kind == "self":
-            y[i, i] += g
-        else:
-            j = el.j - 1
-            y[i, i] += g
-            y[j, j] += g
-            y[i, j] -= g
-            y[j, i] -= g
+    with np.errstate(over="ignore"):
+        for el in net.elements:
+            g = 1.0 / el.ohms
+            i = el.i - 1
+            if el.kind == "self":
+                y[i, i] += g
+            else:
+                j = el.j - 1
+                y[i, i] += g
+                y[j, j] += g
+                y[i, j] -= g
+                y[j, i] -= g
     return y
 
 
@@ -211,7 +214,9 @@ def conductance_histogram(net):
     """Log-spaced histogram of element conductances.
 
     Returns a list of (bin_center_siemens, count) with the geometric center
-    of each bin.  Handy for eyeballing where a cutoff should sit.
+    of each bin.  Handy for eyeballing where a cutoff should sit.  A center
+    is sqrt(a * b) of its edges, or sqrt(a) * sqrt(b) where that product is
+    not a normal float (edges past about 1e154 S or under 1e-154 S).
     """
     if not net.elements:
         raise ValidationError("cannot histogram an empty network")
@@ -223,7 +228,12 @@ def conductance_histogram(net):
         hi *= 1.001
     edges = np.geomspace(lo, hi, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(g, edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
+    a, b = edges[:-1], edges[1:]
+    with np.errstate(over="ignore", under="ignore"):
+        product = a * b
+    centers = np.sqrt(product)
+    odd = ~np.isfinite(product) | (product < np.finfo(float).tiny)
+    centers[odd] = np.sqrt(a[odd]) * np.sqrt(b[odd])
     return list(zip(centers.tolist(), counts.tolist()))
 
 

@@ -1,7 +1,8 @@
 """The one CSV writer, the one JSON reader and writer, and on_cpus, which
 computes indexed results on every CPU this process may run on, in order:
-write_texts writes the big text outputs through it, and the sampled figures
-of merit draw their chunks through it.
+write_texts writes the big text outputs through it, read_csv_rows parses
+the waveform CSV through it in byte ranges, and the sampled figures of merit
+draw their chunks through it.
 
 CSV floats are their shortest round-trip repr, so a read gives back the
 exact doubles, and integer columns plain decimals.
@@ -25,10 +26,14 @@ the bytes are written in order, the same bytes that one process writes.
 """
 
 import contextlib
+import io
 import json
 import os
+import re
+import stat
 import struct
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,6 +50,15 @@ _CHUNK_CELLS = 1 << 13
 # took 0.395 s against 0.434 s through 64 KiB default pipes (median of 30
 # alternating pairs, faster in 29).
 _PIPE_BYTES = 1 << 20
+
+# Bytes of a CSV's body that read_csv_rows gives one process to read and
+# parse at a time: a range, from the first line that begins inside it
+# through the line that crosses its end.  A 1 MiB range of the twelve-wire
+# waveform CSV is about 4000 rows, parsed in about 13 ms.
+_RANGE_BYTES = 1 << 20
+
+# A line ends at \n, \r\n or a \r not before \n (universal newlines).
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 # The prefix of everything a worker sends: whether compute raised, and the
 # length of the result, or of the exception's "Type: message", that follows.
@@ -244,6 +258,97 @@ def _receive(pipe, i):
                 raise RuntimeError(data.decode())
             return data
     raise RuntimeError("the worker process computing text %d ended before sending it" % i)
+
+
+def read_csv_rows(fh, width, rows):
+    """The first rows rows of the text that follows the line fh has read, as
+    np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+    parses it, without its warnings: fh is a file opened for reading with
+    encoding="utf-8" and universal newlines, and has read exactly its first
+    line.  Rows of width values give the same array; a text that loadtxt
+    refuses raises its ValueError, numpy's row number included.
+
+    The body of a regular file is parsed in ranges of _RANGE_BYTES through
+    on_cpus: each range is read with os.pread by the process that parses
+    it, from the first line that begins inside it through the line that
+    crosses its end, decoded as fh decodes, and sent back as raw float64
+    bytes, which are copied in order into one (rows, width) array.  The map
+    is closed as soon as that array is full, so a longer file is read no
+    further than the range that fills it.  No process holds the whole file:
+    the caller holds the array and one range (range_bytes), each worker one
+    range.  A range that fails (a ValueError, or rows of another width)
+    makes fh's own loadtxt parse the file again in this process, which
+    words the refusal, or reads the rows up to max_rows if the failure lay
+    past them.  So does a file that is not a regular one (a pipe), and any
+    file where the platform has no os.pread.
+    """
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    with warnings.catch_warnings():
+        # loadtxt warns about each blank line, which max_rows does not
+        # count, and about a file or range with no data rows.
+        warnings.simplefilter("ignore", UserWarning)
+        if hasattr(os, "pread") and stat.S_ISREG(info.st_mode):
+            with contextlib.suppress(ValueError, RuntimeError):
+                return _rows_in_ranges(fd, info.st_size, width, rows)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+
+
+def range_bytes(width):
+    """An upper bound on the memory one process holds parsing one range of
+    rows of width values in read_csv_rows: the range's text, numpy's parse
+    of it and the bytes of the rows.  A value takes at least two bytes of
+    text (a digit and its comma or newline) and eight as a float64, so the
+    parse and the bytes are at most four times the text each; ten times the
+    text leaves room for numpy's growing buffer (a range of "0,0" rows
+    traced 9.0 times its text).  The line that crosses the range's end is
+    taken to hold width reprs of at most 24 characters, as the CSV writer
+    prints them."""
+    text = _RANGE_BYTES + 25 * width
+    return 10 * text + (1 << 16)
+
+
+def _rows_in_ranges(fd, size, width, rows):
+    body = _line_start(fd, 1, size)
+    count = -(-(size - body) // _RANGE_BYTES)
+
+    def parse(r):
+        start = body + r * _RANGE_BYTES
+        lo = body if r == 0 else _line_start(fd, start, size)
+        hi = _line_start(fd, start + _RANGE_BYTES, size)
+        text = io.TextIOWrapper(io.BytesIO(os.pread(fd, hi - lo, lo)), encoding="utf-8")
+        block = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        if block.size and block.shape[1] != width:
+            raise ValueError("a row of %d values, not %d" % (block.shape[1], width))
+        return block.tobytes()
+
+    out = np.empty((rows, width))
+    filled = 0
+    with contextlib.closing(on_cpus(parse, count, range_bytes(width), out.nbytes)) as blocks:
+        for data in blocks:
+            block = np.frombuffer(data).reshape(-1, width)
+            take = min(len(block), rows - filled)
+            out[filled:filled + take] = block[:take]
+            filled += take
+            if filled == rows:
+                break
+    return out[:filled]
+
+
+def _line_start(fd, pos, size):
+    """The first offset at or after pos (at least 1) of the file fd, size
+    bytes long, where a line begins; size if no line does."""
+    pos -= 1
+    while True:
+        block = os.pread(fd, 1 << 12, pos)
+        at_end = pos + len(block) >= size
+        end = _LINE_END.search(block)
+        # a \r that ends the block may be the first half of a \r\n
+        if end and (at_end or end.end() < len(block)):
+            return pos + end.end()
+        if at_end:
+            return size
+        pos += len(block) - 1
 
 
 def write_json(path, doc):

@@ -1,4 +1,5 @@
-"""A seeded mutator of the fixture documents, and the CLI runs that read them.
+"""A seeded mutator of the fixture documents and of waveform CSVs, and the
+CLI runs that read them.
 
 A case changes one value or key of one fixture document: it replaces a value
 with a hostile one, deletes a key or an item, appends to a list, scales a
@@ -7,6 +8,14 @@ command that reads the document.  cases(seed, count) draws the cases from
 random.Random(seed) alone, so a seed names the same cases on every machine.
 A case passes when the command returns one of the CLI's exit codes (0, or
 2-5 for an error it names) and no exception escapes it.
+
+A waveform case (wave_cases) changes the CSV that sim writes for link-pair or
+link-twelve: it flips a bit of a byte, deletes a byte, inserts a byte that is
+not UTF-8, drops, duplicates or blanks a line, switches to CRLF endings or
+truncates the file inside a row.  eye --waves then reads it in ranges of
+WAVE_RANGE_BYTES, once as if on one CPU and once on three; a case passes
+when both runs exit with a CLI code, print no traceback, leave no process
+behind, and give the same exit code, error stream and eye report.
 
 Uses the standard library only (tests/test_hostile.py, scripts/hostile_inputs.py).
 """
@@ -24,7 +33,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-from xtcancel import cli
+from xtcancel import cli, textio
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EXIT_CODES = (0, 2, 3, 4, 5)
@@ -132,8 +141,13 @@ def run(case, workdir):
     document = os.path.join(workdir, "case-" + case.document)
     with open(document, "w", encoding="utf-8") as fh:
         fh.write(case.text)
-    argv = [document if a == "@" else os.path.join(workdir, a) if a.endswith((".json", ".csv"))
-            else a for a in case.argv]
+    return _main([document if a == "@" else os.path.join(workdir, a)
+                  if a.endswith((".json", ".csv")) else a for a in case.argv])
+
+
+def _main(argv):
+    """(exit code, error stream) of cli.main(argv); exit code None with the
+    traceback when an exception escapes it."""
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
@@ -175,3 +189,113 @@ def address_space_limit(extra_bytes):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+# The links whose waveform CSVs are mutated, the mutations, and the range
+# size eye reads them in: 4 KiB, so a 450 kB file is about 110 ranges.
+WAVE_LINKS = ("link-pair.json", "link-twelve.json")
+WAVE_MUTATIONS = ("flip", "delete", "non-utf8", "drop-line", "duplicate-line", "blank-line",
+                  "crlf", "truncate")
+WAVE_RANGE_BYTES = 1 << 12
+
+
+@dataclass(frozen=True)
+class WaveCase:
+    link: str
+    mutation: str
+    at: float        # where, as a fraction of the file
+    value: int       # the bit flipped, or the byte inserted
+
+    def __str__(self):
+        return "%s waveform CSV: %s at %.4f (%d)" % (self.link, self.mutation, self.at, self.value)
+
+    def apply(self, data):
+        """The mutated bytes of data, the CSV sim wrote."""
+        i = int(self.at * len(data))
+        if self.mutation == "flip":
+            return data[:i] + bytes([data[i] ^ (1 << self.value)]) + data[i + 1:]
+        if self.mutation == "delete":
+            return data[:i] + data[i + 1:]
+        if self.mutation == "non-utf8":
+            return data[:i] + bytes([self.value]) + data[i:]
+        if self.mutation == "crlf":
+            return data.replace(b"\n", b"\r\n")
+        if self.mutation == "truncate":
+            return data[:i + (data[i - 1:i] == b"\n")]
+        lines = data.split(b"\n")
+        j = int(self.at * (len(lines) - 1))
+        if self.mutation == "drop-line":
+            del lines[j]
+        elif self.mutation == "duplicate-line":
+            lines.insert(j, lines[j])
+        else:
+            lines[j] = b""
+        return b"\n".join(lines)
+
+
+def wave_cases(seed, count):
+    """count waveform cases drawn from random.Random(seed); case i makes
+    mutation i of WAVE_MUTATIONS, in turn."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        mutation = WAVE_MUTATIONS[i % len(WAVE_MUTATIONS)]
+        value = rng.randrange(0x80, 0x100) if mutation == "non-utf8" else rng.randrange(8)
+        out.append(WaveCase(rng.choice(WAVE_LINKS), mutation, rng.random(), value))
+    return out
+
+
+@contextlib.contextmanager
+def cpus_and_ranges(k, range_bytes):
+    """Make textio see k CPUs and read CSVs in ranges of range_bytes."""
+    saved = os.sched_getaffinity, textio._RANGE_BYTES
+    os.sched_getaffinity = lambda pid: set(range(k))
+    textio._RANGE_BYTES = range_bytes
+    try:
+        yield
+    finally:
+        os.sched_getaffinity, textio._RANGE_BYTES = saved
+
+
+def _left_a_child():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def wave_failures(selected, workdir):
+    """Run the selected waveform cases in workdir, which holds the fixtures,
+    on one CPU and on three: the (case, exit codes, error streams and eye
+    reports) of every case that fails, and a Counter of the one-CPU exit
+    codes."""
+    bad, codes, waves = [], collections.Counter(), {}
+    path = os.path.join(workdir, "case-waves.csv")
+    report = os.path.join(workdir, "eye.json")
+    for case in selected:
+        if case.link not in waves:
+            base = os.path.join(workdir, "waves-" + case.link[:-5] + ".csv")
+            code, err = _main(["sim", "--link", os.path.join(workdir, case.link), "-o", base])
+            if code != 0:
+                raise RuntimeError("sim on %s exited %s:\n%s" % (case.link, code, err))
+            with open(base, "rb") as fh:
+                waves[case.link] = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(case.apply(waves[case.link]))
+        runs = []
+        for k in (1, 3):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(report)
+            with cpus_and_ranges(k, WAVE_RANGE_BYTES):
+                code, err = _main(["eye", "--waves", path, "--link",
+                                   os.path.join(workdir, case.link), "-o", report])
+            if os.path.exists(report):
+                with open(report, "rb") as fh:
+                    err += "\n" + fh.read().decode()
+            runs.append((code, err, _left_a_child()))
+        codes[runs[0][0]] += 1
+        if (runs[0] != runs[1] or runs[0][0] not in EXIT_CODES or "Traceback" in runs[0][1]
+                or runs[0][2] or runs[1][2]):
+            bad.append((case, (runs[0][0], runs[1][0]), runs[0][1] + "\n" + runs[1][1]))
+    return bad, codes

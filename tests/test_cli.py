@@ -54,6 +54,25 @@ def test_synth_full_network(tmp_path):
     assert hist.read_text().splitlines()[0] == "siemens,count"
 
 
+@pytest.mark.filterwarnings("error")
+def test_histogram_of_a_huge_conductance(tmp_path):
+    """A 1e-300 ohm element puts the top edges near 1e300 S, where the
+    product of two edges overflowed: the top centers were written as inf,
+    with a RuntimeWarning.  Every center is now finite and inside its bin."""
+    raw = json.loads(Path(fx("pair-network.json")).read_text())
+    raw["elements"][2]["ohms"] = 1e-300
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(raw))
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--net", str(net), "-o", str(tmp_path / "out.json"),
+                     "--histogram", str(hist)]) == 0
+    table = np.loadtxt(hist, delimiter=",", skiprows=1)
+    edges = np.geomspace(1.0 / 83.33333333333339, 1e300, len(table) + 1)
+    assert np.isfinite(table[:, 0]).all()
+    assert (edges[:-1] <= table[:, 0]).all() and (table[:, 0] <= edges[1:]).all()
+    assert table[:, 1].sum() == 3
+
+
 def test_synth_reduce_existing_network(tmp_path):
     src = tmp_path / "table.json"
     save_network(reference_termination(), src)
@@ -544,9 +563,11 @@ def _link_in(tmp_path, raw):
     return str(link)
 
 
+@pytest.mark.filterwarnings("error")
 def test_resistance_without_a_finite_conductance_exit_2(tmp_path, capsys):
     """A subnormal resistance's conductance overflows, and so can the sum of
-    two finite ones; sim ended in a LinAlgError from the nodal solve."""
+    two finite ones; sim ended in a LinAlgError from the nodal solve.  The
+    overflowing sum is refused by name, without numpy's RuntimeWarning."""
     raw = json.loads(Path(fx("link-pair.json")).read_text())
     raw["drivers"]["rs_ohms"] = 1e-320
     link = _link_in(tmp_path, raw)

@@ -14,3 +14,17 @@ def test_mutated_documents_exit_with_a_cli_code(tmp_path):
     with hostile.address_space_limit(2 << 30):
         failed, _ = hostile.failures(selected, str(tmp_path))
     assert not failed, "\n".join("%s: exit %s\n%s" % f for f in failed)
+
+
+def test_mutated_waveforms_read_alike_on_one_and_three_cpus(tmp_path):
+    """Eight waveform cases of seed 7, one of each mutation, on link-pair
+    and link-twelve, read in 4 KiB ranges: about half a second.  Each
+    exits with a CLI code and no traceback, and its exit code, error
+    stream and eye report on three CPUs are those on one."""
+    hostile.fixtures_in(tmp_path)
+    selected = hostile.wave_cases(7, 8)
+    assert {case.link for case in selected} == set(hostile.WAVE_LINKS)
+    with hostile.address_space_limit(2 << 30):
+        failed, codes = hostile.wave_failures(selected, str(tmp_path))
+    assert not failed, "\n".join("%s: exit %s\n%s" % f for f in failed)
+    assert codes[0] and codes[2]

@@ -1,5 +1,6 @@
 """Time-domain link simulator tests: oracles, invariants, and file formats."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -10,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_child
 from designs import (FOUR_INCHES_M, fifty_ohm_network, graded_bundles, microstrip_bundle,
                      pair_bundle, scalar_bundle, simple_link)
 from steady_state import periodic_steady_state
 from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
-from xtcancel import mtlsim
+from xtcancel import mtlsim, textio
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _block_gather, _NodeSolve,
                              build_link, link_from_dict, load_link, run_transient,
                              read_waveform_csv, write_waveform_csv)
@@ -230,6 +232,38 @@ def test_matched_link_is_a_modal_delay_line(name, rs):
     delayed = (1.0 - seg.frac[:, None]) * modes[rows, at] + seg.frac[:, None] * modes[rows, at - 1]
     pred = seg.mvt.T @ delayed
     assert np.max(np.abs(waves.volts[:, m] - pred)) <= 1e-11 * np.max(np.abs(pred))
+
+
+@pytest.mark.parametrize("rs", [0.0, 1.67])
+@pytest.mark.parametrize("name", ["twelve", "pair", "scalar", "microstrip"])
+def test_stepper_within_its_stated_error_of_exact_modal_delays(name, rs):
+    """On a matched link the source current is (I + Rs Yc)^-1 Yc (e - vref)
+    at every instant, so mode k leaves the driver as the k-th row of
+    Mi (I + Rs Yc)^-1 (e - vref) and reaches the receiver exactly tau_k
+    later: v_rx - vref = Mv x(t - tau).  drive_levels gives e at any time.
+    The stepper reads each delay by linear interpolation between steps,
+    which is exact where the drive is straight; where the slope changes by
+    s inside a step it misses by at most s dt f (1 - f), f the delay's
+    fraction of a step.  Every wire's ramp corners fall at the same
+    instants, one at most inside a step (dt < rise_s), and change its slope
+    by 0 or +-swing / rise_s, so wire i's slope changes by at most
+    swing / rise_s * sum_k |Mv[i, k]| sum_j |(Mi (I + Rs Yc)^-1)[k, j]|.
+    At PRBS5 and UI/64 the largest error is 5.6-9.5 mV."""
+    spec = load_link(FIXTURES / ("link-%s.json" % name))
+    spec = replace(spec, stimulus=replace(spec.stimulus, prbs_order=5),
+                   drivers=replace(spec.drivers, rs_ohms=(rs,) * spec.termination.n))
+    engine = build_link(spec)
+    waves = run_transient(engine)
+    seg, d = engine.segments[0], spec.drivers
+    assert engine.dt < d.rise_s
+    modal = seg.mi @ np.linalg.inv(np.eye(engine.n) + rs * seg.yc)
+    t = waves.times()
+    x = np.array([(engine.drive(t - tau) - engine.vref) @ row for tau, row in zip(seg.tau, modal)])
+    error = np.abs(waves.volts - seg.mvt.T @ x).max(axis=1)
+    s = (d.v_high - d.v_low) / d.rise_s * (np.abs(seg.mvt.T) @ np.abs(modal).sum(axis=1))
+    bound = s * engine.dt * np.max(seg.frac * (1.0 - seg.frac))
+    assert (error <= bound).all()
+    assert error.max() > 5e-3  # the corners fall between steps
 
 
 @pytest.mark.parametrize("breakout_m, periods", [(0.0, 0), (0.0005, 60), (0.001, 60)],
@@ -699,26 +733,25 @@ def scalar_engine():
     return build_link(load_link(FIXTURES / "link-scalar.json"))
 
 
+# Files read_waveform_csv refuses on a one-wire link before the grid checks,
+# and a part of each refusal (None: any ValidationError).
+VALIDATION_FILES = {
+    "bad-header": ("volt,w1\n0.0,0.1\n1.0,0.2\n", None),
+    "ragged": ("time_s,w1\n0.0,0.1\n1.0\n", None),
+    "uneven": ("time_s,w1\n0.0,0.1\n1.0,0.2\n3.0,0.3\n", None),
+    "inf": ("time_s,w1\n0.0,0.1\n1.0,inf\n2.0,0.3\n", "non-finite w1 sample in data row 2"),
+    "abc": ("time_s,w1\n0.0,0.1\n1.0,abc\n2.0,0.3\n",
+            "waveform CSV: could not convert string 'abc' to float64"),
+}
+
+
 def test_waveform_csv_validation(tmp_path):
-    engine = scalar_engine()  # one wire; these files are refused before the grid checks
-    bad = tmp_path / "bad.csv"
-    bad.write_text("volt,w1\n0.0,0.1\n1.0,0.2\n")
-    with pytest.raises(ValidationError):
-        read_waveform_csv(bad, engine)
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("time_s,w1\n0.0,0.1\n1.0\n")
-    with pytest.raises(ValidationError):
-        read_waveform_csv(ragged, engine)
-    uneven = tmp_path / "uneven.csv"
-    uneven.write_text("time_s,w1\n0.0,0.1\n1.0,0.2\n3.0,0.3\n")
-    with pytest.raises(ValidationError):
-        read_waveform_csv(uneven, engine)
-    for cell, reason in (("inf", "non-finite w1 sample in data row 2"),
-                         ("abc", "waveform CSV: could not convert string 'abc' to float64")):
-        odd = tmp_path / "odd.csv"
-        odd.write_text("time_s,w1\n0.0,0.1\n1.0,%s\n2.0,0.3\n" % cell)
+    engine = scalar_engine()
+    path = tmp_path / "w.csv"
+    for text, reason in VALIDATION_FILES.values():
+        path.write_text(text)
         with pytest.raises(ValidationError, match=reason):
-            read_waveform_csv(odd, engine)
+            read_waveform_csv(path, engine)
 
 
 def _second(rows, text):
@@ -768,20 +801,175 @@ def test_waveform_csv_format(tmp_path, edit, refusal):
             assert refusal in str(err.value)
 
 
-def test_waveform_read_peak_within_estimate(tmp_path):
+def test_waveform_read_peak_within_estimate(tmp_path, cpus):
     """read_waveform_csv's traced peak on the twelve-wire link stays within
-    waveform_read_bytes: the parse buffer, then the volts."""
+    waveform_read_bytes: the rows array beside one range's parse (every
+    k-th range is parsed here), then the volts, on one to three CPUs."""
     engine = build_link(load_link(FIXTURES / "link-twelve.json"))
     path = tmp_path / "waves.csv"
     write_waveform_csv(run_transient(engine), path)
-    tracemalloc.start()
-    try:
-        volts = read_waveform_csv(path, engine).volts
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert volts.shape == (engine.n, engine.samples)
-    assert peak <= mtlsim.waveform_read_bytes(*volts.shape)
+    cpus.forks.clear()
+    for k in (1, 2, 3):
+        cpus(k)
+        tracemalloc.start()
+        try:
+            volts = read_waveform_csv(path, engine).volts
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert volts.shape == (engine.n, engine.samples)
+        assert peak <= mtlsim.waveform_read_bytes(*volts.shape)
+    assert len(cpus.forks) == 3  # three 1 MiB ranges: one fork on two CPUs, two on three
+    assert_no_child()
+
+
+def short_scalar_engine():
+    """A one-wire link of four bits: 905 samples, a 33 kB waveform file."""
+    return build_link(simple_link(scalar_bundle(), fifty_ohm_network(1), streams=((1, 0, 1, 1),)))
+
+
+def one_process_rows(fh, width, rows):
+    """How read_waveform_csv parsed the rows in one process, before the
+    ranges: the reference of the tests below."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+
+
+def read_outcome(path, engine):
+    """read_waveform_csv's volts, or the text of its refusal; it must not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read_waveform_csv(path, engine).volts
+        except ValidationError as exc:
+            return str(exc)
+
+
+def one_process_outcome(path, engine, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(mtlsim, "read_csv_rows", one_process_rows)
+        return read_outcome(path, engine)
+
+
+def same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a, b)
+
+
+# Range sizes for the tests below, from a data row's text: a few bytes, so
+# most ranges hold no line start, and about one row.
+SPANS = {"few-bytes": lambda row: 9, "one-row": lambda row: len(row) + 1}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("span", SPANS)
+def test_waveform_read_in_ranges_matches_one_process(tmp_path, monkeypatch, cpus, span, k):
+    """Every FORMAT_CASES edit and every VALIDATION_FILES file reads, in
+    small ranges on one to three CPUs, as one process reads it: the same
+    volts, or the same refusal, numpy's row numbers included."""
+    engine = short_scalar_engine()
+    path = tmp_path / "w.csv"
+    write_waveform_csv(run_transient(engine), path)
+    header, *rows = path.read_text().splitlines()
+    texts = {name: "\n".join([header] + edit(rows)) + "\n"
+             for name, (edit, _) in FORMAT_CASES.items()}
+    texts.update((name, text) for name, (text, _) in VALIDATION_FILES.items())
+    expected = {}
+    for name, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+        expected[name] = one_process_outcome(path, engine, monkeypatch)
+    monkeypatch.setattr(textio, "_RANGE_BYTES", SPANS[span](rows[0]))
+    cpus(k)
+    for name, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+        assert same_outcome(read_outcome(path, engine), expected[name]), name
+        assert_no_child()
+    assert isinstance(expected["padded"], np.ndarray) and isinstance(expected["hash-line"], str)
+    assert (len(cpus.forks) > 0) == (k > 1)
+
+
+def blank_lines_on_edges(lines, start, span):
+    """lines, each ending in a newline, with blank lines put in so that one
+    begins at each offset start + j * span that a line would cover; the
+    text, and how many blank lines begin on such an offset."""
+    out, pos, edge, hits = [], start, start, 0
+    for line in lines:
+        while edge < pos:
+            edge += span
+        if edge < pos + len(line):
+            out.append("\n" * (edge - pos + 1))
+            pos, hits = edge + 1, hits + 1
+        out.append(line)
+        pos += len(line)
+    return "".join(out), hits
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("span", SPANS)
+def test_waveform_read_in_ranges_takes_every_line_ending(tmp_path, monkeypatch, cpus, span, k):
+    """CRLF and CR line endings, and blank lines that begin on a range's
+    first byte, read the volts of the file as sim wrote it."""
+    engine = short_scalar_engine()
+    path = tmp_path / "w.csv"
+    write_waveform_csv(run_transient(engine), path)
+    header, *rows = path.read_text().splitlines()
+    expected = read_waveform_csv(path, engine).volts
+    size = SPANS[span](rows[0])
+    monkeypatch.setattr(textio, "_RANGE_BYTES", size)
+    cpus(k)
+    start = len(header) + 1
+    lines = [r + "\n" for r in rows]
+    blanks, hits = blank_lines_on_edges(lines, start, size)
+    assert hits > 0
+    bodies = {"crlf": "".join(lines).replace("\n", "\r\n"),
+              "cr": "".join(lines).replace("\n", "\r"),
+              "blank-on-edges": blanks}
+    for name, body in bodies.items():
+        newline = {"crlf": "\r\n", "cr": "\r"}.get(name, "\n")
+        data = (header + newline + body).encode()
+        path.write_bytes(data)
+        edges = range(start + (newline == "\r\n"), len(data), size)
+        if name == "crlf":  # some \r\n is cut in two by a range's first byte
+            assert any(data[e - 1:e + 1] == b"\r\n" for e in edges)
+        assert same_outcome(read_outcome(path, engine), expected), name
+        assert_no_child()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_waveform_read_stops_at_the_row_past_the_grid(tmp_path, monkeypatch, cpus, k):
+    """A file three times longer than the grid is read no further than the
+    range that holds its row past the grid: the map is closed there, and
+    every worker is killed and reaped."""
+    engine = short_scalar_engine()
+    path = tmp_path / "w.csv"
+    write_waveform_csv(run_transient(engine), path)
+    header, *rows = path.read_text().splitlines()
+    volts = [row.split(",")[1] for row in rows]
+    t0 = engine.start_index * engine.dt
+    longer = ["%r,%s" % (t0 + m * engine.dt, volts[m % len(rows)]) for m in range(3 * len(rows))]
+    path.write_text("\n".join([header] + longer) + "\n")
+    monkeypatch.setattr(textio, "_RANGE_BYTES", len(rows[0]) + 1)
+    counts, sent = [], []
+    real = textio.on_cpus
+
+    def counted(compute, count, *budget):
+        counts.append(count)
+        with contextlib.closing(real(compute, count, *budget)) as results:
+            for data in results:
+                sent.append(len(data))
+                yield data
+
+    monkeypatch.setattr(textio, "on_cpus", counted)
+    cpus(k)
+    refusal = read_outcome(path, engine)
+    assert refusal == one_process_outcome(path, engine, monkeypatch)
+    assert refusal.endswith("more than %d samples, link's waveforms have %d"
+                            % (engine.samples, engine.samples))
+    assert sum(sent) >= 16 * (engine.samples + 1) and len(sent) < counts[0] / 2
+    assert len(cpus.forks) == k - 1 and sorted(cpus.kills) == sorted(cpus.forks)
+    assert_no_child()
 
 
 def test_link_json_loading(tmp_path):

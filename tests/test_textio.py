@@ -8,6 +8,7 @@ package writers must produce the same bytes.
 
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,10 +371,13 @@ def test_sim_and_eye_write_the_same_bytes_on_one_two_and_three_cpus(tmp_path, cp
                          "--folded", str(out / "folded.csv")]) == 0
         assert_no_child()
         files[k] = {p.name: p.read_bytes() for p in out.iterdir()}
-        # sim and the folded CSV fork k - 1 workers each, and the SVG as
-        # many as it has wires beyond the first, up to k - 1
+        # sim and the folded CSV fork k - 1 workers each, the SVG as many as
+        # it has wires beyond the first, and the read as many as it has
+        # ranges beyond the first, each up to k - 1
         wires = load_link(FIXTURES / link).termination.n
-        assert len(cpus.forks) == (k - 1) * 2 + min(k, wires) - 1
+        body = os.path.getsize(waves) - len(files[k]["waves.csv"].split(b"\n", 1)[0]) - 1
+        ranges = -(-body // textio._RANGE_BYTES)
+        assert len(cpus.forks) == (k - 1) * 2 + min(k, wires) - 1 + min(k, ranges) - 1
         cpus.forks.clear()
     assert files[2] == files[1] and files[3] == files[1]
 
@@ -482,3 +486,163 @@ def test_an_interrupt_or_a_failed_write_ends_every_worker(tmp_path, cpus):
         write_texts(FullDisk(), text_of, 9)
     assert_no_child()
     assert time.monotonic() - start < 30
+
+
+# The reader: read_csv_rows against the one-process np.loadtxt it replaces.
+
+def universal_line_starts(data):
+    """Where each line of data begins, as bytes.splitlines splits it (\n,
+    \r\n or \r, as universal newlines do), and len(data)."""
+    starts = [0]
+    for line in data.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    return starts
+
+
+def test_line_start_reads_a_carriage_return_across_blocks(tmp_path):
+    """_line_start scans 4096-byte blocks, and a \r that ends a block may
+    begin a \r\n: from every offset, the next line start is the one
+    bytes.splitlines gives.  The lines are longer than a block, so some
+    offsets see a \r\n or a lone \r as their block's last byte."""
+    rng = np.random.default_rng(5)
+    body = bytearray(rng.integers(ord("0"), ord("9") + 1, 14000, dtype=np.uint8).tobytes())
+    body[4095:4097] = b"\r\n"
+    body[6000:6002] = b"\rx"
+    body[11000:11002] = b"\r\n"
+    body[12500] = ord("\n")
+    for tail in (b"", b"\r"):
+        data = bytes(body) + tail
+        path = tmp_path / "t"
+        path.write_bytes(data)
+        starts = universal_line_starts(data)
+        with open(path, "rb") as fh:
+            for pos in range(1, len(data) + 1):
+                expected = min(s for s in starts + [len(data)] if s >= pos)
+                assert textio._line_start(fh.fileno(), pos, len(data)) == expected, pos
+
+
+def one_process_csv(path, width, rows):
+    """What np.loadtxt makes of path after its first line: the rows, or the
+    text of the ValueError it raises (as read_csv_rows's caller sees it)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh.readline()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+        except ValueError as exc:
+            return str(exc)
+
+
+def ranged_csv(path, width, rows):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh.readline()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return textio.read_csv_rows(fh, width, rows)
+        except ValueError as exc:
+            return str(exc)
+
+
+def random_csv(rng, width):
+    """A header and rows of width floats with mixed line endings, blank lines,
+    padding, and perhaps one flaw: a word, a short or long row, a blank-looking
+    line of spaces, a byte that is not UTF-8, or a digit that is not ASCII."""
+    ends = [b"\n", b"\r\n", b"\r"]
+    lines = [b"h" + b",h" * (width - 1)]
+    for _ in range(int(rng.integers(0, 60))):
+        values = [repr(float(v)) for v in rng.normal(size=width) * 10.0 ** rng.integers(-12, 3)]
+        lines.append(",".join(values).encode())
+        if rng.random() < 0.1:
+            lines[-1] = b" " + lines[-1].replace(b",", b" ,\t") + b" "
+        if rng.random() < 0.2:
+            lines.append(b"")
+    flaws = [b"abc", b"1" + b",1" * width, b"1" + b",1" * (width - 2), b"   ", b"1,\xff",
+             "1,\u0661".encode(), None, None]
+    flaw = flaws[int(rng.integers(0, len(flaws)))]
+    if flaw is not None:
+        lines.insert(int(rng.integers(1, len(lines) + 1)), flaw)
+    return b"".join(line + ends[int(rng.integers(0, 3))] for line in lines), flaw is not None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_csv_rows_in_ranges_match_one_process(tmp_path, monkeypatch, cpus, k):
+    """Seeded random texts, in ranges of 1 to 64 bytes, give loadtxt's rows
+    up to max_rows, or its ValueError's text, numpy's row number included.
+    A text without a flaw is read by the ranges alone, without the
+    one-process parse that words a refusal."""
+    rng = np.random.default_rng(k)
+    cpus(k)
+    path = tmp_path / "t.csv"
+    refused = 0
+    for _ in range(40):
+        width = int(rng.integers(1, 5))
+        data, flawed = random_csv(rng, width)
+        path.write_bytes(data)
+        rows = int(rng.integers(1, 70))
+        expected = one_process_csv(path, width, rows)
+        monkeypatch.setattr(textio, "_RANGE_BYTES", int(rng.integers(1, 65)))
+        got = ranged_csv(path, width, rows)
+        if isinstance(expected, str):
+            refused += 1
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and got.shape[1:] == expected.shape[1:]
+            assert np.array_equal(got, expected)
+        if not flawed:
+            with open(path, "rb") as fh, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                ranged = textio._rows_in_ranges(fh.fileno(), len(data), width, rows)
+            assert np.array_equal(ranged, expected)
+        assert_no_child()
+    assert 0 < refused < 40
+
+
+def test_csv_rows_of_another_width_are_read_as_one_process_reads_them(tmp_path):
+    """Two rows of three values are six float64s, which would pass for three
+    rows of two: a range of rows of another width is parsed again in one
+    process, which keeps their width."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,2,3\n4,5,6\n")
+    assert np.array_equal(ranged_csv(path, 2, 5), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+def test_csv_rows_without_offsets_are_read_in_one_process(tmp_path, monkeypatch, cpus):
+    """A pipe has no offsets to read ranges at, and some platforms have no
+    os.pread: loadtxt reads the rows here, forking nothing."""
+    cpus(3)
+    text = b"a,b\r\n1,2\r\n\n3,4\r5,6\n"
+    read_end, write_end = os.pipe()
+    os.write(write_end, text)
+    os.close(write_end)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+
+    def rows(source):
+        with open(source, "r", encoding="utf-8") as fh:
+            fh.readline()
+            return textio.read_csv_rows(fh, 2, 2)
+
+    assert np.array_equal(rows(read_end), [[1.0, 2.0], [3.0, 4.0]])
+    monkeypatch.delattr(os, "pread")
+    assert np.array_equal(rows(path), [[1.0, 2.0], [3.0, 4.0]])
+    assert cpus.forks == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_byte_that_is_not_utf8_far_into_the_text(tmp_path, monkeypatch, cpus, k):
+    """Past the header's first 8 KiB decoding a range fails in whichever
+    process parses it; the refusal is fh's own, and rows before the byte
+    read as one process reads them."""
+    cpus(k)
+    monkeypatch.setattr(textio, "_RANGE_BYTES", 1000)
+    lines = [b"a,b"] + [("%d,%r" % (i, i / 7)).encode() for i in range(3000)]
+    lines[2500] = b"1,\xff"
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    refusal = one_process_csv(path, 2, 3000)
+    assert "can't decode byte 0xff" in refusal
+    assert ranged_csv(path, 2, 3000) == refusal
+    assert np.array_equal(ranged_csv(path, 2, 100), one_process_csv(path, 2, 100))
+    assert_no_child()
