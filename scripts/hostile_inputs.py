@@ -5,9 +5,10 @@ In the documents family (the default) each case changes one value or key of
 a fixture document and runs a CLI command that reads it, in this process.
 A case fails when the command returns anything but 0, 2, 3, 4 or 5, or an
 exception escapes it.  In the waves family each case mutates the waveform
-CSV sim writes for link-pair or link-twelve and runs eye --waves on it in
-small ranges, as if on one CPU and on three; it also fails when the two
-runs differ in exit code, error stream or eye report, or leave a process.
+CSV sim writes for link-pair or link-twelve and runs eye --waves --svg
+--folded on it in small ranges, as if on one CPU and on three; it also
+fails when the two runs differ in exit code, error stream, eye report, SVG
+or folded CSV, or leave a process.
 The script prints each failing case with its error, then one line counting
 the (one-CPU) exit codes, and exits 1 when a case failed.  The process's
 address space is capped at 2 GiB above what it maps at the start, so a case

@@ -21,7 +21,7 @@ from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_imp
                      load_bundle, uncoupled_bundle)
 from .errors import ValidationError, XtcancelError, check_memory
 from .eye import (EYE_SCHEMA_VERSION, eye_bytes, eye_measure, render_eye_svg,
-                  write_eye_json, write_folded_csv)
+                  svg_volts_range, write_eye_json, write_folded_csv)
 from .fom import (DEFAULT_LEVELS, REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
                   code_table, write_code_table_csv, write_report_json)
 from .mtlsim import (LINK_SCHEMA_VERSION, Segment, build_link, load_link, read_waveform_csv,
@@ -113,6 +113,8 @@ def cmd_eye(args):
                  "eye on %d samples of %d wires" % (engine.samples, engine.n),
                  "lower prbs_order, lengthen timestep_s or drop --svg/--folded")
     waves = read_waveform_csv(args.waves, engine)
+    if args.svg:
+        svg_volts_range(waves.volts)  # checked before any output is written
     report = eye_measure(waves, engine.streams, rate)
     write_eye_json(report, args.output)
     if args.svg:

@@ -18,12 +18,12 @@ alone.
 
 from __future__ import annotations
 
-import operator
+import math
 
 import numpy as np
 
 from .errors import DegenerateStreamError, ValidationError
-from .textio import formatted, write_csv_blocks, write_json, write_texts
+from .textio import formatted, two_decimals, write_csv_blocks, write_json, write_texts
 
 EYE_SCHEMA_VERSION = 1
 
@@ -38,15 +38,17 @@ _PHASE_TIE_V = 1e-12
 # cell) stay near 9 MB whatever its length.
 _SCAN_CELLS = 1 << 19
 
-# Bytes a sample costs each writer at its peak: traced at up to 174 and 136
+# Bytes a sample costs each writer at its peak: traced at up to 86.5 and 136
 # on link-twelve at PRBS7-11, plus 15 and 18 %.  The SVG holds every sample's
-# x text and one wire's points and polylines, with the floats they are
-# formatted from; the folded CSV holds every sample's phase text and the
-# floats behind it.  A forked worker of the writer (textio.on_cpus) holds up
-# to as much: its own text and the pages of the shared texts it copies by
-# touching them.  eye_bytes counts one process; on_cpus forks only the
-# workers whose figures fit the budget beside the volts.
-_SVG_SAMPLE_BYTES = 200
+# x digits (a byte matrix) and one wire's y digits, records and polylines,
+# with the floats they are computed from; the folded CSV holds every
+# sample's phase text and the floats behind it.  A forked worker of the
+# writer (textio.on_cpus) holds up to as much: its own result, and the pages
+# of the shared phase texts it copies by touching their reference counts (it
+# only reads the x digits, which copies none).  eye_bytes counts one
+# process; on_cpus forks only the workers whose figures fit the budget
+# beside the volts.
+_SVG_SAMPLE_BYTES = 100
 _FOLDED_SAMPLE_BYTES = 160
 
 _SVG_SIZE = (860, 460)  # width, height in px
@@ -164,7 +166,8 @@ def eye_bytes(n, samples, dt, data_rate, svg=False, folded=False):
     per-offset eyes, and one chunk of offsets: per offset-bit pair the sample
     indices, their mask and up to three float temporaries, and per wire a
     gathered sample, one masked copy of it and its mask.  A writer is
-    counted for this process alone."""
+    counted at its per-sample figure for this process alone: the SVG's
+    byte matrices of digits, the folded CSV's phase texts."""
     ui = 1.0 / float(data_rate)
     k_cand = max(int(round(ui / dt)), 1)
     bits = int((samples - 1) * dt / ui) + 3
@@ -199,19 +202,36 @@ def write_eye_json(report, path):
     write_json(path, report.to_dict())
 
 
+def svg_volts_range(volts):
+    """(lowest, highest) volts of the SVG's y axis: the span of volts
+    widened by 5 % of it each way, or 0.05 V below and 1.05 V above a flat
+    waveform's level.  A range that is not a finite, positive number of
+    volts (a NaN or inf sample, or a span past the largest float) raises
+    ValidationError naming the span."""
+    vmin, vmax = float(volts.min()), float(volts.max())
+    top = vmax if vmax > vmin else vmin + 1.0
+    pad = 0.05 * (top - vmin)
+    vlo, vhi = vmin - pad, top + pad
+    if not 0.0 < vhi - vlo < math.inf:
+        raise ValidationError("the waveforms span %r to %r V, which no finite eye-diagram "
+                              "scale covers" % (vmin, vmax))
+    return vlo, vhi
+
+
 def render_eye_svg(waves, data_rate, path):
     """Self-contained SVG eye diagram (two-UI fold, one color per wire).
 
     Output is deterministic: fixed size, palette and formatting, no timestamps.
+    Coordinates are printed as "%.2f" (textio.two_decimals): the x digits
+    once, then through textio.on_cpus each wire's polylines as one bytes
+    result, its records " x,y" stacked as bytes with their NULs dropped and
+    cut at the runs of rising phase.  Volts without a finite scale (a NaN
+    or inf sample, or a span past the largest float) raise ValidationError
+    before the file is opened (svg_volts_range).
     """
+    vlo, vhi = svg_volts_range(waves.volts)
     phases = fold_phases(waves, data_rate)
     n, samples = waves.volts.shape
-    vmin = float(waves.volts.min())
-    vmax = float(waves.volts.max())
-    if vmax <= vmin:
-        vmax = vmin + 1.0
-    pad = 0.05 * (vmax - vmin)
-    vlo, vhi = vmin - pad, vmax + pad
 
     width, height = _SVG_SIZE
     left, right, top, bottom = 60, 20, 20, 40
@@ -249,15 +269,28 @@ def render_eye_svg(waves, data_rate, path):
 
     # A polyline per run of rising phase; a run of one point draws nothing.
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(phases) < 0) + 1, [samples]))
-    spans = [(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if b - a > 1]
-    xs = ["%.2f," % x for x in xpix(phases).tolist()]
+    drawn = np.diff(bounds) > 1
+    firsts, ends = bounds[:-1][drawn], bounds[1:][drawn]
+    xs = two_decimals(xpix(phases))
+    head = b'<polyline points="'
 
-    def polylines(w):  # a text a wire: holding every polyline would hold most of the file
-        color = _PALETTE[w % len(_PALETTE)]
-        pts = list(map(operator.add, xs, formatted(ypix(waves.volts[w]), "%.2f".__mod__).tolist()))
-        return "".join('<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
-                       'stroke-opacity="0.55"/>\n' % (" ".join(pts[a:b]), color)
-                       for a, b in spans)
+    def polylines(w):  # a wire's bytes: holding every polyline would hold most of the file
+        tail = ('" fill="none" stroke="%s" stroke-width="1" stroke-opacity="0.55"/>\n'
+                % _PALETTE[w % len(_PALETTE)]).encode()
+        ys = two_decimals(ypix(waves.volts[w]))
+        # one record a sample, " x,y"; without its NULs, a span's points are
+        # the text from its first record's space to its last record's end
+        wx = xs.shape[1]
+        records = np.empty((samples, wx + 2 + ys.shape[1]), dtype=np.uint8)
+        records[:, 0] = ord(" ")
+        records[:, 1:wx + 1] = xs
+        records[:, wx + 1] = ord(",")
+        records[:, wx + 2:] = ys
+        text = records[records != 0]
+        starts = np.append(np.flatnonzero(text == ord(" ")), text.size)
+        text = text.tobytes()
+        return b"".join(head + text[lo + 1:hi] + tail
+                        for lo, hi in zip(starts[firsts].tolist(), starts[ends].tolist()))
 
     with open(path, "wb") as fh:
         fh.write("".join(part + "\n" for part in parts).encode())

@@ -20,9 +20,10 @@ map(",".join, zip(*cells)), so no Python bytecode runs per value or per row.
 
 Formatting is the writers' floor in one process, so write_texts spreads it
 over processes: a table is cut into chunks of _CHUNK_CELLS cells (an SVG
-into one text a wire), forked workers, one a CPU as far as the memory budget
-allows, format some of them and send them back through pipes (on_cpus), and
-the bytes are written in order, the same bytes that one process writes.
+into the bytes of one wire), forked workers, one a CPU as far as the memory
+budget allows, format some of them and send them back through pipes
+(on_cpus), and the bytes are written in order, the same bytes that one
+process writes.
 """
 
 import contextlib
@@ -68,7 +69,9 @@ _FRAME = struct.Struct("<?Q")
 def formatted(values, fmt=repr):
     """fmt(v) for every v of a 1-d array, as an object array of str.
 
-    fmt maps one Python scalar to its text (repr, str, "%.2f".__mod__).
+    fmt maps one Python scalar to its text (repr, str); the SVG's fixed
+    "%.2f" coordinates go through two_decimals instead, which computes the
+    digits of whole hundredths with integer ufuncs and no str a value.
     Integer arrays keep their dtype, so fmt sees Python ints and str prints
     uint64 2**64 - 1 exactly; anything else is taken as float64.  Only the
     head of each run of bit-identical values is formatted; the rest of the
@@ -84,6 +87,44 @@ def formatted(values, fmt=repr):
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     text = np.array(list(map(fmt, values[head].tolist())), dtype=object)
     return text[np.cumsum(head) - 1]
+
+
+def two_decimals(values):
+    """"%.2f" % v for every v of a 1-d float array, as the rows of a uint8
+    matrix: row i holds the ASCII text of value i right-aligned, after as
+    many NULs as it is shorter than the longest text.
+
+    A value is easy when it has no sign bit, r = 100 v is below 2**31 and r
+    is more than 1e-6 from a half-integer.  Below 2**31 the float product is
+    within 1.2e-7 of 100 v, so the integer nearest r is the correctly
+    rounded number of hundredths k, whose digits (those of k // 100 without
+    leading zeros, ".", the two of k % 100) are computed with integer
+    ufuncs.  Every other value (a near-tie, a negative or -0.0, a huge or
+    non-finite value) is formatted alone with "%.2f" into the same matrix.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        r = values * 100.0
+    easy = (r < 2.0 ** 31) & ~np.signbit(values)
+    r = np.where(easy, r, 0.0)
+    easy &= np.abs(r - np.floor(r) - 0.5) > 1e-6
+    whole, cents = np.divmod(np.rint(r).astype(np.uint32), 100)
+    digits = len(str(int(whole.max(initial=0))))
+    hard = np.flatnonzero(~easy)
+    texts = ["%.2f" % v for v in values[hard].tolist()]
+    width = max(digits + 3, max(map(len, texts), default=0))
+    out = np.zeros((values.size, width), dtype=np.uint8)
+    out[:, -1] = cents % 10 + ord("0")
+    out[:, -2] = cents // 10 + ord("0")
+    out[:, -3] = ord(".")
+    out[:, -4] = whole % 10 + ord("0")
+    for col in range(5, digits + 4):
+        whole //= 10
+        out[:, -col] = np.where(whole > 0, whole % 10 + ord("0"), 0)
+    if texts:
+        block = "".join(text.rjust(width, "\0") for text in texts).encode()
+        out[hard] = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
+    return out
 
 
 def _cells(column):
@@ -125,7 +166,7 @@ def write_csv_blocks(path, header, blocks, worker_bytes=0, held_bytes=0):
     def text_of(k):
         columns, start, stop = chunks[k]
         cells = [_cells(c[start:stop]) for c in columns]
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -147,11 +188,11 @@ def worker_count(count, worker_bytes=0, held_bytes=0):
 
 
 def write_texts(fh, text_of, count, worker_bytes=0, held_bytes=0):
-    """Write text_of(i) as UTF-8 to the binary file fh for i in range(count),
-    in order: the bytes a loop over i writes, computed on every CPU this
-    process may run on (on_cpus, which takes worker_bytes and held_bytes)."""
-    with contextlib.closing(on_cpus(lambda i: text_of(i).encode(), count,
-                                    worker_bytes, held_bytes)) as texts:
+    """Write text_of(i), a bytes object, to the binary file fh for i in
+    range(count), in order: the bytes a loop over i writes, computed on
+    every CPU this process may run on (on_cpus, which takes worker_bytes and
+    held_bytes)."""
+    with contextlib.closing(on_cpus(text_of, count, worker_bytes, held_bytes)) as texts:
         for data in texts:
             fh.write(data)
             del data  # not held while the next text is computed

@@ -12,10 +12,11 @@ A case passes when the command returns one of the CLI's exit codes (0, or
 A waveform case (wave_cases) changes the CSV that sim writes for link-pair or
 link-twelve: it flips a bit of a byte, deletes a byte, inserts a byte that is
 not UTF-8, drops, duplicates or blanks a line, switches to CRLF endings or
-truncates the file inside a row.  eye --waves then reads it in ranges of
-WAVE_RANGE_BYTES, once as if on one CPU and once on three; a case passes
-when both runs exit with a CLI code, print no traceback, leave no process
-behind, and give the same exit code, error stream and eye report.
+truncates the file inside a row.  eye --waves --svg --folded then reads it
+in ranges of WAVE_RANGE_BYTES, once as if on one CPU and once on three; a
+case passes when both runs exit with a CLI code, print no traceback, leave
+no process behind, and give the same exit code, error stream, eye report,
+SVG and folded CSV.
 
 Uses the standard library only (tests/test_hostile.py, scripts/hostile_inputs.py).
 """
@@ -265,6 +266,15 @@ def _left_a_child():
     return True
 
 
+def _bytes_of(path):
+    """The bytes of the file at path, None if there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 def wave_failures(selected, workdir):
     """Run the selected waveform cases in workdir, which holds the fixtures,
     on one CPU and on three: the (case, exit codes, error streams and eye
@@ -272,7 +282,8 @@ def wave_failures(selected, workdir):
     codes."""
     bad, codes, waves = [], collections.Counter(), {}
     path = os.path.join(workdir, "case-waves.csv")
-    report = os.path.join(workdir, "eye.json")
+    report, svg, folded = (os.path.join(workdir, name)
+                           for name in ("eye.json", "eye.svg", "folded.csv"))
     for case in selected:
         if case.link not in waves:
             base = os.path.join(workdir, "waves-" + case.link[:-5] + ".csv")
@@ -285,17 +296,20 @@ def wave_failures(selected, workdir):
             fh.write(case.apply(waves[case.link]))
         runs = []
         for k in (1, 3):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(report)
+            for out in (report, svg, folded):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(out)
             with cpus_and_ranges(k, WAVE_RANGE_BYTES):
                 code, err = _main(["eye", "--waves", path, "--link",
-                                   os.path.join(workdir, case.link), "-o", report])
-            if os.path.exists(report):
-                with open(report, "rb") as fh:
-                    err += "\n" + fh.read().decode()
-            runs.append((code, err, _left_a_child()))
+                                   os.path.join(workdir, case.link), "-o", report,
+                                   "--svg", svg, "--folded", folded])
+            written = [_bytes_of(out) for out in (report, svg, folded)]
+            if written[0] is not None:
+                err += "\n" + written[0].decode()
+            runs.append((code, err, *written[1:], _left_a_child()))
         codes[runs[0][0]] += 1
         if (runs[0] != runs[1] or runs[0][0] not in EXIT_CODES or "Traceback" in runs[0][1]
-                or runs[0][2] or runs[1][2]):
-            bad.append((case, (runs[0][0], runs[1][0]), runs[0][1] + "\n" + runs[1][1]))
+                or runs[0][-1] or runs[1][-1]):
+            drawn = "" if runs[0][2:4] == runs[1][2:4] else "\neye.svg or folded.csv differ"
+            bad.append((case, (runs[0][0], runs[1][0]), runs[0][1] + "\n" + runs[1][1] + drawn))
     return bad, codes

@@ -683,20 +683,21 @@ def _twelve_at(tmp_path, prbs_order):
 
 def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     """sim admits link-twelve at PRBS16, a 4.2M-row waveform file.  eye
-    reads and copies it within the budget, but with --svg it needs more:
-    then it refuses before opening the file.  The figure counts one
-    process, so the CPU count does not change it."""
+    reads and copies it within the budget, and so draws its SVG, but with
+    --folded it needs more: then it refuses before opening the file.  The
+    figure counts one process, so the CPU count does not change it."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
     assert engine.stepper_bytes(engine.steps) <= MEMORY_BUDGET_BYTES
     out = tmp_path / "e.json"
     argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
-    assert cli.main(argv) == 2
-    assert "No such file" in capsys.readouterr().err  # past the pre-flight
+    for writer in ([], ["--svg", str(tmp_path / "e.svg")]):
+        assert cli.main(argv + writer) == 2
+        assert "No such file" in capsys.readouterr().err  # past the pre-flight
     for k in (1, 2, 64):
         cpus(k)
-        assert cli.main(argv + ["--svg", str(tmp_path / "e.svg")]) == 2
-        assert ("error: eye on 4194969 samples of 12 wires needs about 1.24 GB of memory, "
+        assert cli.main(argv + ["--folded", str(tmp_path / "f.csv")]) == 2
+        assert ("error: eye on 4194969 samples of 12 wires needs about 1.07 GB of memory, "
                 "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
                 "--svg/--folded") in capsys.readouterr().err
     assert not out.exists()
@@ -772,6 +773,28 @@ def test_eye_non_finite_sample_exit_2(tmp_path, capsys):
                      "-o", str(tmp_path / "e.json")]) == 2
     assert "error: waveform CSV has a non-finite w2 sample in data row 5" \
         in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_eye_svg_of_volts_past_any_finite_scale_exit_2(tmp_path, capsys):
+    """Finite samples of 1e308 and -1e308 V span more than the largest
+    float: eye --svg drew 140 nan coordinates and inf V axis labels, with
+    numpy's RuntimeWarning, and exited 0.  It now exits 2 naming the span,
+    before it writes any output."""
+    waves = tmp_path / "waves.csv"
+    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(waves)]) == 0
+    lines = waves.read_text().splitlines()
+    for row, volts in ((1, "1e308"), (2, "-1e308")):
+        cells = lines[row].split(",")
+        cells[1] = volts  # w1
+        lines[row] = ",".join(cells)
+    waves.write_text("\n".join(lines) + "\n")
+    out, svg = tmp_path / "e.json", tmp_path / "e.svg"
+    assert cli.main(["eye", "--waves", str(waves), "--link", fx("link-pair.json"),
+                     "-o", str(out), "--svg", str(svg)]) == 2
+    assert ("error: the waveforms span -1e+308 to 1e+308 V, which no finite eye-diagram "
+            "scale covers") in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
 
 
 @pytest.mark.parametrize("name", ["waves", "header", "link"])

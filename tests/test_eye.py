@@ -312,3 +312,18 @@ def test_svg_deterministic_and_well_formed(tmp_path):
     render_eye_svg(flat, 16e9, a)
     text = a.read_text()
     assert ">1.050 V<" in text and ">-0.050 V<" in text and "polyline" in text
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_svg_of_volts_past_any_finite_scale_error(tmp_path, bad):
+    """A NaN or inf sample, or finite samples that span more than the
+    largest float, leave the volts axis no finite scale: the SVG is
+    refused naming the span, not drawn with nan coordinates."""
+    waves, _ = square_waves([1, 0, 1, 0])
+    waves.volts[0, 5] = bad
+    waves.volts[0, 6] = -1e308
+    path = tmp_path / "e.svg"
+    with pytest.raises(ValidationError, match="which no finite eye-diagram scale covers"):
+        render_eye_svg(waves, 16e9, path)
+    assert not path.exists()

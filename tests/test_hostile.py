@@ -18,9 +18,10 @@ def test_mutated_documents_exit_with_a_cli_code(tmp_path):
 
 def test_mutated_waveforms_read_alike_on_one_and_three_cpus(tmp_path):
     """Eight waveform cases of seed 7, one of each mutation, on link-pair
-    and link-twelve, read in 4 KiB ranges: about half a second.  Each
-    exits with a CLI code and no traceback, and its exit code, error
-    stream and eye report on three CPUs are those on one."""
+    and link-twelve, read in 4 KiB ranges with --svg and --folded: under a
+    second.  Each exits with a CLI code and no traceback, and its exit
+    code, error stream, eye report, SVG and folded CSV on three CPUs are
+    those on one."""
     hostile.fixtures_in(tmp_path)
     selected = hostile.wave_cases(7, 8)
     assert {case.link for case in selected} == set(hostile.WAVE_LINKS)

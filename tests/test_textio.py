@@ -18,7 +18,7 @@ from conftest import assert_no_child
 from xtcancel import cli, textio
 from xtcancel.bundle import characteristic_impedance, load_bundle
 from xtcancel.eye import (_FOLDED_SAMPLE_BYTES, _SVG_SAMPLE_BYTES, eye_measure, fold_phases,
-                          render_eye_svg, write_folded_csv)
+                          render_eye_svg, svg_volts_range, write_folded_csv)
 from xtcancel.fom import code_table, write_code_table_csv
 from xtcancel.mtlsim import (Waveforms, build_link, load_link, run_transient,
                              write_waveform_csv)
@@ -342,6 +342,74 @@ def test_settled_waveform_outputs_match_reference(tmp_path):
                lambda p: reference_eye_svg(waves, rate, p))
 
 
+def _half_hundredths():
+    """Every (k + 0.5) / 100 for k below 10**5, and both float neighbours
+    of each."""
+    half = (np.arange(10 ** 5) + 0.5) / 100
+    return np.concatenate([half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf)])
+
+
+@pytest.mark.parametrize("values", [
+    _half_hundredths(),
+    [0.125, 2.675, 1.005, 0.0, -0.0, -0.001, -0.005, 5e-324, 2 ** 31 / 100,
+     np.nextafter(2 ** 31 / 100, 0), 1e300, np.nan, np.inf, -np.inf],
+    np.random.default_rng(29).uniform(0.0, 1000.0, 200_000),
+    []], ids=["half-hundredths", "edges", "uniform", "empty"])
+def test_two_decimals_is_percent_2f(values):
+    """Each row is "%.2f" % v right-aligned after NULs, as wide as the
+    longest text: ties and their neighbours, values that are not easy (a
+    sign bit, 2**31 hundredths or more, not finite), and plain ones."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = ["%.2f" % v for v in values.tolist()]
+    got = textio.two_decimals(values)
+    width = max(map(len, texts), default=got.shape[1])
+    want = "".join(text.rjust(width, "\0") for text in texts).encode()
+    assert got.dtype == np.uint8 and got.shape == (values.size, width)
+    assert got.tobytes() == want
+
+
+def tie_waves(dt_ulps):
+    """Three wires whose SVG coordinates lie on half-hundredths of a pixel
+    and beside them.  At 2**30 b/s with 64 samples a UI and no delay, every
+    phase is a multiple of 1/64 and x = 60 + 390 phase exactly, a tie every
+    eighth sample; a timestep dt_ulps ulps off moves x a few ulps off the
+    ties.  The volts span [0, 1], and the others are chosen so that their y
+    pixels are the floats of half-hundredths (exact ties where the half is
+    an odd eighth) or one ulp beside them."""
+    ui = 2.0 ** -30
+    dt = ui / 64
+    for _ in range(abs(dt_ulps)):
+        dt = np.nextafter(dt, np.sign(dt_ulps) * np.inf)
+    vlo, vhi = svg_volts_range(np.array([0.0, 1.0]))
+    targets = np.arange(39, 401) + (np.arange(362) % 100 + 0.5) / 100  # inside [0, 1] V
+    guess = vlo + (1.0 - (targets - 20) / 400) * (vhi - vlo)
+    volts = guess[:, None] + np.arange(-8, 9) * np.spacing(guess)[:, None]
+    y = 20 + 400 * (1.0 - (volts - vlo) / (vhi - vlo))
+    tie = y == targets[:, None]
+    beside = (y == np.nextafter(targets, 0)[:, None]) | (y == np.nextafter(targets, 999)[:, None])
+    assert tie.sum() > 100 and beside.sum() > 100
+    chosen = np.concatenate([[0.0, 1.0], volts[tie | beside]])
+    assert 0.0 <= chosen.min() and chosen.max() <= 1.0  # the scale stays svg_volts_range([0, 1])
+    rows = np.array([np.resize(np.roll(chosen, 7 * w), 64 * 12) for w in range(3)])
+    rows[:, :2] = [0.0, 1.0]
+    return Waveforms(dt=dt, start_time=0.0, vref=0.5, volts=rows, nominal_delay_s=0.0), 2.0 ** 30
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_eye_svg_of_pixels_on_and_beside_ties_matches_reference(tmp_path, cpus, k):
+    cpus(k)
+    for dt_ulps in (0, 1, -1):
+        waves, rate = tie_waves(dt_ulps)
+        hundredths = (60 + 780 * (fold_phases(waves, rate) / 2.0)) * 100 % 1
+        near = np.abs(hundredths - 0.5) < 1e-9
+        assert near.sum() == hundredths.size // 8
+        assert (near == (hundredths == 0.5)).all() == (dt_ulps == 0)
+        same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
+                   lambda p: reference_eye_svg(waves, rate, p))
+    assert len(cpus.forks) == 3 * (k - 1)
+    assert_no_child()
+
+
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_worker_count_follows_the_cpus_and_the_platform(cpus, monkeypatch, missing):
     cpus(3)
@@ -396,25 +464,23 @@ def test_code_table_in_chunks_on_several_cpus_matches_reference(tmp_path, cpus, 
     assert_no_child()
 
 
-@pytest.mark.parametrize("svg_fits, forks", [(1, 0), (2, 2)])
+@pytest.mark.parametrize("fits, forks", [(1, 0), (2, 2)])
 def test_eye_writers_fork_only_the_workers_that_fit_the_budget(
-        tmp_path, cpus, monkeypatch, svg_fits, forks):
+        tmp_path, cpus, monkeypatch, fits, forks):
     """Each eye writer's process holds up to its per-sample figure for every
-    sample beside the volts.  With room for one SVG figure, which the folded
-    CSV's figure fits once, neither writer forks on three CPUs; with room for
-    two, which the folded CSV's figure fits twice, each forks one worker.
+    sample beside the volts.  With room for one of its own figures, neither
+    writer forks on three CPUs; with room for two, each forks one worker.
     The bytes stay the same."""
     waves, rate = settled_waves(), 16e9
     samples = waves.volts.shape[1]
-    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES",
-                        waves.volts.nbytes + svg_fits * _SVG_SAMPLE_BYTES * samples)
-    assert _FOLDED_SAMPLE_BYTES <= _SVG_SAMPLE_BYTES < 2 * _FOLDED_SAMPLE_BYTES
-    assert 2 * _SVG_SAMPLE_BYTES < 3 * _FOLDED_SAMPLE_BYTES
     cpus(3)
-    same_bytes(tmp_path, lambda p: render_eye_svg(waves, rate, p),
-               lambda p: reference_eye_svg(waves, rate, p))
-    same_bytes(tmp_path, lambda p: write_folded_csv(waves, rate, p),
-               lambda p: reference_folded_csv(waves, rate, p))
+    for figure, write, reference in ((_SVG_SAMPLE_BYTES, render_eye_svg, reference_eye_svg),
+                                     (_FOLDED_SAMPLE_BYTES, write_folded_csv,
+                                      reference_folded_csv)):
+        monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES",
+                            waves.volts.nbytes + fits * figure * samples)
+        same_bytes(tmp_path, lambda p: write(waves, rate, p),
+                   lambda p: reference(waves, rate, p))
     assert len(cpus.forks) == forks
     assert_no_child()
 
@@ -439,7 +505,7 @@ def test_an_exception_in_a_worker_is_raised_by_the_writer(tmp_path, cpus, k):
     def text_of(i):
         if i == 5:
             raise ZeroDivisionError("no 5")
-        return "%d\n" % i
+        return b"%d\n" % i
 
     raised, written = _texts_up_to(tmp_path / "t", k, text_of)
     if k == 1:
@@ -453,7 +519,7 @@ def test_a_worker_that_dies_makes_the_writer_raise(tmp_path, cpus):
     cpus(2)
     parent = os.getpid()
     raised, written = _texts_up_to(
-        tmp_path / "t", 2, lambda i: os._exit(3) if os.getpid() != parent and i == 3 else "%d" % i)
+        tmp_path / "t", 2, lambda i: os._exit(3) if os.getpid() != parent and i == 3 else b"%d" % i)
     assert raised.type is RuntimeError
     assert str(raised.value) == "the worker process computing text 3 ended before sending it"
     assert written == b"012"
@@ -470,7 +536,7 @@ def test_an_interrupt_or_a_failed_write_ends_every_worker(tmp_path, cpus):
             time.sleep(60)
         if i == 0 and fail:
             raise KeyboardInterrupt
-        return "%d" % i
+        return b"%d" % i
 
     start = time.monotonic()
     fail = True
