@@ -11,6 +11,7 @@ check_memory() refuses, before allocating, any run (the stepper, eye, sampled
 figures of merit) that would hold more than MEMORY_BUDGET_BYTES.
 """
 
+import decimal
 import numbers
 
 MEMORY_BUDGET_BYTES = 1 << 30
@@ -84,10 +85,20 @@ class SimulationDivergedError(XtcancelError):
 
 
 def check_memory(need, what, remedy):
-    """ValidationError naming what and remedy when need bytes are over budget."""
+    """ValidationError naming what and remedy when need bytes are over budget.
+    The need is printed rounded up and the budget rounded down, so the need
+    never reads as equal to the budget or lower."""
     if need > MEMORY_BUDGET_BYTES:
-        raise ValidationError("%s needs about %.3g GB of memory, over the %.3g GB budget; %s"
-                              % (what, 1e-9 * need, 1e-9 * MEMORY_BUDGET_BYTES, remedy))
+        raise ValidationError("%s needs about %s GB of memory, over the %s GB budget; %s"
+                              % (what, _gigabytes(need, decimal.ROUND_CEILING),
+                                 _gigabytes(MEMORY_BUDGET_BYTES, decimal.ROUND_FLOOR), remedy))
+
+
+def _gigabytes(nbytes, rounding):
+    """nbytes in GB to three significant digits, rounded from its exact
+    value as rounding says, in %.3g form ("inf" for an infinite need)."""
+    gb = decimal.Decimal(nbytes).scaleb(-9)
+    return "%.3g" % float(decimal.Context(prec=3, rounding=rounding).plus(gb))
 
 
 def converted(convert, value, field):

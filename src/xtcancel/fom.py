@@ -31,6 +31,9 @@ DEFAULT_LEVELS = (0.0, 1.0)  # V, logic low and high
 # whole number of 64-bit words, and small, so one chunk's codes and currents
 # (512 KiB each at n=64) stay in cache from the draw to the reductions.
 _SAMPLE_ROWS = 1 << 10
+# The most codes bundle_fom_sampled draws.  Memory does not grow with the
+# count, so this bounds time: 22 s at n=64 on two CPUs with one BLAS thread.
+SAMPLE_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -129,27 +132,23 @@ def bundle_fom(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS):
                      n_codes=total)
 
 
-def _chunk_bytes(n, rows):
-    """The memory one process holds drawing a chunk of rows codes: the codes,
-    currents, raw words and row sums, and the chunk's per-sample results
-    twice, as an array and as the bytes that carry them."""
-    return rows * (8 * n + 8 * n + 4 * n + 8 + 2 * 16) + 2 * 16
+def sampled_fom_bytes(n):
+    """An upper bound on the memory one process holds drawing a chunk of
+    codes of n wires: the codes, currents and raw words, np.take's intp
+    copy of the words, the bundle and power values, a temporary for their
+    squared deviations, and 64 KiB for small objects.  Nothing is held per
+    sample, so the caller and each forked worker hold one chunk whatever
+    the sample count."""
+    return _SAMPLE_ROWS * (8 * n + 8 * n + 4 * n + 8 * n + 5 * 8) + (1 << 16)
 
 
-def _held_bytes(samples):
-    """The memory bundle_fom_sampled holds besides its chunks: the
-    per-sample bundle and power arrays and std's temporary of one of them,
-    plus 64 KiB for small arrays."""
-    return 8 * 3 * samples + (1 << 16)
-
-
-def sampled_fom_bytes(n, samples):
-    """An upper bound on the memory bundle_fom_sampled holds in the calling
-    process: what it holds besides its chunks, and one chunk.  Each forked
-    worker holds one chunk more, and textio.on_cpus forks only the workers
-    whose chunks fit the budget beside the rest, so a sample count is
-    admitted or refused alike on any number of CPUs."""
-    return _held_bytes(samples) + _chunk_bytes(n, min(_SAMPLE_ROWS, samples))
+def _merged(a, b):
+    """The count, mean and sum of squared deviations of two sets of values
+    together, from those of each (Chan, Golub & LeVeque 1979).  Merged into
+    (0, 0.0, 0.0), b comes back exactly."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    count, delta = n_a + n_b, mean_b - mean_a
+    return count, mean_a + delta * (n_b / count), m2_a + m2_b + delta * delta * (n_a * n_b / count)
 
 
 def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=100000, seed=0):
@@ -160,16 +159,18 @@ def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=1000
     (samples, n) code array is the top bit of the k-th 32-bit half of the
     generator's 64-bit words, low half first (on a little-endian host): the
     bits that Generator.integers(0, 2) takes.  Standard errors cover the two
-    averages; the max fields are sample maxima.
+    averages; the max fields are sample maxima.  A count over SAMPLE_CAP is
+    refused before anything is drawn.
 
     The codes are drawn in chunks of _SAMPLE_ROWS rows on every CPU this
     process may run on (textio.on_cpus).  Chunk c starts at word
     c * _SAMPLE_ROWS * n / 2 of the generator, which PCG64.advance reaches
     in O(log c) steps, so any process draws any chunk's codes exactly.  A
-    chunk sends back its bundle and power values and its largest and
-    negated smallest current as raw float64 bytes, and this process fills
-    the per-sample arrays and reduces them in order, so the report has the
-    same bytes on any number of CPUs.
+    chunk sends back seven float64s: its count, the mean and the sum of
+    squared deviations of its bundle values and of its power values, its
+    largest bundle value and its largest |wire current|.  This process
+    merges them in chunk order (_merged), so the report has the same bytes
+    on any number of CPUs, and no process holds a value per sample.
     """
     y, a, b = _checked_inputs(y, vref, levels)
     n = y.shape[0]
@@ -178,14 +179,15 @@ def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=1000
     samples, seed = int(samples), int(seed)
     if seed < 0:
         raise ValidationError("sample seed must be >= 0, got %d" % seed)
-    check_memory(sampled_fom_bytes(n, samples), "drawing %d samples" % samples,
-                 "draw fewer samples")
+    if samples > SAMPLE_CAP:
+        raise ValidationError("drawing %d samples is over the cap of %d; draw fewer samples"
+                              % (samples, SAMPLE_CAP))
+    chunk = sampled_fom_bytes(n)
+    check_memory(chunk, "drawing codes of %d wires" % n, "score fewer wires")
     words = np.random.default_rng(seed).bit_generator
     first_word = words.state
     volts = np.array([a, b])  # bit 0 or 1 -> x
-    # Each chunk reuses the codes and currents buffers in place, in every
-    # process; only the per-sample totals are kept whole, so the statistics
-    # below see the same vectors whatever the chunk.
+    # Each chunk reuses the codes and currents buffers in place, in every process.
     rows = min(_SAMPLE_ROWS, samples)
     x_buf, cur_buf = np.empty((rows, n)), np.empty((rows, n))
 
@@ -199,34 +201,30 @@ def bundle_fom_sampled(y, vref=DEFAULT_VREF, levels=DEFAULT_LEVELS, samples=1000
         np.right_shift(halves, 31, out=halves)
         np.take(volts, halves, out=x.reshape(-1), mode="clip")  # "raise" would buffer out
         np.matmul(x, y, out=cur)
-        out = np.empty(2 * count + 2)
-        np.abs(cur.sum(axis=1), out=out[:count])
+        bundle = np.abs(cur.sum(axis=1))
         x *= cur
-        x.sum(axis=1, out=out[count:-2])
-        out[-2:] = cur.max(), -cur.min()
-        return out.tobytes()
+        stats = [count]
+        for values in (bundle, x.sum(axis=1)):  # the bundle values, then the power values
+            mean = values.mean()
+            stats += [mean, np.square(values - mean).sum()]
+        return np.array(stats + [bundle.max(), max(cur.max(), -cur.min())]).tobytes()
 
-    bundle = np.empty(samples)
-    power = np.empty(samples)
-    max_wire = 0.0
-    chunks = -(-samples // _SAMPLE_ROWS)
-    with contextlib.closing(on_cpus(draw, chunks, _chunk_bytes(n, rows),
-                                    _held_bytes(samples))) as results:
-        for c, data in enumerate(results):
-            out = np.frombuffer(data)
-            start, count = c * _SAMPLE_ROWS, (out.size - 2) // 2
-            bundle[start:start + count] = out[:count]
-            power[start:start + count] = out[count:-2]
-            max_wire = max(max_wire, float(out[-2]), float(out[-1]))
-    k = float(samples)
+    bundle = power = (0, 0.0, 0.0)
+    max_bundle = max_wire = 0.0
+    with contextlib.closing(on_cpus(draw, -(-samples // _SAMPLE_ROWS), chunk)) as results:
+        for data in results:
+            count, *stats, top_bundle, top_wire = np.frombuffer(data).tolist()
+            bundle = _merged(bundle, (count, *stats[:2]))
+            power = _merged(power, (count, *stats[2:]))
+            max_bundle, max_wire = max(max_bundle, top_bundle), max(max_wire, top_wire)
     return FomReport(
-        avg_bundle_current=float(bundle.mean()),
-        max_bundle_current=float(bundle.max()),
+        avg_bundle_current=bundle[1],
+        max_bundle_current=max_bundle,
         max_wire_current=max_wire,
-        avg_power=float(power.mean()),
+        avg_power=power[1],
         n_codes=1 << n,
-        avg_bundle_current_stderr=float(bundle.std(ddof=1) / math.sqrt(k)),
-        avg_power_stderr=float(power.std(ddof=1) / math.sqrt(k)),
+        avg_bundle_current_stderr=math.sqrt(bundle[2] / (samples - 1)) / math.sqrt(samples),
+        avg_power_stderr=math.sqrt(power[2] / (samples - 1)) / math.sqrt(samples),
         samples=samples,
         seed=seed,
     )

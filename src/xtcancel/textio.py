@@ -66,16 +66,15 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 _FRAME = struct.Struct("<?Q")
 
 
-def formatted(values, fmt=repr):
-    """fmt(v) for every v of a 1-d array, as an object array of str.
+def formatted(values):
+    """repr(v) for every v of a 1-d array, as an object array of str.
 
-    fmt maps one Python scalar to its text (repr, str); the SVG's fixed
-    "%.2f" coordinates go through two_decimals instead, which computes the
-    digits of whole hundredths with integer ufuncs and no str a value.
-    Integer arrays keep their dtype, so fmt sees Python ints and str prints
-    uint64 2**64 - 1 exactly; anything else is taken as float64.  Only the
-    head of each run of bit-identical values is formatted; the rest of the
-    run shares its string.
+    The SVG's fixed "%.2f" coordinates go through two_decimals instead,
+    which computes the digits of whole hundredths with integer ufuncs and
+    no str a value.  Integer arrays keep their dtype, so repr sees Python
+    ints and prints uint64 2**64 - 1 exactly; anything else is taken as
+    float64.  Only the head of each run of bit-identical values is
+    formatted; the rest of the run shares its string.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
@@ -85,7 +84,7 @@ def formatted(values, fmt=repr):
         keys = values.view(np.uint64)
     head = np.ones(values.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    text = np.array(list(map(fmt, values[head].tolist())), dtype=object)
+    text = np.array(list(map(repr, values[head].tolist())), dtype=object)
     return text[np.cumsum(head) - 1]
 
 
@@ -131,7 +130,7 @@ def _cells(column):
     """The text of every value of one column chunk, as a list of str."""
     if column.dtype == object:  # already formatted
         return column.tolist()
-    return formatted(column, str if column.dtype.kind in "iu" else repr).tolist()
+    return formatted(column).tolist()
 
 
 def write_csv(path, header, columns):

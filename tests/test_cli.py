@@ -214,12 +214,12 @@ def test_fom_seed_needs_samples(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_fom_samples_over_budget_exit_2(tmp_path, capsys):
+def test_fom_samples_over_cap_exit_2(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     assert cli.main(["fom", "--lc", fx("pair.json"), "--samples", "1000000000000000",
                      "-o", str(rep)]) == 2
-    err = capsys.readouterr().err
-    assert "error: drawing 1000000000000000 samples needs about" in err and "GB budget" in err
+    assert capsys.readouterr().err == ("error: drawing 1000000000000000 samples is over the cap "
+                                       "of 67108864; draw fewer samples\n")
     assert not rep.exists()
 
 
@@ -422,7 +422,7 @@ def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
     assert cli.main(["sweep", "--mode", "rs", "--link", _twelve_at(tmp_path, 9),
                      "--values", "1.67", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: holding 1 of the sweep's 1 links needs about 0.0148 GB" in err
+    assert "error: holding 1 of the sweep's 1 links needs about 0.0149 GB" in err
     assert "min eye" not in err
     assert not out.exists()
 
@@ -467,7 +467,7 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
             ("drivers", "rise_s", 1e-320, "stepping inside a 9.99989e-321 s rise_s (inf steps "
                                           "a UI) needs about inf GB of memory"),
             ("drivers", "rise_s", 1e-300, "stepping inside a 1e-300 s rise_s (6.25e+289 steps "
-                                          "a UI) needs about 1e+282 GB of memory"),
+                                          "a UI) needs about 1.01e+282 GB of memory"),
             (None, "segments", {}, "link needs a non-empty segments list")):
         raw = json.loads(Path(fx("link-scalar.json")).read_text())
         (raw[owner] if owner else raw)[field] = value
@@ -697,7 +697,7 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     for k in (1, 2, 64):
         cpus(k)
         assert cli.main(argv + ["--folded", str(tmp_path / "f.csv")]) == 2
-        assert ("error: eye on 4194969 samples of 12 wires needs about 1.07 GB of memory, "
+        assert ("error: eye on 4194969 samples of 12 wires needs about 1.08 GB of memory, "
                 "over the 1.07 GB budget; lower prbs_order, lengthen timestep_s or drop "
                 "--svg/--folded") in capsys.readouterr().err
     assert not out.exists()
@@ -742,23 +742,28 @@ def test_eye_refuses_a_longer_file_within_estimate(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_eye_peak_within_estimate(tmp_path, monkeypatch):
+def test_eye_peak_within_estimate(tmp_path, monkeypatch, cpus):
     """The pre-flight's figure bounds the traced peak of eye --svg on the
-    PRBS9 link, from the built link on.  (The folded CSV's share is held to
-    its bound in test_eye.py; tracing both writers here takes seconds.)"""
+    PRBS9 link, from the built link on, on the host's CPUs and on one: the
+    figure describes one process, which then draws every wire itself.  (The
+    folded CSV's share is held to its bound in test_eye.py; tracing both
+    writers here takes seconds.)"""
     link = _twelve_at(tmp_path, 9)
     waves = tmp_path / "w.csv"
     assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
     engine = build_link(load_link(link))
     monkeypatch.setattr(cli, "build_link", lambda spec: engine)
-    tracemalloc.start()
-    try:
-        assert cli.main(["eye", "--waves", str(waves), "--link", link,
-                         "-o", str(tmp_path / "e.json"), "--svg", str(tmp_path / "e.svg")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= cli._eye_bytes(engine, 16e9, svg=True, folded=False)
+    for one_cpu in (False, True):
+        if one_cpu:
+            cpus(1)
+        tracemalloc.start()
+        try:
+            assert cli.main(["eye", "--waves", str(waves), "--link", link, "-o",
+                             str(tmp_path / "e.json"), "--svg", str(tmp_path / "e.svg")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._eye_bytes(engine, 16e9, svg=True, folded=False)
 
 
 def test_eye_non_finite_sample_exit_2(tmp_path, capsys):

@@ -259,27 +259,30 @@ def test_folded_csv(tmp_path):
     assert phases.min() >= 0.0 and phases.max() < 2.0
 
 
-def test_folded_csv_holds_the_phase_text_and_one_chunk(tmp_path):
+def test_folded_csv_holds_the_phase_text_and_one_chunk(tmp_path, cpus):
     """Wire by wire, the folded writer copies neither the waveforms nor the
-    phase column once per wire."""
+    phase column once per wire, on the host's CPUs and on one."""
     twelve = load_link(FIXTURES / "link-twelve.json")
     spec = replace(twelve, stimulus=replace(twelve.stimulus, prbs_order=9))
     waves = run_transient(build_link(spec))
     rate = spec.stimulus.data_rate
-    tracemalloc.start()
-    try:
-        text = formatted(fold_phases(waves, rate))
-        phase_text, _ = tracemalloc.get_traced_memory()
-        del text
-        tracemalloc.reset_peak()
-        write_folded_csv(waves, rate, tmp_path / "folded.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a chunk's cells: each one's str, list slot and share of the joined rows
-    assert peak <= phase_text + 256 * _CHUNK_CELLS
-    # and the share of eye's memory pre-flight it is held to
-    assert peak <= eye_bytes(*waves.volts.shape, waves.dt, rate, folded=True)
+    for one_cpu in (False, True):
+        if one_cpu:
+            cpus(1)
+        tracemalloc.start()
+        try:
+            text = formatted(fold_phases(waves, rate))
+            phase_text, _ = tracemalloc.get_traced_memory()
+            del text
+            tracemalloc.reset_peak()
+            write_folded_csv(waves, rate, tmp_path / "folded.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chunk's cells: each one's str, list slot and share of the joined rows
+        assert peak <= phase_text + 256 * _CHUNK_CELLS
+        # and the share of eye's memory pre-flight it is held to
+        assert peak <= eye_bytes(*waves.volts.shape, waves.dt, rate, folded=True)
 
 
 def test_eye_json(tmp_path):

@@ -1,6 +1,7 @@
 """Switching-current and power figure-of-merit tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,8 @@ import xtcancel
 from conftest import assert_no_child, random_bundle
 from xtcancel import errors, textio
 from xtcancel.bundle import characteristic_impedance, uncoupled_bundle
-from xtcancel.errors import MEMORY_BUDGET_BYTES, EnumerationCapError, ValidationError
-from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, _chunk_bytes, bundle_fom,
+from xtcancel.errors import EnumerationCapError, ValidationError
+from xtcancel.fom import (_SAMPLE_ROWS, ENUMERATION_CAP, EXACT_FOM_CAP, SAMPLE_CAP, bundle_fom,
                           bundle_fom_sampled, code_table, sampled_fom_bytes,
                           write_code_table_csv, write_report_json)
 from xtcancel.termination import network_admittance, realize_network
@@ -235,25 +236,48 @@ def dense_admittance(n):
     return np.diag(g.sum(axis=1) + 1e-3) - g
 
 
-def sampled_fom_oracle(y, vref, levels, samples, seed):
-    """The sampled report from fresh per-chunk arrays, chunk by chunk, with
-    codes from Generator.integers.  It follows the sampler's partition: BLAS
-    may round x @ y differently for another number of rows."""
+def sampled_chunks(y, vref, levels, samples, seed):
+    """The bundle and power values of every chunk of the sampler's partition,
+    with codes from Generator.integers.  BLAS may round x @ y differently
+    for another number of rows."""
     n = y.shape[0]
     v_low, v_high = levels
     rng = np.random.default_rng(seed)
-    bundle, power, max_wire = np.empty(samples), np.empty(samples), 0.0
     for start in range(0, samples, _SAMPLE_ROWS):
-        count = min(_SAMPLE_ROWS, samples - start)
-        bits = rng.integers(0, 2, size=(count, n)).astype(float)
+        bits = rng.integers(0, 2, size=(min(_SAMPLE_ROWS, samples - start), n)).astype(float)
         x = v_low + bits * (v_high - v_low) - vref
         cur = x @ y
-        bundle[start:start + count] = np.abs(cur.sum(axis=1))
-        power[start:start + count] = (x * cur).sum(axis=1)
-        max_wire = max(max_wire, float(np.abs(cur).max()))
-    k = float(samples)
-    return (float(bundle.mean()), float(bundle.std(ddof=1) / np.sqrt(k)), float(bundle.max()),
-            max_wire, float(power.mean()), float(power.std(ddof=1) / np.sqrt(k)))
+        yield np.abs(cur.sum(axis=1)), (x * cur).sum(axis=1), float(np.abs(cur).max())
+
+
+def sampled_fom_oracle(y, vref, levels, samples, seed):
+    """The sampled report from each chunk's count, mean and sum of squared
+    deviations, merged in chunk order by the pairwise update."""
+    merged = {"bundle": (0, 0.0, 0.0), "power": (0, 0.0, 0.0)}
+    max_bundle = max_wire = 0.0
+    for bundle, power, top_wire in sampled_chunks(y, vref, levels, samples, seed):
+        for name, values in (("bundle", bundle), ("power", power)):
+            count, mean, m2 = merged[name]
+            b_count, b_mean = float(values.size), float(values.mean())
+            b_m2 = float(np.square(values - b_mean).sum())
+            total, delta = count + b_count, b_mean - mean
+            merged[name] = (total, mean + delta * (b_count / total),
+                            m2 + b_m2 + delta * delta * (count * b_count / total))
+        max_bundle, max_wire = max(max_bundle, float(bundle.max())), max(max_wire, top_wire)
+    (_, bundle_mean, bundle_m2), (_, power_mean, power_m2) = merged["bundle"], merged["power"]
+    k = samples - 1
+    return (bundle_mean, np.sqrt(bundle_m2 / k) / np.sqrt(samples), max_bundle, max_wire,
+            power_mean, np.sqrt(power_m2 / k) / np.sqrt(samples))
+
+
+def full_array_fom(y, vref, levels, samples, seed):
+    """The sampled report reduced from whole per-sample arrays by numpy's
+    mean, max and std(ddof=1)."""
+    chunks = list(sampled_chunks(y, vref, levels, samples, seed))
+    bundle, power = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
+    k = np.sqrt(samples)
+    return (bundle.mean(), bundle.std(ddof=1) / k, bundle.max(),
+            max(chunk[2] for chunk in chunks), power.mean(), power.std(ddof=1) / k)
 
 
 @pytest.mark.parametrize("n,samples", [(3, 2), (24, 4000), (20, 3 * (1 << 14) + 77),
@@ -281,6 +305,26 @@ def test_sampled_fom_matches_per_chunk_oracle(n, samples, cpus):
     assert cpus.kills == []
 
 
+@pytest.mark.parametrize("y, vref, levels, samples", [
+    (dense_admittance(64), 0.4, (-0.2, 1.1), 5 * _SAMPLE_ROWS + 1),
+    (dense_admittance(20), 0.5, (0.0, 1.0), 3 * (1 << 14) + 77),
+    (0.02 * np.eye(40), 0.5, (0.0, 1.0), 20000),
+], ids=["wide", "many-chunks", "constant-power"])
+def test_sampled_fom_within_full_array_reduction(y, vref, levels, samples):
+    """Merged chunk by chunk, every average is within 1e-12 relative of
+    numpy's reduction of the whole per-sample arrays, a standard error
+    within 1e-12 of its average, and the maxima are the same.  Where every
+    code draws the same power, its standard error is finite and >= 0."""
+    rep = bundle_fom_sampled(y, vref=vref, levels=levels, samples=samples, seed=5)
+    avg_b, se_b, max_b, max_w, avg_p, se_p = full_array_fom(y, vref, levels, samples, 5)
+    assert rep.max_bundle_current == max_b and rep.max_wire_current == max_w
+    assert rep.avg_bundle_current == pytest.approx(avg_b, rel=1e-12, abs=0)
+    assert rep.avg_power == pytest.approx(avg_p, rel=1e-12, abs=0)
+    assert abs(rep.avg_bundle_current_stderr - se_b) <= 1e-12 * abs(avg_b)
+    assert abs(rep.avg_power_stderr - se_p) <= 1e-12 * abs(avg_p)
+    assert math.isfinite(rep.avg_power_stderr) and rep.avg_power_stderr >= 0.0
+
+
 def test_an_exception_drawing_a_chunk_in_a_worker_is_raised(cpus, monkeypatch):
     """Chunk 1 of three is the worker's on two CPUs: what it raises reaches
     the caller as a RuntimeError naming its type and message, and the worker
@@ -301,27 +345,26 @@ def test_an_exception_drawing_a_chunk_in_a_worker_is_raised(cpus, monkeypatch):
 
 
 def test_sampled_fom_forks_only_the_workers_whose_chunks_fit(cpus, monkeypatch):
-    """The memory check counts one process, so a sample count is admitted or
-    refused alike on any CPU count; then a worker is forked for each chunk
-    buffer that fits the budget beside the rest, with the same report."""
+    """The memory check counts one chunk in one process, so a bus is
+    admitted or refused alike on any CPU count; then a worker is forked for
+    each further chunk that fits the budget, with the same report."""
     n, samples = 7, 5 * _SAMPLE_ROWS
     y = dense_admittance(n)
     cpus(1)
     one = bundle_fom_sampled(y, samples=samples, seed=2)
-    need, chunk = sampled_fom_bytes(n, samples), _chunk_bytes(n, _SAMPLE_ROWS)
-    for budget, forks in ((need, 0), (need + chunk - 1, 0), (need + chunk, 1),
-                          (need + 5 * chunk, 2)):
+    chunk = sampled_fom_bytes(n)
+    for budget, forks in ((chunk, 0), (2 * chunk - 1, 0), (2 * chunk, 1), (6 * chunk, 2)):
         monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", budget)
         monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", budget)
         cpus(3)
         assert bundle_fom_sampled(y, samples=samples, seed=2) == one
         assert len(cpus.forks) == forks
         cpus.forks.clear()
-    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", need - 1)
-    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", chunk - 1)
+    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", chunk - 1)
     for k in (1, 3):
         cpus(k)
-        with pytest.raises(ValidationError, match="drawing %d samples needs about" % samples):
+        with pytest.raises(ValidationError, match="drawing codes of %d wires needs about" % n):
             bundle_fom_sampled(y, samples=samples, seed=2)
     assert cpus.forks == []
     assert_no_child()
@@ -352,30 +395,36 @@ def test_sampled_fom_forks_after_threaded_blas(tmp_path):
     assert written[1] == written[0]
 
 
-def test_sampled_fom_peak_within_estimate():
+def test_sampled_fom_peak_within_estimate(cpus):
+    """One chunk's figure bounds the caller's traced peak on one, two and
+    three CPUs.  numpy.random is imported first, untraced: its modules,
+    about 0.75 MB, are loaded once a process, not by a draw."""
     n, samples = 64, 200000
     y = 0.02 * np.eye(n) - 0.001 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    tracemalloc.start()
-    try:
-        bundle_fom_sampled(y, samples=samples, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= sampled_fom_bytes(n, samples)
+    np.random.default_rng(1)
+    for k in (1, 2, 3):
+        cpus(k)
+        tracemalloc.start()
+        try:
+            bundle_fom_sampled(y, samples=samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sampled_fom_bytes(n)
+    assert_no_child()
 
 
-def test_sampled_fom_over_budget_fails_before_allocating():
-    samples = 10 ** 15
-    assert sampled_fom_bytes(2, samples) > MEMORY_BUDGET_BYTES
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match=r"drawing 10+ samples needs about 2\.4e\+07 "
-                                                  r"GB of memory, over the 1\.07 GB budget"):
-            bundle_fom_sampled(PAIR_Y, samples=samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+def test_sampled_fom_over_cap_fails_before_allocating():
+    for samples in (SAMPLE_CAP + 1, 10 ** 15):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^drawing %d samples is over the cap of "
+                                                      r"67108864; draw fewer samples$" % samples):
+                bundle_fom_sampled(PAIR_Y, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_sampled_tracks_exact_on_small_bus():

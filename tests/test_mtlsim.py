@@ -359,18 +359,18 @@ def _warmup_refusal(delay, dt, gb, length):
     ({"prbs_order": 23}, r"a link of \d+ timesteps needs about [\d.]+ GB of memory, over the "
                          r"1\.07 GB budget; lower prbs_order, lengthen timestep_s or shorten "
                          r"duration_s", 2**20),
-    ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.25", "0.1016"), 2**20),
+    ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.26", "0.1016"), 2**20),
     # tau / dt overflows a float (a denormal timestep) or int64 (a huge
     # length): refused before the cast, without a warning
     ({"timestep_s": 1e-320}, _warmup_refusal("5.86994e-10", "9.99989e-321", "inf", "0.1016"),
      2**20),
-    ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.27e+297", "1e+300"),
+    ({"length_m": 1e300}, _warmup_refusal("5.7775e+291", "9.76563e-13", "2.28e+297", "1e+300"),
      2**20),
     # the step map, 2w x (w + 2n) words and more with w = 2n x 500, would
     # hold about 2.4 GB and need 3.5 GB to build; up to the pre-flight the
     # segments hold 2.9 MB
     ({"segments": 500}, re.escape(
-        "a link of 910392 timesteps needs about 6.7 GB of memory, over the 1.07 GB budget; "
+        "a link of 910392 timesteps needs about 6.71 GB of memory, over the 1.07 GB budget; "
         "lower prbs_order, lengthen timestep_s or shorten duration_s or the segment list"),
      2**22),
 ], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300", "segments-500"])

@@ -267,8 +267,8 @@ def test_integer_columns_match_percent_d(tmp_path):
     same_bytes(tmp_path, lambda p: write_csv(p, ["a", "b", "c", "d"], columns),
                lambda p: reference_csv(p, ["a", "b", "c", "d"],
                                        [c.tolist() for c in columns], fmts))
-    assert formatted(unsigned, str)[0] == "18446744073709551615"
-    assert formatted(signed, str)[0] == "-9223372036854775808"
+    assert formatted(unsigned)[0] == "18446744073709551615"
+    assert formatted(signed)[0] == "-9223372036854775808"
 
 
 @pytest.mark.parametrize("width", [3, 13])
