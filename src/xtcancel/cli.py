@@ -165,22 +165,27 @@ def _sweep_points(spec, mode, values):
     return points
 
 
+def _sweep_run_bytes(engine):
+    """An upper bound on a sweep point's run beyond its step map: the
+    stepper's, or the eye's scan beside the volts and currents it returned."""
+    n, samples = engine.n, engine.samples
+    return max(engine.stepper_bytes(engine.steps) - engine.step_map_bytes(),
+               16 * n * samples + eye_bytes(n, samples, engine.dt,
+                                            engine.spec.stimulus.data_rate))
+
+
 def cmd_sweep(args):
     points = _sweep_points(load_link(args.link), args.mode,
                            _parse_sweep_values(args.mode, args.values))
     # Every point's link is built before any runs, so build_link's timestep
     # checks, like the specs' value checks, refuse a bad point up front.  The
-    # built links hold their step maps together, through the largest run: the
-    # stepper's, or the eye's scan beside the volts and currents it returned.
+    # built links hold their step maps together, through the largest run.
     engines, held, run = [], 0, 0
     for col, point in points:
         engine = build_link(point)
         engines.append((col, engine))
         held += engine.step_map_bytes()
-        n, samples = engine.n, engine.samples
-        run = max(run, engine.stepper_bytes(engine.steps) - engine.step_map_bytes(),
-                  16 * n * samples + eye_bytes(n, samples, engine.dt,
-                                               point.stimulus.data_rate))
+        run = max(run, _sweep_run_bytes(engine))
         check_memory(held + run,
                      "holding %d of the sweep's %d links" % (len(engines), len(points)),
                      "sweep fewer values at a time")

@@ -33,10 +33,10 @@ EYE_SCHEMA_VERSION = 1
 _PHASE_TIE_V = 1e-12
 
 # Wire-offset-bit cells the offset scan holds at once.  Every offset of a
-# PRBS7 or PRBS9 twelve-wire link fits in one chunk; a longer stream is
-# scanned a chunk of offsets at a time, so its temporaries (about 17 B a
-# cell) stay near 9 MB whatever its length.
-_SCAN_CELLS = 1 << 19
+# PRBS7 twelve-wire link fits in one chunk; a longer stream is scanned a
+# chunk of offsets at a time (4 chunks at PRBS9), so its temporaries (about
+# 17 B a cell) stay near 2.2 MB whatever its length.
+_SCAN_CELLS = 1 << 17
 
 # Bytes a sample costs each writer at its peak: traced at up to 86.5 and 136
 # on link-twelve at PRBS7-11, plus 15 and 18 %.  The SVG holds every sample's

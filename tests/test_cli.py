@@ -397,12 +397,13 @@ def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, li
 
 def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch):
     """Each of the three links fits the budget alone, but their step maps,
-    held together, and the largest run do not: refused before the first run."""
+    held together, and the largest run do not: refused before the first run.
+    The budget is the largest one link needs, its step map beside its run."""
     values = [0.0, 0.0005, 0.001]
     points = cli._sweep_points(load_link(fx("link-twelve.json")), "uncoupled", values)
     engines = [build_link(point) for _, point in points]
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES",
-                        max(e.stepper_bytes(e.steps) for e in engines))
+                        max(e.step_map_bytes() + cli._sweep_run_bytes(e) for e in engines))
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--mode", "uncoupled", "--link", fx("link-twelve.json"),
                      "--values", "0,0.0005,0.001", "-o", str(out)]) == 2
@@ -414,15 +415,20 @@ def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch
 
 
 def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
-    """link-twelve at PRBS9: the stepper's run needs 10.6 MB beyond the step
-    map, the eye measured on its volts and currents 14.5 MB.  Under a 12 MB
-    budget the point is refused before it runs."""
-    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 12_000_000)
+    """link-twelve at PRBS9: the stepper's run needs 8.25 MB beyond the step
+    map, the eye measured on its volts and currents 9.07 MB.  Under a budget
+    between the two, with the step map, the point is refused before it runs."""
+    link = _twelve_at(tmp_path, 9)
+    engine = build_link(load_link(link))
+    held, stepper = engine.step_map_bytes(), engine.stepper_bytes(engine.steps)
+    run = cli._sweep_run_bytes(engine)
+    assert stepper - held < run  # the eye's is the larger
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + held + run) // 2)
     out = tmp_path / "s.csv"
-    assert cli.main(["sweep", "--mode", "rs", "--link", _twelve_at(tmp_path, 9),
+    assert cli.main(["sweep", "--mode", "rs", "--link", link,
                      "--values", "1.67", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: holding 1 of the sweep's 1 links needs about 0.0149 GB" in err
+    assert "error: holding 1 of the sweep's 1 links needs about 0.00933 GB" in err
     assert "min eye" not in err
     assert not out.exists()
 
@@ -874,3 +880,20 @@ def test_output_digests_script_runs_and_repeats(capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert [re.fullmatch(r"[0-9a-f]{64}  (\S+)", line).group(1) for line in runs[0]] == names
     assert runs[1] == runs[0]
+
+
+def test_peak_memory_script_holds_every_layer_within_its_figure(capsys):
+    """scripts/peak_memory.py on link-pair prints one line a layer, in run
+    order, and every traced peak is within the figure its pre-flight
+    checks."""
+    path = FIXTURES.parent / "scripts" / "peak_memory.py"
+    spec = importlib.util.spec_from_file_location("peak_memory", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--link", fx("link-pair.json")]) == 0
+    rows = [re.fullmatch(r"(\S.*?) +peak +(\d+) B +figure +(\d+) B +[\d.]+ %", line).groups()
+            for line in capsys.readouterr().out.splitlines()]
+    assert [layer for layer, _, _ in rows] == [
+        "build_link + run_transient", "read_waveform_csv", "eye_measure", "render_eye_svg",
+        "write_folded_csv"]
+    assert all(0 < int(peak) <= int(figure) for _, peak, figure in rows)

@@ -14,7 +14,7 @@ import pytest
 from conftest import assert_no_child
 from designs import (FOUR_INCHES_M, fifty_ohm_network, graded_bundles, microstrip_bundle,
                      pair_bundle, scalar_bundle, simple_link)
-from steady_state import periodic_steady_state
+from steady_state import periodic_steady_state, power_balance
 from xtcancel.bundle import DEFAULT_VELOCITY, characteristic_impedance, uncoupled_bundle
 from xtcancel.errors import SimulationDivergedError, ValidationError
 from xtcancel import mtlsim, textio
@@ -293,9 +293,7 @@ def test_run_reaches_the_periodic_steady_state(breakout_m, periods):
 def test_settled_period_balances_power_exactly(name, steps_per_ui):
     """Over one settled period the power in at the drivers, less the power
     into the termination and its rail, is the energy the interpolated delays
-    drop: E = (1 - f) w[t - i0] + f w[t - i0 - 1] gives
-    sum E^2 = sum w^2 - f (1 - f) sum (w[t] - w[t - 1])^2 over a period, and
-    a modal end takes in (w^2 - E^2) / 4.  Every node system conserves power,
+    drop (steady_state.power_balance).  Every node system conserves power,
     so the identity is exact; without the loss term the balance misses by
     1e-5 to 1e-3.  link-pair's 0 ohm drivers are pinned rows, link-microstrip's
     modes have unequal velocities, and the breakout link has junctions."""
@@ -304,16 +302,8 @@ def test_settled_period_balances_power_exactly(name, steps_per_ui):
                    timestep_s=spec.stimulus.unit_interval / steps_per_ui)
     if name.endswith("breakout-1mm"):
         spec = breakout_link(spec, 0.001)
-    engine = build_link(spec)
-    volts, currents, waves = periodic_steady_state(engine)
-    drive = engine.drive(engine.dt * (engine.start_index + np.arange(waves.shape[0]))).T
-    rs = np.asarray(spec.drivers.rs_ohms)[:, None]
-    power_in = np.sum((drive - rs * currents) * currents)
-    v = volts + engine.vref  # the absolute receiver volts
-    power_term = np.sum(v * (engine.y_net @ v - engine.svec[:, None] * engine.vref))
-    dw = waves - np.roll(waves, 1, axis=0)  # cyclic: the period repeats
-    loss = np.sum(engine.frac * (1.0 - engine.frac) * np.sum(dw * dw, axis=0)) / 4.0
-    assert abs(power_in - power_term - loss) <= 1e-12 * power_in
+    power_in, power_out, loss = power_balance(build_link(spec))
+    assert abs(power_in - power_out - loss) <= 1e-12 * power_in
 
 
 def test_gather_outside_a_blocks_rows_is_refused():
@@ -370,7 +360,7 @@ def _warmup_refusal(delay, dt, gb, length):
     # hold about 2.4 GB and need 3.5 GB to build; up to the pre-flight the
     # segments hold 2.9 MB
     ({"segments": 500}, re.escape(
-        "a link of 910392 timesteps needs about 6.71 GB of memory, over the 1.07 GB budget; "
+        "a link of 910392 timesteps needs about 6.42 GB of memory, over the 1.07 GB budget; "
         "lower prbs_order, lengthen timestep_s or shorten duration_s or the segment list"),
      2**22),
 ], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300", "segments-500"])
