@@ -29,7 +29,7 @@ from .mtlsim import (LINK_SCHEMA_VERSION, Segment, build_link, load_link, read_w
 from .termination import (DEFAULT_VREF, NETWORK_SCHEMA_VERSION, load_network,
                           network_admittance, realize_network, reduce_network, save_network,
                           write_histogram_csv)
-from .textio import write_csv, write_json
+from .textio import chunk_bytes, write_csv, write_json
 
 _VERSION_TEXT = ("xtcancel %s (schemas: bundle %d, network %d, report %d, link %d, eye %d)"
                  % (__version__, BUNDLE_SCHEMA_VERSION, NETWORK_SCHEMA_VERSION,
@@ -88,8 +88,20 @@ def cmd_fom(args):
     return 0
 
 
+def _sim_bytes(engine):
+    """An upper bound on sim's memory: the stepper's, or the waveform CSV's
+    write beside the step map and the volts and currents the run returned:
+    the times column and one chunk's text, plus 64 KiB for small objects."""
+    n, samples = engine.n, engine.samples
+    return max(engine.stepper_bytes(engine.steps),
+               engine.step_map_bytes() + 8 * (2 * n + 1) * samples + chunk_bytes(n + 1)
+               + (1 << 16))
+
+
 def cmd_sim(args):
     engine = build_link(load_link(args.link))
+    check_memory(_sim_bytes(engine), "sim on %d samples of %d wires" % (engine.samples, engine.n),
+                 "lower prbs_order or lengthen timestep_s")
     waves = run_transient(engine)
     write_waveform_csv(waves, args.output)
     _info("wrote %s (%d wires, %d samples)" % (args.output, waves.n, waves.volts.shape[1]))
@@ -191,8 +203,12 @@ def cmd_sweep(args):
                      "sweep fewer values at a time")
     rows = []
     for col, engine in engines:
-        waves = run_transient(engine)
-        report = eye_measure(waves, engine.streams, engine.spec.stimulus.data_rate)
+        # The eye reads the volts alone and no name holds a point's
+        # waveforms: its currents are freed when the run returns and its
+        # volts with its eye, so one point's run is all that is held beside
+        # the step maps, as _sweep_run_bytes counts.
+        report = eye_measure(engine.waveforms(run_transient(engine).volts), engine.streams,
+                             engine.spec.stimulus.data_rate)
         for we in report.per_wire:
             rows.append((col, we.wire, we.eye_v, report.min_v, report.avg_v, report.max_v))
         _info("%s=%r: min eye %g V" % (args.mode, col, report.min_v))

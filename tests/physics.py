@@ -19,16 +19,24 @@ a seed names the same links on every machine.  A case is one link:
 
 Every link has a whole number of steps a UI, so the DFT-bin oracle of
 tests/steady_state.py applies to each.
+
+The checks a link is held to are here too, for the tests and for
+scripts/physics_sweep.py: identity_failures, matched_error, sim_output and
+settle_gap.
 """
 
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 
 from designs import microstrip_bundle, simple_link
+from steady_state import periodic_steady_state, power_balance
+from xtcancel import cli, eye, mtlsim
 from xtcancel.bundle import (DEFAULT_VELOCITY, characteristic_impedance, lc_from_impedance,
                              uncoupled_bundle)
-from xtcancel.mtlsim import Segment
+from xtcancel.eye import eye_measure
+from xtcancel.mtlsim import Segment, build_link, run_transient
 from xtcancel.termination import realize_network, reduce_network
 
 DRIVER_OHMS = (0.0, 1.67, 50.0)
@@ -39,6 +47,7 @@ STEPS_PER_UI = (64, 80, 100)
 class Case:
     name: str  # what was drawn, for a failure message
     spec: object  # the LinkSpec
+    matched: bool  # a full network at the end of the one segment
 
 
 def banded_bundle(rng, n):
@@ -91,5 +100,90 @@ def links(seed, count):
                           length_m=breakout_m)
             spec = replace(spec, segments=(end,) + spec.segments + (end,))
             name += ", %.2f mm %.0f ohm breakouts" % (1e3 * breakout_m, z0)
-        out.append(Case(name=name, spec=spec))
+        out.append(Case(name=name, spec=spec, matched=len(spec.segments) == 1 and not pruned))
     return out
+
+
+def _eyes(report):
+    return [(w.eye_v, w.phase_ui) for w in report.per_wire]
+
+
+def identity_failures(case):
+    """What case's link breaks, as messages: run_transient bit-identical
+    with windows of one pad and of _WINDOW_STEPS, eye_measure identical
+    with one offset a chunk and with _SCAN_CELLS, the settled period's power
+    balanced within 1e-12 relative, and a run held at its t=0 drive within
+    1e-12 V of the DC state (a source current counted at 50 ohm)."""
+    engine = build_link(case.spec)
+    rate = case.spec.stimulus.data_rate
+    waves = run_transient(engine)
+    report = eye_measure(waves, engine.streams, rate)
+    out = []
+    with mock.patch.object(mtlsim, "_WINDOW_STEPS", 1):  # windows of one pad
+        one = run_transient(engine)
+    with mock.patch.object(eye, "_SCAN_CELLS", 1):  # one offset a chunk
+        scanned = eye_measure(waves, engine.streams, rate)
+    if not (np.array_equal(waves.volts, one.volts)
+            and np.array_equal(waves.source_currents, one.source_currents)):
+        out.append("windows of one pad step other bits")
+    if _eyes(scanned) != _eyes(report):
+        out.append("one offset a chunk scans other eyes")
+    power_in, power_out, loss = power_balance(engine)
+    if not abs(power_in - power_out - loss) <= 1e-12 * power_in:
+        out.append("power in %r, out %r, delay loss %r" % (power_in, power_out, loss))
+    # Held at its t=0 level the drive never moves the link from where the
+    # run starts, so a run that starts at the DC state stays there.
+    level = engine.drive(np.zeros(1))[0]
+    engine.drive = lambda t: np.broadcast_to(level, (len(t), engine.n))
+    held = run_transient(engine)
+    v_dc, i_dc = engine.solve_dc(level)
+    off = max(np.abs(held.volts - (v_dc - engine.vref)[:, None]).max(),
+              np.abs(held.source_currents - i_dc[:, None]).max() * 50.0)
+    if not off <= 1e-12:
+        out.append("held at the t=0 drive, the run leaves its DC state by %r V" % off)
+    return ["%s: %s" % (case.name, what) for what in out]
+
+
+def matched_error(case):
+    """(error, bound), per wire, of a matched case's run against the exact
+    modal delays.  With its full network at the end of its one segment the
+    link absorbs every wave, so the driver node holds
+    v - vref = (I + Rs Yc)^-1 (e - vref), Rs the driver resistances, and
+    mode k reaches the receiver exactly tau_k later: v_rx - vref =
+    Mv x(t - tau) with x = Mi (I + Rs Yc)^-1 (e - vref).  The stepper reads
+    each delay by linear interpolation between steps, which misses by at
+    most s dt f (1 - f) where the drive's slope changes by s inside a step
+    (f the delay's fraction of a step): the bound of
+    tests/test_mtlsim.py's matched fixture links, with Rs per wire."""
+    assert case.matched, "%s is not matched" % case.name
+    engine = build_link(case.spec)
+    waves = run_transient(engine)
+    seg, d = engine.segments[0], case.spec.drivers
+    assert engine.dt < d.rise_s  # one ramp corner at most inside a step
+    rs = np.diag(d.rs_ohms)
+    modal = seg.mi @ np.linalg.inv(np.eye(engine.n) + rs @ seg.yc)
+    t = waves.times()
+    x = np.array([(engine.drive(t - tau) - engine.vref) @ row for tau, row in zip(seg.tau, modal)])
+    error = np.abs(waves.volts - seg.mvt.T @ x).max(axis=1)
+    s = (d.v_high - d.v_low) / d.rise_s * (np.abs(seg.mvt.T) @ np.abs(modal).sum(axis=1))
+    return error, s * engine.dt * np.max(seg.frac * (1.0 - seg.frac))
+
+
+def sim_output(case, path):
+    """The bytes `xtcancel sim` writes to path for case's link, on the CPUs
+    os.sched_getaffinity gives."""
+    with mock.patch.object(cli, "load_link", lambda link: case.spec):
+        assert cli.main(["sim", "--link", case.name, "-o", str(path)]) == 0
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def settle_gap(case):
+    """The largest distance, in volts, of the run's kept samples from the
+    settled period of the DFT-bin oracle (tests/steady_state.py): how far
+    the fixed warmup leaves the link from its periodic steady state."""
+    engine = build_link(case.spec)
+    volts = run_transient(engine).volts
+    settled, _, _ = periodic_steady_state(engine)
+    kept = np.arange(volts.shape[1]) % settled.shape[1]
+    return float(np.max(np.abs(volts - settled[:, kept])))

@@ -231,6 +231,22 @@ def test_fom_negative_seed_exit_2(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_sim_budgets_its_waveform_write(tmp_path, capsys, monkeypatch):
+    """On link-pair the waveform CSV's write, one chunk's text beside the
+    run's volts, currents and times, needs more than the stepper: under a
+    budget between the two, sim is refused before it runs and writes no
+    file."""
+    engine = build_link(load_link(fx("link-pair.json")))
+    stepper, sim = engine.stepper_bytes(engine.steps), cli._sim_bytes(engine)
+    assert stepper < sim
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + sim) // 2)
+    out = tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(out)]) == 2
+    assert ("error: sim on %d samples of 2 wires needs about 0.00221 GB of memory"
+            % engine.samples) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_eye_flow(tmp_path):
     waves = tmp_path / "waves.csv"
     assert cli.main(["sim", "--link", fx("link-scalar.json"), "-o", str(waves)]) == 0
@@ -431,6 +447,29 @@ def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
     assert "error: holding 1 of the sweep's 1 links needs about 0.00933 GB" in err
     assert "min eye" not in err
     assert not out.exists()
+
+
+def test_sweep_peak_within_its_preflight_figure(tmp_path, cpus):
+    """The sweep admits its points' step maps held together plus its largest
+    point's run (cli._sweep_run_bytes).  On link-twelve at PRBS7, with no,
+    0.5 mm and 1 mm breakouts and the fork map held to one process, the
+    whole command's traced peak is within that figure: no point's waveforms
+    are held while the next point steps.  (Held, they read 5.61 MB against
+    4.49 MB; let go, 3.9 MB.)"""
+    cpus(1)
+    link = fx("link-twelve.json")
+    points = cli._sweep_points(load_link(link), "uncoupled", [0.0, 0.0005, 0.001])
+    engines = [build_link(point) for _, point in points]
+    figure = (sum(e.step_map_bytes() for e in engines)
+              + max(cli._sweep_run_bytes(e) for e in engines))
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep", "--mode", "uncoupled", "--link", link,
+                         "--values", "0,0.0005,0.001", "-o", str(tmp_path / "s.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= figure, (peak, figure)
 
 
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
@@ -884,8 +923,8 @@ def test_output_digests_script_runs_and_repeats(capsys):
 
 def test_peak_memory_script_holds_every_layer_within_its_figure(capsys):
     """scripts/peak_memory.py on link-pair prints one line a layer, in run
-    order, and every traced peak is within the figure its pre-flight
-    checks."""
+    order, then one a whole command, and every traced peak is within the
+    figure its pre-flight checks."""
     path = FIXTURES.parent / "scripts" / "peak_memory.py"
     spec = importlib.util.spec_from_file_location("peak_memory", path)
     script = importlib.util.module_from_spec(spec)
@@ -895,5 +934,5 @@ def test_peak_memory_script_holds_every_layer_within_its_figure(capsys):
             for line in capsys.readouterr().out.splitlines()]
     assert [layer for layer, _, _ in rows] == [
         "build_link + run_transient", "read_waveform_csv", "eye_measure", "render_eye_svg",
-        "write_folded_csv"]
+        "write_folded_csv", "sim", "eye --svg --folded", "sweep --mode uncoupled"]
     assert all(0 < int(peak) <= int(figure) for _, peak, figure in rows)

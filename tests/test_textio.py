@@ -8,6 +8,7 @@ package writers must produce the same bytes.
 
 import os
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -289,6 +290,27 @@ def test_runs_across_cell_sized_chunks(tmp_path, width):
     fmts = ["%d"] + ["%r"] * (width - 1)
     same_bytes(tmp_path, lambda p: write_csv(p, header, columns),
                lambda p: reference_csv(p, header, [c.tolist() for c in columns], fmts))
+
+
+@pytest.mark.parametrize("width", [1, 2, 13, 1000])
+def test_a_chunk_is_formatted_within_its_figure(tmp_path, cpus, width):
+    """write_csv in this process alone, on three chunks of random negative
+    floats with three-digit exponents, whose reprs are up to the longest
+    (24 characters), holds no more beside the table than
+    textio.chunk_bytes says one chunk takes."""
+    cpus(1)
+    rows = 3 * max(1, _CHUNK_CELLS // width)
+    values = -np.random.default_rng(width).uniform(1.0, 2.0, rows * width) * 1e-300
+    assert max(len(repr(v)) for v in values.tolist()) == 24
+    columns = list(values.reshape(width, rows))
+    header = ["c%d" % k for k in range(width)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "x.csv", header, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= textio.chunk_bytes(width)
 
 
 def test_columns_of_unequal_length_rejected(tmp_path):
