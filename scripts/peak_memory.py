@@ -4,7 +4,7 @@ figure its pre-flight checks.
 For one link, in this process and in order, the layers as sim and eye
 --svg --folded run them:
 
-- build_link + run_transient, against Engine.stepper_bytes(steps);
+- build_link + run_transient, against Engine.run_bytes();
 - read_waveform_csv of the waveforms sim writes, against
   mtlsim.waveform_read_bytes;
 - eye_measure on the volts read, against eye.eye_bytes;
@@ -19,13 +19,14 @@ traced; the figures count one process, as the pre-flight does.
 Then whole commands through cli.main, with the fork map held to this
 process, so it computes every text itself:
 
-- sim, against cli._sim_bytes: the stepper's figure, or the waveform
-  CSV's write beside the volts;
+- sim, against the Engine.run_bytes its pre-flight checks: the stepper's
+  figure, or the waveform CSV's write (the times column and one chunk's
+  text) beside the volts;
 - eye --svg --folded on sim's waveforms, from the built link on, against
   cli._eye_bytes with both writers;
 - sweep --mode uncoupled --values 0,0.0005,0.001, against the figure its
   pre-flight admits: every point's step map held together plus the largest
-  point's run (cli._sweep_run_bytes).
+  point's run beyond its step map (Engine.run_bytes with the eye's scan).
 
 One line a layer or command, "NAME  peak P B  figure F B  R %"; the exit
 code is 1 when a peak is over its figure.
@@ -48,6 +49,7 @@ from xtcancel import cli  # noqa: E402
 from xtcancel.eye import eye_bytes, eye_measure, render_eye_svg, write_folded_csv  # noqa: E402
 from xtcancel.mtlsim import (build_link, load_link, read_waveform_csv, run_transient,  # noqa: E402
                              waveform_read_bytes, write_waveform_csv)
+from xtcancel.textio import chunk_bytes  # noqa: E402
 
 SWEEP_VALUES = "0,0.0005,0.001"  # breakouts of none, 0.5 mm and 1 mm
 
@@ -66,7 +68,7 @@ def layers(link, workdir):
     """(layer, peak, figure) of every layer, in order."""
     spec = load_link(link)
     (engine, waves), peak = traced(lambda: built_and_run(spec))
-    rows = [("build_link + run_transient", peak, engine.stepper_bytes(engine.steps))]
+    rows = [("build_link + run_transient", peak, engine.run_bytes())]
     waves_csv = os.path.join(workdir, "waves.csv")
     write_waveform_csv(waves, waves_csv)
     del waves
@@ -97,7 +99,8 @@ def commands(link, workdir):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
         _, peak = traced(lambda: run("sim", "--link", link, "-o", path("waves.csv")))
         engine = build_link(spec)
-        rows = [("sim", peak, cli._sim_bytes(engine))]
+        n, samples = engine.n, engine.samples
+        rows = [("sim", peak, engine.run_bytes(8 * samples + chunk_bytes(n + 1)))]
         # eye's figure counts from the built link on: hand it one built here
         with mock.patch.object(cli, "build_link", lambda point: engine):
             _, peak = traced(lambda: run("eye", "--waves", path("waves.csv"), "--link", link,
@@ -108,7 +111,8 @@ def commands(link, workdir):
         points = cli._sweep_points(spec, "uncoupled", [float(v) for v in SWEEP_VALUES.split(",")])
         engines = [build_link(point) for _, point in points]
         figure = (sum(e.step_map_bytes() for e in engines)
-                  + max(cli._sweep_run_bytes(e) for e in engines))
+                  + max(e.run_bytes(eye_bytes(e.n, e.samples, e.dt, rate)) - e.step_map_bytes()
+                        for e in engines))
         _, peak = traced(lambda: run("sweep", "--mode", "uncoupled", "--link", link,
                                      "--values", SWEEP_VALUES, "-o", path("sweep.csv")))
         rows.append(("sweep --mode uncoupled", peak, figure))

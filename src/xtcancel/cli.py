@@ -88,21 +88,13 @@ def cmd_fom(args):
     return 0
 
 
-def _sim_bytes(engine):
-    """An upper bound on sim's memory: the stepper's, or the waveform CSV's
-    write beside the step map and the volts and currents the run returned:
-    the times column and one chunk's text, plus 64 KiB for small objects."""
-    n, samples = engine.n, engine.samples
-    return max(engine.stepper_bytes(engine.steps),
-               engine.step_map_bytes() + 8 * (2 * n + 1) * samples + chunk_bytes(n + 1)
-               + (1 << 16))
-
-
 def cmd_sim(args):
     engine = build_link(load_link(args.link))
-    check_memory(_sim_bytes(engine), "sim on %d samples of %d wires" % (engine.samples, engine.n),
+    # the write's times column and one chunk's text, beside the volts alone
+    check_memory(engine.run_bytes(8 * engine.samples + chunk_bytes(engine.n + 1)),
+                 "sim on %d samples of %d wires" % (engine.samples, engine.n),
                  "lower prbs_order or lengthen timestep_s")
-    waves = run_transient(engine)
+    waves = engine.waveforms(run_transient(engine).volts)
     write_waveform_csv(waves, args.output)
     _info("wrote %s (%d wires, %d samples)" % (args.output, waves.n, waves.volts.shape[1]))
     return 0
@@ -177,15 +169,6 @@ def _sweep_points(spec, mode, values):
     return points
 
 
-def _sweep_run_bytes(engine):
-    """An upper bound on a sweep point's run beyond its step map: the
-    stepper's, or the eye's scan beside the volts and currents it returned."""
-    n, samples = engine.n, engine.samples
-    return max(engine.stepper_bytes(engine.steps) - engine.step_map_bytes(),
-               16 * n * samples + eye_bytes(n, samples, engine.dt,
-                                            engine.spec.stimulus.data_rate))
-
-
 def cmd_sweep(args):
     points = _sweep_points(load_link(args.link), args.mode,
                            _parse_sweep_values(args.mode, args.values))
@@ -197,7 +180,8 @@ def cmd_sweep(args):
         engine = build_link(point)
         engines.append((col, engine))
         held += engine.step_map_bytes()
-        run = max(run, _sweep_run_bytes(engine))
+        scan = eye_bytes(engine.n, engine.samples, engine.dt, engine.spec.stimulus.data_rate)
+        run = max(run, engine.run_bytes(scan) - engine.step_map_bytes())
         check_memory(held + run,
                      "holding %d of the sweep's %d links" % (len(engines), len(points)),
                      "sweep fewer values at a time")
@@ -206,7 +190,7 @@ def cmd_sweep(args):
         # The eye reads the volts alone and no name holds a point's
         # waveforms: its currents are freed when the run returns and its
         # volts with its eye, so one point's run is all that is held beside
-        # the step maps, as _sweep_run_bytes counts.
+        # the step maps, as the pre-flight counts.
         report = eye_measure(engine.waveforms(run_transient(engine).volts), engine.streams,
                              engine.spec.stimulus.data_rate)
         for we in report.per_wire:

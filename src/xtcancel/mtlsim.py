@@ -59,8 +59,8 @@ steps past the run are discarded.  A check never changed what the loop
 computes, only where it stopped, so the first non-finite row is the step a
 check after every block would report.  The run holds the returned waveforms
 and one window, not a row for every step, and Engine refuses a link whose
-stepper_bytes is over errors.MEMORY_BUDGET_BYTES before any PRBS or step
-map exists.
+run_bytes is over errors.MEMORY_BUDGET_BYTES before any PRBS or step map
+exists.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .errors import (SimulationDivergedError, ValidationError, check_memory, con
 from .stimulus import StimulusSpec, drive_levels, pattern_assign, stream_period
 from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
-from .textio import range_bytes, read_csv_rows, read_json, write_csv
+from .textio import range_bytes, read_csv_rows, read_json, read_line, write_csv
 
 LINK_SCHEMA_VERSION = 2
 
@@ -282,7 +282,7 @@ class Engine:
         self.steps = int(round(self.duration_s / self.dt)) + 1
         self.samples = self.steps - self.start_index
         # The pre-flight, before any stream exists.
-        check_memory(self.stepper_bytes(self.steps), "a link of %d timesteps" % self.steps,
+        check_memory(self.run_bytes(), "a link of %d timesteps" % self.steps,
                      "lower prbs_order, lengthen timestep_s or shorten duration_s "
                      "or the segment list")
 
@@ -364,11 +364,12 @@ class Engine:
         w, n = self.width, self.n
         return 8 * (2 * w * (w + 2 * n) + (n + 1) * (w + 2 * n) + self.block * 2 * w)
 
-    def stepper_bytes(self, steps):
-        """An upper bound on the memory of building the link and a run of
-        steps: the step map (step_map_bytes), the returned volts and
-        currents (2n words a step) and one window, plus 64 KiB for small
-        arrays.
+    def run_bytes(self, beside=0):
+        """An upper bound on the memory of building and running the link:
+        the step map (step_map_bytes) and 64 KiB for small arrays, plus the
+        larger of the run (its returned volts and currents, 2n words a step,
+        the build and one window) and the volts alone (n words a sample)
+        with beside bytes held next to them.
 
         Building the step map adds the identity (k x k words, k = w + n + 1)
         and, while the node solves run on it, the step columns ((w + 2n) x
@@ -385,7 +386,9 @@ class Engine:
             # step's rows) and its times, bit indices, masks and phases
             size * (3 * n + 6),
             block * (3 * w + 2 * n) + size * n)
-        return self.step_map_bytes() + 8 * (2 * n * steps + build + window) + (1 << 16)
+        run = 2 * n * self.steps + build + window
+        return (self.step_map_bytes() + max(8 * run, 8 * n * self.samples + beside)
+                + (1 << 16))
 
     def drive(self, t):
         """The drivers' source levels at times t, shape (len(t), n):
@@ -503,7 +506,7 @@ def read_waveform_csv(path, engine):
     samples = engine.samples
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cols = fh.readline().strip().split(",")
+            cols = read_line(fh, engine.n + 1).strip().split(",")
             if cols[0] != "time_s" or len(cols) < 2:
                 raise ValidationError("waveform CSV must start with time_s,w1,... header")
             if len(cols) - 1 != engine.n:
@@ -553,12 +556,14 @@ def _check_waveform(data, cols, engine, samples):
 def waveform_read_bytes(n, samples):
     """An upper bound on read_waveform_csv's traced memory for samples rows
     of n wires: the rows array (one row past the grid), beside first one
-    range's parse (textio.range_bytes) and then the volts copied out of it,
-    plus 64 KiB for the header's read buffers and small arrays.  The checks'
-    masks and time differences are freed before the copy and are smaller
-    than it.  Every other process parses one range at a time."""
-    return (8 * (n + 1) * (samples + 1) + max(range_bytes(n + 1), 8 * n * samples)
-            + (1 << 16))
+    range's parse (textio.range_bytes), or a rows array as large again (one
+    process's parse holds rows at most twice as wide), and then the volts
+    copied out of it, plus 64 KiB for the header's read buffers and small
+    arrays.  The checks' masks and time differences are freed before the
+    copy and are smaller than it.  Every other process parses one range at
+    a time."""
+    rows = 8 * (n + 1) * (samples + 1)
+    return rows + max(range_bytes(n + 1, samples + 1), rows) + (1 << 16)
 
 
 def _bit_rows(rows, field):

@@ -149,7 +149,8 @@ def write_csv_blocks(path, header, blocks, worker_bytes=0, held_bytes=0):
     """write_csv for a table given as blocks of rows: each block is a list
     of columns as write_csv takes them, and its rows follow the previous
     block's.  Every block is checked before the file is opened.
-    worker_bytes and held_bytes are write_texts'."""
+    worker_bytes and held_bytes are write_texts'; a worker is counted at
+    one chunk's figure (chunk_bytes) at least."""
     chunks = []  # (columns, first row, row past the last) of each text
     for columns in blocks:
         columns = [np.asarray(c) for c in columns]
@@ -169,7 +170,8 @@ def write_csv_blocks(path, header, blocks, worker_bytes=0, held_bytes=0):
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        write_texts(fh, text_of, len(chunks), worker_bytes, held_bytes)
+        write_texts(fh, text_of, len(chunks), max(worker_bytes, chunk_bytes(len(header))),
+                    held_bytes)
 
 
 def chunk_bytes(columns):
@@ -186,21 +188,20 @@ def chunk_bytes(columns):
     return rows * columns * 192 + rows * 64 + columns * 256
 
 
-def worker_count(count, worker_bytes=0, held_bytes=0):
+def worker_count(count, worker_bytes, held_bytes=0):
     """The processes on_cpus computes count results in: one for each CPU
     this process may run on, at most count, and at most as many as fit
-    worker_bytes each beside held_bytes within MEMORY_BUDGET_BYTES.  Never
-    fewer than one, the caller, and only it where the platform has no fork
-    or no CPU affinity."""
+    worker_bytes (positive) each beside held_bytes within
+    MEMORY_BUDGET_BYTES.  Never fewer than one, the caller, and only it
+    where the platform has no fork or no CPU affinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    k = min(len(os.sched_getaffinity(0)), count)
-    if worker_bytes:
-        k = min(k, (MEMORY_BUDGET_BYTES - held_bytes) // worker_bytes)
+    k = min(len(os.sched_getaffinity(0)), count,
+            (MEMORY_BUDGET_BYTES - held_bytes) // worker_bytes)
     return max(1, int(k))
 
 
-def write_texts(fh, text_of, count, worker_bytes=0, held_bytes=0):
+def write_texts(fh, text_of, count, worker_bytes, held_bytes=0):
     """Write text_of(i), a bytes object, to the binary file fh for i in
     range(count), in order: the bytes a loop over i writes, computed on
     every CPU this process may run on (on_cpus, which takes worker_bytes and
@@ -211,7 +212,7 @@ def write_texts(fh, text_of, count, worker_bytes=0, held_bytes=0):
             del data  # not held while the next text is computed
 
 
-def on_cpus(compute, count, worker_bytes=0, held_bytes=0):
+def on_cpus(compute, count, worker_bytes, held_bytes=0):
     """Yield compute(i), a bytes object, for i in range(count), in order,
     computed on every CPU this process may run on.  Close the generator
     (contextlib.closing) if it may be left before its end.
@@ -320,18 +321,20 @@ def read_csv_rows(fh, width, rows):
     parses it, without its warnings: fh is a file opened for reading with
     encoding="utf-8" and universal newlines, and has read exactly its first
     line.  Rows of width values give the same array; a text that loadtxt
-    refuses raises its ValueError, numpy's row number included.
+    refuses raises its ValueError, numpy's row number included.  A line
+    longer than longest_line(width) is refused before it is parsed.
 
-    The body of a regular file is parsed in ranges of _RANGE_BYTES through
-    on_cpus: each range is read with os.pread by the process that parses
+    The body of a regular file is parsed in ranges through on_cpus: each
+    range (_range_size) is read with os.pread by the process that parses
     it, from the first line that begins inside it through the line that
     crosses its end, decoded as fh decodes, and sent back as raw float64
     bytes, which are copied in order into one (rows, width) array.  The map
     is closed as soon as that array is full, so a longer file is read no
     further than the range that fills it.  No process holds the whole file:
     the caller holds the array and one range (range_bytes), each worker one
-    range.  A range that fails (a ValueError, or rows of another width)
-    makes fh's own loadtxt parse the file again in this process, which
+    range.  A range that fails (a ValueError, a line longer than
+    longest_line(width), or rows of another width) makes fh's own
+    loadtxt parse the file again in this process (_checked_lines), which
     words the refusal, or reads the rows up to max_rows if the failure lay
     past them.  So does a file that is not a regular one (a pipe), and any
     file where the platform has no os.pread.
@@ -345,32 +348,77 @@ def read_csv_rows(fh, width, rows):
         if hasattr(os, "pread") and stat.S_ISREG(info.st_mode):
             with contextlib.suppress(ValueError, RuntimeError):
                 return _rows_in_ranges(fd, info.st_size, width, rows)
-        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+        return np.loadtxt(_checked_lines(fh, width), delimiter=",", comments=None, ndmin=2,
+                          max_rows=rows)
 
 
-def range_bytes(width):
+def longest_line(width):
+    """The most characters a line of a CSV of width columns may take, its
+    line end counted as one: twice the longest row the CSV writer prints
+    (width reprs of at most 24 characters, their commas and a \\r\\n), so
+    that two rows run together by a lost line end are refused by their
+    width, as loadtxt words it."""
+    return 2 * (25 * width + 1)
+
+
+def read_line(fh, width, number=1):
+    """fh.readline() of a CSV of width columns; a longer line than
+    longest_line(width) raises ValueError, naming it line number, before
+    more of it is read."""
+    longest = longest_line(width)
+    line = fh.readline(longest + 1)
+    if len(line) > longest:
+        raise ValueError("line %d is longer than %d characters, twice the longest row of %d "
+                         "values" % (number, longest, width))
+    return line
+
+
+def _checked_lines(fh, width):
+    """fh's lines from the second on, by read_line; one of more than 2 *
+    width fields raises ValueError, as loadtxt allocates max_rows rows as
+    wide as the first."""
+    number = 2
+    while line := read_line(fh, width, number):
+        if line.count(",") >= 2 * width:
+            raise ValueError("row has %d fields, expected %d (line %d)"
+                             % (line.count(",") + 1, width, number))
+        yield line
+        number += 1
+
+
+def _range_size(width, rows):
+    """_RANGE_BYTES, or less where rows rows of width values as the CSV
+    writer prints them (half longest_line(width) each) take less."""
+    return min(_RANGE_BYTES, rows * longest_line(width) // 2)
+
+
+def range_bytes(width, rows):
     """An upper bound on the memory one process holds parsing one range of
-    rows of width values in read_csv_rows: the range's text, numpy's parse
-    of it and the bytes of the rows.  A value takes at least two bytes of
-    text (a digit and its comma or newline) and eight as a float64, so the
-    parse and the bytes are at most four times the text each; ten times the
-    text leaves room for numpy's growing buffer (a range of "0,0" rows
-    traced 9.0 times its text).  The line that crosses the range's end is
-    taken to hold width reprs of at most 24 characters, as the CSV writer
-    prints them."""
-    text = _RANGE_BYTES + 25 * width
+    read_csv_rows(fh, width, rows): the range's text, numpy's parse of it
+    and the bytes of the rows.  A value takes at least two bytes of text (a
+    digit and its comma or newline) and eight as a float64, so the parse
+    and the bytes are at most four times the text each; ten times the text
+    leaves room for numpy's growing buffer (a range of "0,0" rows traced 9.0
+    times its text).  The text is the range (_range_size) and the line that
+    crosses its end, read up to longest_line(width) bytes and one 4 KiB
+    block further."""
+    text = _range_size(width, rows) + longest_line(width) + (1 << 12)
     return 10 * text + (1 << 16)
 
 
 def _rows_in_ranges(fd, size, width, rows):
-    body = _line_start(fd, 1, size)
-    count = -(-(size - body) // _RANGE_BYTES)
+    longest, step = longest_line(width), _range_size(width, rows)
+    body = _line_start(fd, 1, size, longest)
+    count = -(-(size - body) // step)
 
     def parse(r):
-        start = body + r * _RANGE_BYTES
-        lo = body if r == 0 else _line_start(fd, start, size)
-        hi = _line_start(fd, start + _RANGE_BYTES, size)
+        start = body + r * step
+        lo = body if r == 0 else _line_start(fd, start, size, longest)
+        hi = _line_start(fd, start + step, size, longest)
         text = io.TextIOWrapper(io.BytesIO(os.pread(fd, hi - lo, lo)), encoding="utf-8")
+        if max(map(len, text), default=0) > longest:  # the one process's parse words it
+            raise ValueError("a line of more than %d characters" % longest)
+        text.seek(0)
         block = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
         if block.size and block.shape[1] != width:
             raise ValueError("a row of %d values, not %d" % (block.shape[1], width))
@@ -378,7 +426,8 @@ def _rows_in_ranges(fd, size, width, rows):
 
     out = np.empty((rows, width))
     filled = 0
-    with contextlib.closing(on_cpus(parse, count, range_bytes(width), out.nbytes)) as blocks:
+    with contextlib.closing(on_cpus(parse, count, range_bytes(width, rows),
+                                    out.nbytes)) as blocks:
         for data in blocks:
             block = np.frombuffer(data).reshape(-1, width)
             take = min(len(block), rows - filled)
@@ -389,11 +438,12 @@ def _rows_in_ranges(fd, size, width, rows):
     return out[:filled]
 
 
-def _line_start(fd, pos, size):
+def _line_start(fd, pos, size, longest):
     """The first offset at or after pos (at least 1) of the file fd, size
-    bytes long, where a line begins; size if no line does."""
-    pos -= 1
-    while True:
+    bytes long, where a line begins; size if no line does.  It reads 4 KiB
+    blocks, and raises ValueError once longest bytes past pos hold none."""
+    first, pos = pos, pos - 1
+    while pos - first < longest:
         block = os.pread(fd, 1 << 12, pos)
         at_end = pos + len(block) >= size
         end = _LINE_END.search(block)
@@ -403,6 +453,7 @@ def _line_start(fd, pos, size):
         if at_end:
             return size
         pos += len(block) - 1
+    raise ValueError("a line of more than %d bytes" % longest)
 
 
 def write_json(path, doc):

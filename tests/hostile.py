@@ -194,9 +194,11 @@ def address_space_limit(extra_bytes):
 
 # The links whose waveform CSVs are mutated, the mutations, and the range
 # size eye reads them in: 4 KiB, so a 450 kB file is about 110 ranges.
+# wide-line makes a line of WIDE_FIELDS fields, 1.2 MB.
 WAVE_LINKS = ("link-pair.json", "link-twelve.json")
 WAVE_MUTATIONS = ("flip", "delete", "non-utf8", "drop-line", "duplicate-line", "blank-line",
-                  "crlf", "truncate")
+                  "crlf", "truncate", "wide-line")
+WIDE_FIELDS = 300_000
 WAVE_RANGE_BYTES = 1 << 12
 
 
@@ -227,6 +229,8 @@ class WaveCase:
         j = int(self.at * (len(lines) - 1))
         if self.mutation == "drop-line":
             del lines[j]
+        elif self.mutation == "wide-line":
+            lines[j] = b",".join([b"0.5"] * WIDE_FIELDS)
         elif self.mutation == "duplicate-line":
             lines.insert(j, lines[j])
         else:

@@ -17,12 +17,12 @@ from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli, errors
 from xtcancel.bundle import characteristic_impedance, load_bundle, save_bundle, uncoupled_bundle
 from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
-from xtcancel.eye import eye_measure, fold_phases, write_eye_json
+from xtcancel.eye import eye_bytes, eye_measure, fold_phases, write_eye_json
 from xtcancel.fom import bundle_fom, code_table, write_code_table_csv, write_report_json
 from xtcancel.mtlsim import build_link, load_link, run_transient
 from xtcancel.stimulus import pattern_assign
 from xtcancel.termination import load_network, save_network
-from xtcancel.textio import write_csv
+from xtcancel.textio import chunk_bytes, write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -232,17 +232,17 @@ def test_fom_negative_seed_exit_2(tmp_path, capsys):
 
 
 def test_sim_budgets_its_waveform_write(tmp_path, capsys, monkeypatch):
-    """On link-pair the waveform CSV's write, one chunk's text beside the
-    run's volts, currents and times, needs more than the stepper: under a
-    budget between the two, sim is refused before it runs and writes no
-    file."""
+    """On link-pair the waveform CSV's write, one chunk's text and the times
+    beside the run's volts, needs more than the stepper: under a budget
+    between the two, sim is refused before it runs and writes no file."""
     engine = build_link(load_link(fx("link-pair.json")))
-    stepper, sim = engine.stepper_bytes(engine.steps), cli._sim_bytes(engine)
+    stepper = engine.run_bytes()
+    sim = engine.run_bytes(8 * engine.samples + chunk_bytes(3))
     assert stepper < sim
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + sim) // 2)
     out = tmp_path / "w.csv"
     assert cli.main(["sim", "--link", fx("link-pair.json"), "-o", str(out)]) == 2
-    assert ("error: sim on %d samples of 2 wires needs about 0.00221 GB of memory"
+    assert ("error: sim on %d samples of 2 wires needs about 0.00207 GB of memory"
             % engine.samples) in capsys.readouterr().err
     assert not out.exists()
 
@@ -411,6 +411,13 @@ def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, li
     assert not out.exists()
 
 
+def _sweep_point_bytes(engine):
+    """A sweep point's pre-flight figure: its run and its eye's scan, with
+    its step map."""
+    return engine.run_bytes(eye_bytes(engine.n, engine.samples, engine.dt,
+                                      engine.spec.stimulus.data_rate))
+
+
 def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch):
     """Each of the three links fits the budget alone, but their step maps,
     held together, and the largest run do not: refused before the first run.
@@ -418,8 +425,7 @@ def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch
     values = [0.0, 0.0005, 0.001]
     points = cli._sweep_points(load_link(fx("link-twelve.json")), "uncoupled", values)
     engines = [build_link(point) for _, point in points]
-    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES",
-                        max(e.step_map_bytes() + cli._sweep_run_bytes(e) for e in engines))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", max(map(_sweep_point_bytes, engines)))
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--mode", "uncoupled", "--link", fx("link-twelve.json"),
                      "--values", "0,0.0005,0.001", "-o", str(out)]) == 2
@@ -431,27 +437,26 @@ def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch
 
 
 def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
-    """link-twelve at PRBS9: the stepper's run needs 8.25 MB beyond the step
-    map, the eye measured on its volts and currents 9.07 MB.  Under a budget
-    between the two, with the step map, the point is refused before it runs."""
-    link = _twelve_at(tmp_path, 9)
+    """link-pair: the stepper needs 0.70 MB with the step map, the eye
+    measured on the run's volts 0.93 MB.  Under a budget between the two,
+    the point is refused before it runs."""
+    link = fx("link-pair.json")
     engine = build_link(load_link(link))
-    held, stepper = engine.step_map_bytes(), engine.stepper_bytes(engine.steps)
-    run = cli._sweep_run_bytes(engine)
-    assert stepper - held < run  # the eye's is the larger
-    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + held + run) // 2)
+    stepper, point = engine.run_bytes(), _sweep_point_bytes(engine)
+    assert stepper < point  # the eye's is the larger
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + point) // 2)
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--mode", "rs", "--link", link,
-                     "--values", "1.67", "-o", str(out)]) == 2
+                     "--values", "0", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: holding 1 of the sweep's 1 links needs about 0.00933 GB" in err
+    assert "error: holding 1 of the sweep's 1 links needs about 0.00093 GB" in err
     assert "min eye" not in err
     assert not out.exists()
 
 
 def test_sweep_peak_within_its_preflight_figure(tmp_path, cpus):
     """The sweep admits its points' step maps held together plus its largest
-    point's run (cli._sweep_run_bytes).  On link-twelve at PRBS7, with no,
+    point's run (Engine.run_bytes).  On link-twelve at PRBS7, with no,
     0.5 mm and 1 mm breakouts and the fork map held to one process, the
     whole command's traced peak is within that figure: no point's waveforms
     are held while the next point steps.  (Held, they read 5.61 MB against
@@ -461,7 +466,7 @@ def test_sweep_peak_within_its_preflight_figure(tmp_path, cpus):
     points = cli._sweep_points(load_link(link), "uncoupled", [0.0, 0.0005, 0.001])
     engines = [build_link(point) for _, point in points]
     figure = (sum(e.step_map_bytes() for e in engines)
-              + max(cli._sweep_run_bytes(e) for e in engines))
+              + max(_sweep_point_bytes(e) - e.step_map_bytes() for e in engines))
     tracemalloc.start()
     try:
         assert cli.main(["sweep", "--mode", "uncoupled", "--link", link,
@@ -733,7 +738,7 @@ def test_eye_over_memory_budget_exit_2_before_reading(tmp_path, capsys, cpus):
     figure counts one process, so the CPU count does not change it."""
     link = _twelve_at(tmp_path, 16)
     engine = build_link(load_link(link))
-    assert engine.stepper_bytes(engine.steps) <= MEMORY_BUDGET_BYTES
+    assert engine.run_bytes() <= MEMORY_BUDGET_BYTES
     out = tmp_path / "e.json"
     argv = ["eye", "--waves", str(tmp_path / "absent.csv"), "--link", link, "-o", str(out)]
     for writer in ([], ["--svg", str(tmp_path / "e.svg")]):

@@ -407,7 +407,7 @@ def test_stepper_peak_within_preflight_estimate(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= engine.stepper_bytes(engine.steps)
+    assert peak <= engine.run_bytes()
 
 
 def test_step_map_is_held_at_its_own_size():
@@ -435,10 +435,14 @@ def test_step_map_is_held_at_its_own_size():
 @pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
 def test_each_extra_step_adds_only_its_returned_samples(name):
     """The pre-flight budgets one window plus the returned volts and source
-    currents, two float64s per wire a step."""
-    engine = build_link(load_link(FIXTURES / ("link-%s.json" % name)))
-    for steps in (0, 1, 4096, engine.steps, 10**7):
-        assert engine.stepper_bytes(steps + 1) - engine.stepper_bytes(steps) == 16 * engine.n
+    currents, two float64s per wire a step: links lengthened by 1 to 10^5
+    steps differ by that alone."""
+    spec = load_link(FIXTURES / ("link-%s.json" % name))
+    engine = build_link(spec)
+    for extra in (1, 4096, 10**5):
+        longer = build_link(replace(spec, duration_s=engine.duration_s + extra * engine.dt))
+        assert longer.steps == engine.steps + extra
+        assert longer.run_bytes() - engine.run_bytes() == 16 * engine.n * extra
 
 
 def test_stepper_holds_one_window_not_every_step():
@@ -450,9 +454,10 @@ def test_stepper_holds_one_window_not_every_step():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # stepper_bytes(0) is the pre-flight's figure for one window: all it
-    # budgets beyond the returned samples
-    assert peak <= waves.volts.nbytes + waves.source_currents.nbytes + engine.stepper_bytes(0)
+    # all the pre-flight budgets beyond the returned samples, 2n words a
+    # step, is one window and the build
+    window = engine.run_bytes() - 16 * engine.n * engine.steps
+    assert peak <= waves.volts.nbytes + waves.source_currents.nbytes + window
     assert engine.steps > 4 * engine.window_steps()
 
 
@@ -810,6 +815,34 @@ def test_waveform_read_peak_within_estimate(tmp_path, cpus):
         assert volts.shape == (engine.n, engine.samples)
         assert peak <= mtlsim.waveform_read_bytes(*volts.shape)
     assert len(cpus.forks) == 3  # three 1 MiB ranges: one fork on two CPUs, two on three
+    assert_no_child()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_line_over_twice_a_row_is_refused_before_it_is_parsed(tmp_path, cpus, k):
+    """link-pair's rows have 3 fields.  A header or a first data row of
+    30 000 more (np.loadtxt would allocate every row as wide, 2.1 GB), and a
+    row of 7 one-digit fields, are refused before they are parsed, within
+    waveform_read_bytes, on one CPU and on three."""
+    engine = build_link(load_link(FIXTURES / "link-pair.json"))
+    path = tmp_path / "w.csv"
+    write_waveform_csv(run_transient(engine), path)
+    header, *rows = path.read_text().splitlines()
+    wide = ",".join(["0.5"] * 30_000)
+    cases = {"line 1 is longer than 152 characters": [header + "," + wide] + rows,
+             "line 2 is longer than 152 characters": [header, wide] + rows[1:],
+             "row has 7 fields, expected 3 (line 2)": [header, ",".join("0" * 7)] + rows[1:]}
+    cpus(k)
+    for refusal, lines in cases.items():
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=re.escape("waveform CSV: " + refusal)):
+                read_waveform_csv(path, engine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mtlsim.waveform_read_bytes(engine.n, engine.samples), refusal
     assert_no_child()
 
 

@@ -435,13 +435,13 @@ def test_eye_svg_of_pixels_on_and_beside_ties_matches_reference(tmp_path, cpus, 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_worker_count_follows_the_cpus_and_the_platform(cpus, monkeypatch, missing):
     cpus(3)
-    assert [textio.worker_count(c) for c in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+    assert [textio.worker_count(c, 1) for c in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
     # as many as fit the budget beside what the caller holds, and never none
     budget = textio.MEMORY_BUDGET_BYTES
     assert [textio.worker_count(50, budget // w, held) for w, held in
             ((4, 0), (2, 0), (2, budget // 2), (1, 0), (1, budget // 2))] == [3, 2, 1, 1, 1]
     monkeypatch.delattr(os, missing)
-    assert textio.worker_count(50) == 1
+    assert textio.worker_count(50, 1) == 1
     write_csv(os.devnull, ["a"], [np.arange(3 * _CHUNK_CELLS)])
     assert cpus.forks == []
 
@@ -490,21 +490,36 @@ def test_code_table_in_chunks_on_several_cpus_matches_reference(tmp_path, cpus, 
 def test_eye_writers_fork_only_the_workers_that_fit_the_budget(
         tmp_path, cpus, monkeypatch, fits, forks):
     """Each eye writer's process holds up to its per-sample figure for every
-    sample beside the volts.  With room for one of its own figures, neither
-    writer forks on three CPUs; with room for two, each forks one worker.
-    The bytes stay the same."""
+    sample beside the volts, the folded CSV's at least one chunk's figure.
+    With room for one of its own figures, neither writer forks on three
+    CPUs; with room for two, each forks one worker.  The bytes stay the
+    same."""
     waves, rate = settled_waves(), 16e9
     samples = waves.volts.shape[1]
     cpus(3)
-    for figure, write, reference in ((_SVG_SAMPLE_BYTES, render_eye_svg, reference_eye_svg),
-                                     (_FOLDED_SAMPLE_BYTES, write_folded_csv,
-                                      reference_folded_csv)):
-        monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES",
-                            waves.volts.nbytes + fits * figure * samples)
+    for figure, write, reference in (
+            (_SVG_SAMPLE_BYTES * samples, render_eye_svg, reference_eye_svg),
+            (max(_FOLDED_SAMPLE_BYTES * samples, textio.chunk_bytes(3)), write_folded_csv,
+             reference_folded_csv)):
+        monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", waves.volts.nbytes + fits * figure)
         same_bytes(tmp_path, lambda p: write(waves, rate, p),
                    lambda p: reference(waves, rate, p))
     assert len(cpus.forks) == forks
     assert_no_child()
+
+
+def test_write_csv_forks_no_worker_past_the_budget(tmp_path, cpus, monkeypatch):
+    """A worker formats chunks, so it is counted at one chunk's figure at
+    least: with room for one chunk, a 100k-row table is written on three
+    CPUs by this process alone, in the bytes one CPU writes."""
+    columns = [np.arange(100_000), np.linspace(0.0, 1.0, 100_000), np.full(100_000, -0.5)]
+    cpus(1)
+    write_csv(tmp_path / "one.csv", ["a", "b", "c"], columns)
+    monkeypatch.setattr(textio, "MEMORY_BUDGET_BYTES", textio.chunk_bytes(3))
+    cpus(3)
+    write_csv(tmp_path / "three.csv", ["a", "b", "c"], columns)
+    assert cpus.forks == []
+    assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def _texts_up_to(path, k, text_of, count=9):
@@ -512,7 +527,7 @@ def _texts_up_to(path, k, text_of, count=9):
     bytes it wrote first."""
     with open(path, "wb") as fh:
         with pytest.raises(BaseException) as raised:
-            write_texts(fh, text_of, count)
+            write_texts(fh, text_of, count, 1)
     assert_no_child()
     return raised, path.read_bytes()
 
@@ -571,7 +586,7 @@ def test_an_interrupt_or_a_failed_write_ends_every_worker(tmp_path, cpus):
 
     fail = False
     with pytest.raises(OSError, match="No space left"):
-        write_texts(FullDisk(), text_of, 9)
+        write_texts(FullDisk(), text_of, 9, 1)
     assert_no_child()
     assert time.monotonic() - start < 30
 
@@ -606,7 +621,10 @@ def test_line_start_reads_a_carriage_return_across_blocks(tmp_path):
         with open(path, "rb") as fh:
             for pos in range(1, len(data) + 1):
                 expected = min(s for s in starts + [len(data)] if s >= pos)
-                assert textio._line_start(fh.fileno(), pos, len(data)) == expected, pos
+                assert textio._line_start(fh.fileno(), pos, len(data), len(data)) == expected, pos
+            # no line begins in the first 4095 bytes
+            with pytest.raises(ValueError, match="a line of more than 4000 bytes"):
+                textio._line_start(fh.fileno(), 1, len(data), 4000)
 
 
 def one_process_csv(path, width, rows):
