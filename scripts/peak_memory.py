@@ -19,14 +19,14 @@ traced; the figures count one process, as the pre-flight does.
 Then whole commands through cli.main, with the fork map held to this
 process, so it computes every text itself:
 
-- sim, against the Engine.run_bytes its pre-flight checks: the stepper's
-  figure, or the waveform CSV's write (the times column and one chunk's
+- sim, against cli._sim_bytes, the figure its pre-flight checks: the
+  stepper's, or the waveform CSV's write (the times column and one chunk's
   text) beside the volts;
 - eye --svg --folded on sim's waveforms, from the built link on, against
   cli._eye_bytes with both writers;
-- sweep --mode uncoupled --values 0,0.0005,0.001, against the figure its
-  pre-flight admits: every point's step map held together plus the largest
-  point's run beyond its step map (Engine.run_bytes with the eye's scan).
+- sweep --mode uncoupled --values 0,0.0005,0.001, against cli._sweep_bytes,
+  the figure its pre-flight admits: every point's step map held together
+  plus the largest point's run beyond its step map, beside the eye's scan.
 
 One line a layer or command, "NAME  peak P B  figure F B  R %"; the exit
 code is 1 when a peak is over its figure.
@@ -49,7 +49,6 @@ from xtcancel import cli  # noqa: E402
 from xtcancel.eye import eye_bytes, eye_measure, render_eye_svg, write_folded_csv  # noqa: E402
 from xtcancel.mtlsim import (build_link, load_link, read_waveform_csv, run_transient,  # noqa: E402
                              waveform_read_bytes, write_waveform_csv)
-from xtcancel.textio import chunk_bytes  # noqa: E402
 
 SWEEP_VALUES = "0,0.0005,0.001"  # breakouts of none, 0.5 mm and 1 mm
 
@@ -99,8 +98,7 @@ def commands(link, workdir):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
         _, peak = traced(lambda: run("sim", "--link", link, "-o", path("waves.csv")))
         engine = build_link(spec)
-        n, samples = engine.n, engine.samples
-        rows = [("sim", peak, engine.run_bytes(8 * samples + chunk_bytes(n + 1)))]
+        rows = [("sim", peak, cli._sim_bytes(engine))]
         # eye's figure counts from the built link on: hand it one built here
         with mock.patch.object(cli, "build_link", lambda point: engine):
             _, peak = traced(lambda: run("eye", "--waves", path("waves.csv"), "--link", link,
@@ -109,10 +107,7 @@ def commands(link, workdir):
         rows.append(("eye --svg --folded", peak,
                      cli._eye_bytes(engine, rate, svg=True, folded=True)))
         points = cli._sweep_points(spec, "uncoupled", [float(v) for v in SWEEP_VALUES.split(",")])
-        engines = [build_link(point) for _, point in points]
-        figure = (sum(e.step_map_bytes() for e in engines)
-                  + max(e.run_bytes(eye_bytes(e.n, e.samples, e.dt, rate)) - e.step_map_bytes()
-                        for e in engines))
+        figure = cli._sweep_bytes([build_link(point) for _, point in points])
         _, peak = traced(lambda: run("sweep", "--mode", "uncoupled", "--link", link,
                                      "--values", SWEEP_VALUES, "-o", path("sweep.csv")))
         rows.append(("sweep --mode uncoupled", peak, figure))

@@ -20,7 +20,7 @@ from . import __version__
 from .bundle import (BUNDLE_SCHEMA_VERSION, DEFAULT_VELOCITY, characteristic_impedance,
                      load_bundle, uncoupled_bundle)
 from .errors import ValidationError, XtcancelError, check_memory
-from .eye import (EYE_SCHEMA_VERSION, eye_bytes, eye_measure, render_eye_svg,
+from .eye import (EYE_SCHEMA_VERSION, check_streams, eye_bytes, eye_measure, render_eye_svg,
                   svg_volts_range, write_eye_json, write_folded_csv)
 from .fom import (DEFAULT_LEVELS, REPORT_SCHEMA_VERSION, bundle_fom, bundle_fom_sampled,
                   code_table, write_code_table_csv, write_report_json)
@@ -88,11 +88,14 @@ def cmd_fom(args):
     return 0
 
 
+def _sim_bytes(engine):
+    """sim's memory: the run, or the CSV's times and one chunk's text beside the volts."""
+    return engine.run_bytes(8 * engine.samples + chunk_bytes(engine.n + 1))
+
+
 def cmd_sim(args):
     engine = build_link(load_link(args.link))
-    # the write's times column and one chunk's text, beside the volts alone
-    check_memory(engine.run_bytes(8 * engine.samples + chunk_bytes(engine.n + 1)),
-                 "sim on %d samples of %d wires" % (engine.samples, engine.n),
+    check_memory(_sim_bytes(engine), "sim on %d samples of %d wires" % (engine.samples, engine.n),
                  "lower prbs_order or lengthen timestep_s")
     waves = engine.waveforms(run_transient(engine).volts)
     write_waveform_csv(waves, args.output)
@@ -113,6 +116,7 @@ def cmd_eye(args):
     engine = build_link(load_link(args.link))
     rate = engine.spec.stimulus.data_rate
     # Checked before the file is read.
+    check_streams(engine.streams)
     check_memory(_eye_bytes(engine, rate, svg=bool(args.svg), folded=bool(args.folded)),
                  "eye on %d samples of %d wires" % (engine.samples, engine.n),
                  "lower prbs_order, lengthen timestep_s or drop --svg/--folded")
@@ -169,24 +173,29 @@ def _sweep_points(spec, mode, values):
     return points
 
 
+def _sweep_bytes(engines):
+    """A sweep's memory: its built links' step maps held together, and beyond
+    its step map the largest point's run beside its eye's scan of the volts."""
+    return (sum(e.step_map_bytes() for e in engines)
+            + max(e.run_bytes(eye_bytes(e.n, e.samples, e.dt, e.spec.stimulus.data_rate))
+                  - e.step_map_bytes() for e in engines))
+
+
 def cmd_sweep(args):
     points = _sweep_points(load_link(args.link), args.mode,
                            _parse_sweep_values(args.mode, args.values))
-    # Every point's link is built before any runs, so build_link's timestep
-    # checks, like the specs' value checks, refuse a bad point up front.  The
-    # built links hold their step maps together, through the largest run.
-    engines, held, run = [], 0, 0
-    for col, point in points:
-        engine = build_link(point)
-        engines.append((col, engine))
-        held += engine.step_map_bytes()
-        scan = eye_bytes(engine.n, engine.samples, engine.dt, engine.spec.stimulus.data_rate)
-        run = max(run, engine.run_bytes(scan) - engine.step_map_bytes())
-        check_memory(held + run,
+    # Every point's link is built and its streams checked before any runs,
+    # so a bad point is refused up front.  The built links hold their step
+    # maps together, through the largest run.
+    engines = []
+    for _, point in points:
+        engines.append(build_link(point))
+        check_streams(engines[-1].streams)
+        check_memory(_sweep_bytes(engines),
                      "holding %d of the sweep's %d links" % (len(engines), len(points)),
                      "sweep fewer values at a time")
     rows = []
-    for col, engine in engines:
+    for (col, _), engine in zip(points, engines):
         # The eye reads the volts alone and no name holds a point's
         # waveforms: its currents are freed when the run returns and its
         # volts with its eye, so one point's run is all that is held beside

@@ -87,7 +87,8 @@ class EyeReport:
         }
 
 
-def _check_streams(streams):
+def check_streams(streams):
+    """streams as a 2-d array; a flat row, a wire with no eye, is refused."""
     streams = np.asarray(streams)
     if streams.ndim != 2:
         raise ValidationError("streams must be a 2-d bit array")
@@ -105,7 +106,7 @@ def eye_measure(waves, streams, data_rate):
     The sampling-offset search is centered on the link's nominal flight time
     carried on the waveforms.
     """
-    streams = _check_streams(streams)
+    streams = check_streams(streams)
     n, samples = waves.volts.shape
     if streams.shape[0] != n:
         raise ValidationError("streams cover %d wires, waveforms %d" % (streams.shape[0], n))

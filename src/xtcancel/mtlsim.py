@@ -79,7 +79,7 @@ from .termination import (TerminationNetwork, load_network, network_admittance,
                           network_from_dict, self_conductances)
 from .textio import range_bytes, read_csv_rows, read_json, read_line, write_csv
 
-LINK_SCHEMA_VERSION = 2
+LINK_SCHEMA_VERSION = 3
 
 TIMESTEPS_PER_UI = 64  # default dt = unit interval / 64, or finer to step inside rise_s
 WARMUP_FLIGHTS = 2     # discard 2x total delay ...
@@ -132,7 +132,6 @@ class LinkSpec:
     termination: TerminationNetwork
     stimulus: StimulusSpec
     timestep_s: float | None = None
-    duration_s: float | None = None
 
 
 @dataclass
@@ -268,23 +267,13 @@ class Engine:
         self.pad = int(self.i0.max()) + 1
         self.block = int(self.i0.min())
 
-        window = self.warmup_s + self.nominal_delay_s + stream_period(spec.stimulus) * self.ui
-        if spec.duration_s is None:
-            self.duration_s = window + 2.0 * self.ui
-        else:
-            self.duration_s = float(spec.duration_s)
-            if not math.isfinite(self.duration_s):
-                raise ValidationError("duration_s must be finite, got %r" % (self.duration_s,))
-            if self.duration_s < window:
-                raise ValidationError(
-                    "duration %g s is shorter than warmup + latency + one stream period (%g s)"
-                    % (self.duration_s, window))
-        self.steps = int(round(self.duration_s / self.dt)) + 1
+        # Warmup, flight, one stream period and two UI: a longer run is a longer stream.
+        run_s = self.warmup_s + self.nominal_delay_s + stream_period(spec.stimulus) * self.ui
+        self.steps = int(round((run_s + 2.0 * self.ui) / self.dt)) + 1
         self.samples = self.steps - self.start_index
         # The pre-flight, before any stream exists.
         check_memory(self.run_bytes(), "a link of %d timesteps" % self.steps,
-                     "lower prbs_order, lengthen timestep_s or shorten duration_s "
-                     "or the segment list")
+                     "lower prbs_order, lengthen timestep_s or shorten the segment list")
 
         self.streams = pattern_assign(spec.stimulus, n)
 
@@ -419,7 +408,7 @@ def build_link(spec):
 
 
 def run_transient(engine):
-    """Step the link for its duration and return post-warmup receiver waveforms."""
+    """Step the link for engine.steps and return post-warmup receiver waveforms."""
     dt, steps, start_index = engine.dt, engine.steps, engine.start_index
     n, w, pad, block = engine.n, engine.width, engine.pad, engine.block
     size = engine.window_steps()
@@ -583,7 +572,7 @@ def link_from_dict(raw, base_dir="."):
     relative to the link file's directory.
     """
     raw = document(raw, "link document", ("segments", "drivers", "termination", "stimulus"),
-                   ("timestep_s", "duration_s"))
+                   ("timestep_s",))
     if not isinstance(raw["segments"], list) or not raw["segments"]:
         raise ValidationError("link needs a non-empty segments list")
     segments = []
@@ -628,8 +617,7 @@ def link_from_dict(raw, base_dir="."):
                     drivers=drivers,
                     termination=termination,
                     stimulus=stimulus,
-                    timestep_s=_optional(raw, "timestep_s", number),
-                    duration_s=_optional(raw, "duration_s", number))
+                    timestep_s=_optional(raw, "timestep_s", number))
 
 
 def load_link(path):

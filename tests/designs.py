@@ -195,7 +195,7 @@ def fixture_networks(bundles):
 def simple_link(bundle, network, length_m=FOUR_INCHES_M, data_rate=16e9,
                 rs_ohms=1.67, rise_s=10e-12, mode="worst", seed=None,
                 prbs_order=7, streams=None,
-                v_low=0.0, v_high=1.0, timestep_s=None, duration_s=None):
+                v_low=0.0, v_high=1.0, timestep_s=None):
     """One-segment link with uniform driver resistance; keeps tests short."""
     n = bundle.n
     rs = tuple(float(r) for r in rs_ohms) if isinstance(rs_ohms, (tuple, list)) \
@@ -207,7 +207,6 @@ def simple_link(bundle, network, length_m=FOUR_INCHES_M, data_rate=16e9,
         stimulus=StimulusSpec(data_rate=data_rate, prbs_order=prbs_order, seed=seed,
                               mode=mode, streams=streams),
         timestep_s=timestep_s,
-        duration_s=duration_s,
     )
 
 

@@ -17,12 +17,12 @@ from designs import non_realizable_bundle, reference_termination
 from xtcancel import cli, errors
 from xtcancel.bundle import characteristic_impedance, load_bundle, save_bundle, uncoupled_bundle
 from xtcancel.errors import MEMORY_BUDGET_BYTES, SimulationDivergedError
-from xtcancel.eye import eye_bytes, eye_measure, fold_phases, write_eye_json
+from xtcancel.eye import eye_measure, fold_phases, write_eye_json
 from xtcancel.fom import bundle_fom, code_table, write_code_table_csv, write_report_json
 from xtcancel.mtlsim import build_link, load_link, run_transient
 from xtcancel.stimulus import pattern_assign
 from xtcancel.termination import load_network, save_network
-from xtcancel.textio import chunk_bytes, write_csv
+from xtcancel.textio import write_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,6 +36,7 @@ def test_version(capsys):
     out = capsys.readouterr().out
     assert out.startswith("xtcancel ")
     assert "schemas" in out
+    assert "link 3," in out
 
 
 def test_synth_full_network(tmp_path):
@@ -237,7 +238,7 @@ def test_sim_budgets_its_waveform_write(tmp_path, capsys, monkeypatch):
     between the two, sim is refused before it runs and writes no file."""
     engine = build_link(load_link(fx("link-pair.json")))
     stepper = engine.run_bytes()
-    sim = engine.run_bytes(8 * engine.samples + chunk_bytes(3))
+    sim = cli._sim_bytes(engine)
     assert stepper < sim
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + sim) // 2)
     out = tmp_path / "w.csv"
@@ -411,13 +412,6 @@ def test_sweep_refuses_a_bad_point_before_running_any(tmp_path, capsys, mode, li
     assert not out.exists()
 
 
-def _sweep_point_bytes(engine):
-    """A sweep point's pre-flight figure: its run and its eye's scan, with
-    its step map."""
-    return engine.run_bytes(eye_bytes(engine.n, engine.samples, engine.dt,
-                                      engine.spec.stimulus.data_rate))
-
-
 def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch):
     """Each of the three links fits the budget alone, but their step maps,
     held together, and the largest run do not: refused before the first run.
@@ -425,7 +419,8 @@ def test_sweep_budgets_the_links_it_holds_together(tmp_path, capsys, monkeypatch
     values = [0.0, 0.0005, 0.001]
     points = cli._sweep_points(load_link(fx("link-twelve.json")), "uncoupled", values)
     engines = [build_link(point) for _, point in points]
-    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", max(map(_sweep_point_bytes, engines)))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES",
+                        max(cli._sweep_bytes([engine]) for engine in engines))
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--mode", "uncoupled", "--link", fx("link-twelve.json"),
                      "--values", "0,0.0005,0.001", "-o", str(out)]) == 2
@@ -442,7 +437,7 @@ def test_sweep_budgets_each_points_eye(tmp_path, capsys, monkeypatch):
     the point is refused before it runs."""
     link = fx("link-pair.json")
     engine = build_link(load_link(link))
-    stepper, point = engine.run_bytes(), _sweep_point_bytes(engine)
+    stepper, point = engine.run_bytes(), cli._sweep_bytes([engine])
     assert stepper < point  # the eye's is the larger
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", (stepper + point) // 2)
     out = tmp_path / "s.csv"
@@ -465,8 +460,7 @@ def test_sweep_peak_within_its_preflight_figure(tmp_path, cpus):
     link = fx("link-twelve.json")
     points = cli._sweep_points(load_link(link), "uncoupled", [0.0, 0.0005, 0.001])
     engines = [build_link(point) for _, point in points]
-    figure = (sum(e.step_map_bytes() for e in engines)
-              + max(_sweep_point_bytes(e) - e.step_map_bytes() for e in engines))
+    figure = cli._sweep_bytes(engines)
     tracemalloc.start()
     try:
         assert cli.main(["sweep", "--mode", "uncoupled", "--link", link,
@@ -586,15 +580,13 @@ def test_non_finite_voltage_flag_exit_2(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("field, value, message", [
     ("vref", math.nan, "network vref must be finite, got nan"),
-    ("duration_s", math.nan, "duration_s must be finite, got nan"),
-    ("duration_s", math.inf, "duration_s must be finite, got inf"),
     ("data_rate", math.inf, "data rate must be finite and positive, got inf"),
-], ids=["vref", "duration-nan", "duration-inf", "data-rate-inf"])
+], ids=["vref", "data-rate-inf"])
 def test_non_finite_link_number_exit_2(tmp_path, capsys, field, value, message):
     raw = json.loads(Path(fx("link-scalar.json")).read_text())
     raw["segments"][0]["bundle"] = fx("scalar.json")
     raw["termination"] = json.loads(Path(fx("50ohm-scalar.json")).read_text())
-    owner = {"vref": raw["termination"], "duration_s": raw, "data_rate": raw["stimulus"]}[field]
+    owner = {"vref": raw["termination"], "data_rate": raw["stimulus"]}[field]
     owner[field] = value
     link = tmp_path / "link.json"
     link.write_text(json.dumps(raw))  # json writes the value as NaN or Infinity
@@ -652,16 +644,20 @@ def test_misspelt_link_field_exit_2(tmp_path, capsys):
     assert not waves.exists()
 
 
-@pytest.mark.parametrize("field, value", [("offsets", [0, 5]), ("invert_mask", [0, 1])],
-                         ids=["offsets", "invert_mask"])
-def test_per_wire_override_field_exit_2(tmp_path, capsys, field, value):
-    """Per-wire offsets and inversions are spelled as explicit streams; the
-    old override fields are refused by name, not ignored."""
+@pytest.mark.parametrize("part, field, value", [
+    ("stimulus", "offsets", [0, 5]),
+    ("stimulus", "invert_mask", [0, 1]),
+    ("link document", "duration_s", 1.1e-8),
+], ids=["offsets", "invert_mask", "duration_s"])
+def test_per_wire_override_field_exit_2(tmp_path, capsys, part, field, value):
+    """Per-wire offsets and inversions are spelled as explicit streams, and
+    so is a longer run (link schema 3): streams that repeat the PRBS rows.
+    The old override fields are refused by name, not ignored."""
     raw = json.loads(Path(fx("link-pair.json")).read_text())
-    raw["stimulus"][field] = value
+    (raw["stimulus"] if part == "stimulus" else raw)[field] = value
     waves = tmp_path / "w.csv"
     assert cli.main(["sim", "--link", _link_in(tmp_path, raw), "-o", str(waves)]) == 2
-    assert "error: stimulus has unknown field(s): %s" % field in capsys.readouterr().err
+    assert "error: %s has unknown field(s): %s" % (part, field) in capsys.readouterr().err
     assert not waves.exists()
 
 
@@ -694,9 +690,35 @@ def test_eye_wire_mismatch_exit_2(tmp_path, capsys):
     assert "error: waveform file has 1 wires, link has 2\n" in capsys.readouterr().err
 
 
-def _resized(raw, length_m=None, **fields):
+def test_flat_stream_refused_before_the_read_or_any_step(tmp_path, capsys, monkeypatch):
+    """A wire whose bits never change has no eye.  sim, which measures none,
+    runs; eye refuses the link before it reads the waveform file, and sweep
+    before any point steps."""
+    raw = json.loads(Path(fx("link-pair.json")).read_text())
+    del raw["stimulus"]["prbs_order"], raw["stimulus"]["mode"]
+    raw["stimulus"]["streams"] = [[0, 1, 1, 0, 1], [0, 0, 0, 0, 0]]
+    link, waves = _link_in(tmp_path, raw), tmp_path / "w.csv"
+    assert cli.main(["sim", "--link", link, "-o", str(waves)]) == 0
+
+    def refused_first(*args):
+        raise AssertionError("read or stepped before the streams were checked")
+
+    monkeypatch.setattr(cli, "read_waveform_csv", refused_first)
+    monkeypatch.setattr(cli, "run_transient", refused_first)
+    for argv in (["eye", "--waves", str(waves), "--link", link],
+                 ["sweep", "--mode", "rs", "--link", link, "--values", "0,25"]):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["-o", str(out)]) == 2
+        assert ("error: degenerate stream on wire 2 (all ones or all zeros)\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def _resized(raw, length_m=None, prbs_order=None, **fields):
     if length_m is not None:
         raw["segments"][0]["length_m"] = length_m
+    if prbs_order is not None:
+        raw["stimulus"]["prbs_order"] = prbs_order
     raw.update(fields)
     return raw
 
@@ -706,7 +728,7 @@ def _resized(raw, length_m=None, **fields):
                         "link's waveforms start at 2.8115234375000003e-09 s"),
     ({"timestep_s": 7.8125e-13},
      "waveform file has a 9.765625000000734e-13 s timestep, link has 7.8125e-13 s"),
-    ({"duration_s": 1.1e-8}, "waveform file has 8857 samples, link's waveforms have 9550"),
+    ({"prbs_order": 8}, "waveform file has 8857 samples, link's waveforms have 17049"),
 ], ids=["length", "timestep", "duration"])
 def test_eye_rejects_waves_of_another_link(tmp_path, capsys, change, message):
     waves = tmp_path / "waves.csv"

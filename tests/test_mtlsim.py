@@ -21,7 +21,7 @@ from xtcancel import mtlsim, textio
 from xtcancel.mtlsim import (DriverBank, LinkSpec, Segment, _block_gather, _NodeSolve,
                              build_link, link_from_dict, load_link, run_transient,
                              read_waveform_csv, write_waveform_csv)
-from xtcancel.stimulus import StimulusSpec
+from xtcancel.stimulus import StimulusSpec, pattern_assign
 from xtcancel.termination import network_admittance, realize_network, self_conductances
 
 UI = 62.5e-12  # 16 Gb/s
@@ -47,9 +47,12 @@ def center_samples(waves, data_rate, latency):
 
 def reference_transient(engine):
     """The per-step stepper: every step solves the tx, junction and rx nodes
-    in turn.  Returns post-warmup (volts, source currents), each (n, samples)."""
-    dt = engine.dt
-    steps = int(round(engine.duration_s / dt)) + 1
+    in turn.  Returns post-warmup (volts, source currents), each (n, samples).
+    Its run is its own: the warmup, the flight and one stream period, with
+    two UI to spare."""
+    dt, ui = engine.dt, engine.ui
+    steps = int(round((engine.warmup_s + engine.nominal_delay_s
+                       + engine.streams.shape[1] * ui + 2.0 * ui) / dt)) + 1
     start = int(math.ceil(engine.warmup_s / dt - 1e-9))
     src = engine.drive(dt * np.arange(steps)).T
     v0, i0 = engine.solve_dc(src[:, 0])
@@ -88,6 +91,19 @@ def breakout_link(spec, length_m):
     return replace(spec, segments=(breakout,) + spec.segments + (breakout,))
 
 
+def tiled(spec, k):
+    """spec run for k stream periods: its streams as explicit rows, each
+    repeated k times."""
+    rows = np.tile(pattern_assign(spec.stimulus, spec.termination.n), k)
+    return replace(spec, stimulus=StimulusSpec(data_rate=spec.stimulus.data_rate,
+                                               streams=tuple(map(tuple, rows.tolist()))))
+
+
+def period_steps(engine):
+    """Steps of one stream period on engine's grid of whole steps a UI."""
+    return engine.streams.shape[1] * round(engine.ui / engine.dt)
+
+
 def _equivalence_links():
     """Links for the stepper oracle, each with its block size min(i0)."""
     twelve = load_link(FIXTURES / "link-twelve.json")
@@ -112,8 +128,7 @@ def test_blocked_stepper_matches_per_step_reference(name):
     engine = build_link(spec)
     assert engine.block == block
     if name == "twelve":
-        steps = int(round(engine.duration_s / engine.dt)) + 1
-        assert steps % block != 0  # the last block steps past the run
+        assert engine.steps % block != 0  # the last block steps past the run
     if name == "pair-breakout-1-step":
         assert engine.segments[0].frac.max() == 0.0
     if name == "pair-two-halves":
@@ -266,25 +281,23 @@ def test_stepper_within_its_stated_error_of_exact_modal_delays(name, rs):
     assert error.max() > 5e-3  # the corners fall between steps
 
 
-@pytest.mark.parametrize("breakout_m, periods", [(0.0, 0), (0.0005, 60), (0.001, 60)],
+@pytest.mark.parametrize("breakout_m, tiles", [(0.0, 1), (0.0005, 61), (0.001, 61)],
                          ids=["twelve", "breakout-0.5mm", "breakout-1mm"])
-def test_run_reaches_the_periodic_steady_state(breakout_m, periods):
+def test_run_reaches_the_periodic_steady_state(breakout_m, tiles):
     """run_transient against the per-bin solve of its own discretization.
     link-twelve as shipped is matched: every kept sample is settled.  The
     breakout links at PRBS5 reflect at both ends and ring (the 1 mm ring
-    decays by e every 85 bits or so), so they run 60 stream periods (1860
-    bits) longer and their last period is held to the oracle."""
+    decays by e every 85 bits or so), so they run their streams tiled 61
+    times (60 periods, 1860 bits, longer) and their last period is held to
+    the oracle, which solves the untiled link's one period."""
     spec = load_link(FIXTURES / "link-twelve.json")
     if breakout_m:
         spec = breakout_link(replace(spec, stimulus=replace(spec.stimulus, prbs_order=5)),
                              breakout_m)
-    engine = build_link(spec)
-    if periods:
-        longer = engine.duration_s + periods * engine.streams.shape[1] * engine.ui
-        engine = build_link(replace(spec, duration_s=longer))
-    volts, _, _ = periodic_steady_state(engine)
+    volts, _, _ = periodic_steady_state(build_link(spec))
+    engine = build_link(tiled(spec, tiles))
     period, samples = volts.shape[1], engine.samples
-    kept = np.arange(samples - period if periods else 0, samples)
+    kept = np.arange(samples - period if tiles > 1 else 0, samples)
     assert np.max(np.abs(run_transient(engine).volts[:, kept] - volts[:, kept % period])) <= 1e-9
 
 
@@ -348,7 +361,7 @@ def _warmup_refusal(delay, dt, gb, length):
 @pytest.mark.parametrize("change, message, bound", [
     ({"prbs_order": 23}, r"a link of \d+ timesteps needs about [\d.]+ GB of memory, over the "
                          r"1\.07 GB budget; lower prbs_order, lengthen timestep_s or shorten "
-                         r"duration_s", 2**20),
+                         r"the segment list", 2**20),
     ({"timestep_s": 1e-16}, _warmup_refusal("5.86994e-10", "1e-16", "2.26", "0.1016"), 2**20),
     # tau / dt overflows a float (a denormal timestep) or int64 (a huge
     # length): refused before the cast, without a warning
@@ -361,7 +374,7 @@ def _warmup_refusal(delay, dt, gb, length):
     # segments hold 2.9 MB
     ({"segments": 500}, re.escape(
         "a link of 910392 timesteps needs about 6.42 GB of memory, over the 1.07 GB budget; "
-        "lower prbs_order, lengthen timestep_s or shorten duration_s or the segment list"),
+        "lower prbs_order, lengthen timestep_s or shorten the segment list"),
      2**22),
 ], ids=["prbs23", "timestep-1e-16", "timestep-1e-320", "length-1e300", "segments-500"])
 def test_oversized_link_rejected_before_allocation(change, message, bound):
@@ -435,12 +448,14 @@ def test_step_map_is_held_at_its_own_size():
 @pytest.mark.parametrize("name", ["twelve", "pair", "scalar"])
 def test_each_extra_step_adds_only_its_returned_samples(name):
     """The pre-flight budgets one window plus the returned volts and source
-    currents, two float64s per wire a step: links lengthened by 1 to 10^5
-    steps differ by that alone."""
+    currents, two float64s per wire a step: links whose streams are tiled 2
+    and 61 times, one and 60 stream periods of steps longer (to 488k steps
+    on link-twelve), differ by that alone."""
     spec = load_link(FIXTURES / ("link-%s.json" % name))
     engine = build_link(spec)
-    for extra in (1, 4096, 10**5):
-        longer = build_link(replace(spec, duration_s=engine.duration_s + extra * engine.dt))
+    for k in (2, 61):
+        longer = build_link(tiled(spec, k))
+        extra = (k - 1) * period_steps(engine)
         assert longer.steps == engine.steps + extra
         assert longer.run_bytes() - engine.run_bytes() == 16 * engine.n * extra
 
@@ -659,14 +674,9 @@ def test_timestep_and_duration_validation():
                        timestep_s=1e-9)  # one step is longer than the flight
     with pytest.raises(ValidationError):
         build_link(link)
-    with pytest.raises(ValidationError):
-        build_link(simple_link(scalar_bundle(), fifty_ohm_network(1),
-                               duration_s=1e-12))
-    for duration in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="duration_s must be finite, got %s"
-                                                  % duration):
-            build_link(simple_link(scalar_bundle(), fifty_ohm_network(1),
-                                   duration_s=duration))
+    # a run is one stream period at least: streams of no bits are refused
+    with pytest.raises(ValidationError, match="explicit streams must share one nonzero period"):
+        build_link(simple_link(scalar_bundle(), fifty_ohm_network(1), streams=((),)))
     with pytest.raises(ValidationError):
         Segment(bundle=scalar_bundle(), length_m=0.0)
     with pytest.raises(ValidationError):
@@ -1049,10 +1059,20 @@ def test_link_json_loading(tmp_path):
             link_from_dict(doc)
 
 
-def test_run_transient_duration_override():
-    link = simple_link(scalar_bundle(), fifty_ohm_network(1), rs_ohms=0.0)
-    engine = build_link(link)
-    waves = run_transient(build_link(replace(link, duration_s=engine.duration_s + 20 * UI)))
-    longer = waves.volts.shape[1]
-    base = run_transient(engine).volts.shape[1]
-    assert longer > base
+@pytest.mark.parametrize("name", ["scalar", "pair", "twelve", "microstrip", "twelve-breakout-1mm"])
+def test_tiled_streams_lengthen_the_run(name):
+    """A longer run is a longer stream.  Streams that repeat the link's PRBS
+    rows twice keep the start of its waveforms, return the untiled run's
+    volts and source currents bit for bit over its samples, and step one
+    stream period more, 16n bytes a step."""
+    spec = load_link(FIXTURES / ("link-%s.json" % name.split("-")[0]))
+    if name.endswith("breakout-1mm"):
+        spec = breakout_link(spec, 0.001)
+    engine = build_link(spec)
+    longer = build_link(tiled(spec, 2))
+    assert longer.start_index == engine.start_index
+    assert longer.steps == engine.steps + period_steps(engine)
+    assert longer.run_bytes() - engine.run_bytes() == 16 * engine.n * period_steps(engine)
+    base, waves = run_transient(engine), run_transient(longer)
+    assert np.array_equal(waves.volts[:, :engine.samples], base.volts)
+    assert np.array_equal(waves.source_currents[:, :engine.samples], base.source_currents)
